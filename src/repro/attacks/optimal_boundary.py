@@ -92,10 +92,11 @@ class OptimalBoundaryAttack(PoisoningAttack):
         ``attack_radius(p)`` and ``direction``) carrying the clean
         data's centroid, percentile->radius lookup and fitted surrogate
         direction.  When it describes the ``X`` handed to
-        :meth:`generate` (an identity check), the per-round surrogate
+        :meth:`generate` (the same buffer with the same layout and
+        dtype — never a value comparison), the per-round surrogate
         refit and geometry recomputation are skipped — bit-identically.
-        For any other ``X`` the attack computes everything from
-        scratch as if ``precomputed`` were ``None``.
+        For any other ``X``, copies included, the attack computes
+        everything from scratch as if ``precomputed`` were ``None``.
     """
 
     def __init__(

@@ -67,7 +67,7 @@ class ContextKernel:
     ----------
     X_train:
         The clean training matrix this kernel describes (held by
-        reference; used for an identity check, never copied).
+        reference; used for a same-buffer check, never copied).
     centroid:
         Clean-data centroid under the context's ``centroid_method``.
     clean_distances:
@@ -173,14 +173,27 @@ class ContextKernel:
         return mask.copy()
 
     def describes(self, X: np.ndarray) -> bool:
-        """``True`` when ``X`` *is* the clean training matrix.
+        """``True`` when ``X`` is the clean training matrix's own memory.
 
-        An identity (not equality) check: the attack only trusts the
-        kernel for the exact array the kernel was built from, so a
-        kernel-carrying attack applied to any other dataset silently
-        falls back to the from-scratch path.
+        A same-buffer, same-layout (not equality) check: ``X`` must
+        start at the address of :attr:`X_train` with the same shape
+        and strides and an equal dtype.  Values are never compared, so
+        a copy — however equal — and any slice or transpose stay
+        foreign, and a kernel-carrying attack applied to them silently
+        falls back to the from-scratch path.  Object identity alone is
+        too strict: arrays unpickled from a saved context carry a
+        non-canonical dtype instance, so input validation's
+        ``np.asarray(X, dtype=float)`` hands back a fresh view of the
+        very same buffer rather than ``X_train`` itself.
         """
-        return X is self.X_train
+        if X is self.X_train:
+            return True
+        own = self.X_train
+        return (isinstance(X, np.ndarray)
+                and X.__array_interface__["data"][0]
+                == own.__array_interface__["data"][0]
+                and X.shape == own.shape and X.strides == own.strides
+                and X.dtype == own.dtype)
 
     # -- per-class slab geometry -------------------------------------------
 

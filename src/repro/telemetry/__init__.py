@@ -91,6 +91,20 @@ _state: _State | None = None
 _state_lock = threading.Lock()
 
 
+def _after_fork() -> None:
+    # A forked child's state is its parent's: a pool worker's first
+    # flush_delta() would ship the parent's counts back to be merged a
+    # second time.  Drop it without writing anything, so the child
+    # starts from an empty registry (re-armed from the environment)
+    # and opens its own sink file.  The lock is replaced, not taken:
+    # the fork may have copied it mid-hold.
+    global _state, _state_lock
+    _state, _state_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork)
+
+
 def _ensure() -> _State:
     global _state
     state = _state

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 
 import numpy as np
 import pytest
@@ -78,10 +77,7 @@ class TestShardDeath:
             outcomes = engine.evaluate_batch(cluster_ctx, specs)
             assert outcomes == reference
             # the chaotic shard really died, with the chaos exit code
-            deadline = time.monotonic() + 10.0
-            while chaotic.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert chaotic.returncode == CHAOS_EXIT_CODE
+            assert chaotic.wait(timeout=10.0) == CHAOS_EXIT_CODE
         finally:
             for proc in (survivor, chaotic):
                 if proc is not None:

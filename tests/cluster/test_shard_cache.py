@@ -9,7 +9,6 @@ bit-identical to the fault-free serial reference.
 
 import socket
 import threading
-import time
 
 import pytest
 
@@ -262,10 +261,7 @@ class TestPlacementUnderChaos:
             assert outcomes == reference
             telemetry = engine.batch_log[-1]["cluster"]
             assert telemetry["placed_rounds"] == 6
-            deadline = time.monotonic() + 10.0
-            while chaotic.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert chaotic.returncode == CHAOS_EXIT_CODE
+            assert chaotic.wait(timeout=10.0) == CHAOS_EXIT_CODE
         finally:
             for proc in (chaotic, survivor):
                 if proc.poll() is None:

@@ -8,6 +8,11 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.experiments.runner import make_synthetic_context
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: spawns a real subprocess; seconds, not milliseconds")
+
+
 @pytest.fixture(scope="session")
 def blobs():
     """A small separable binary dataset (X, y with labels {0, 1})."""

@@ -15,7 +15,8 @@ from repro.data.geometry import compute_centroid, distances_to_centroid
 from repro.defenses.radius_filter import RadiusFilter
 from repro.engine import AttackSpec, EvaluationEngine, RoundSpec
 from repro.experiments.kernel import build_context_kernel
-from repro.experiments.runner import evaluate_configuration, make_synthetic_context
+from repro.experiments.runner import (evaluate_configuration, load_context,
+                                     make_synthetic_context, save_context)
 from repro.ml.linear_svm import LinearSVM
 from repro.utils.rng import derive_seed
 
@@ -121,7 +122,9 @@ class TestAttackPrecomputedParity:
                                        ctx.attack_surrogate())
         np.testing.assert_array_equal(direction, expected)
 
-    def test_surrogate_fitted_once_per_context(self, monkeypatch):
+    @pytest.mark.parametrize("transport", ["fresh", "reloaded"])
+    def test_surrogate_fitted_once_per_context(self, monkeypatch, tmp_path,
+                                               transport):
         fits = []
         original = LinearSVM.fit
 
@@ -134,10 +137,16 @@ class TestAttackPrecomputedParity:
         # hide victim fits from the per-call counter (that path's own
         # accounting is covered by the engine batching tests).
         monkeypatch.setenv("REPRO_BATCH_FITS", "0")
-        fresh = make_synthetic_context(seed=11, n_samples=160, n_features=4)
+        ctx = make_synthetic_context(seed=11, n_samples=160, n_features=4)
+        if transport == "reloaded":
+            # The shard path: a context saved for `--context-file` and
+            # loaded back.  Its unpickled arrays carry non-canonical
+            # dtype instances, so the kernel guard must look past
+            # object identity to keep serving the surrogate direction.
+            ctx = load_context(save_context(ctx, str(tmp_path / "ctx.pkl")))
         engine = EvaluationEngine("serial", cache=False)
         specs = [kernel_spec(0.1, 0.05, seed) for seed in range(4)]
-        engine.evaluate_batch(fresh, specs)
+        engine.evaluate_batch(ctx, specs)
         # One surrogate fit (shared via the kernel) + one victim fit per
         # round; the pre-kernel path needed a surrogate refit every round.
         assert len(fits) == 1 + len(specs)
@@ -183,6 +192,26 @@ class TestKernelHousekeeping:
         clone = pickle.loads(pickle.dumps(ctx))
         assert "_kernel" not in clone.__dict__
         np.testing.assert_array_equal(clone.X_train, ctx.X_train)
+
+    def test_describes_same_buffer_view_with_equal_dtype(self, ctx):
+        import pickle
+
+        kernel = ctx.kernel()
+        X = kernel.X_train
+        # An equal but non-canonical dtype instance, as unpickling makes.
+        dtype = pickle.loads(pickle.dumps(X.dtype))
+        assert dtype is not X.dtype
+        view = X.view(dtype)
+        assert view is not X
+        assert kernel.describes(X)
+        assert kernel.describes(view)
+
+    @pytest.mark.parametrize("derive", [np.copy, lambda X: X[:-1],
+                                        lambda X: X.T],
+                             ids=["copy", "slice", "transpose"])
+    def test_describes_rejects_other_buffers_and_layouts(self, ctx, derive):
+        kernel = ctx.kernel()
+        assert not kernel.describes(derive(kernel.X_train))
 
     def test_clean_distances_alignment(self, ctx):
         kernel = ctx.kernel()

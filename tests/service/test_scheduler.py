@@ -1,10 +1,12 @@
 """SchedulerWorker: lease-and-run, retry/backoff, interrupt, resume."""
 
+import threading
 import time
 
 import pytest
 
 from repro.engine import EvaluationEngine
+from repro.engine.backends import SerialBackend
 from repro.service import (SchedulerWorker, ServiceConfig, StudyInterrupted,
                            StudyQueue)
 from repro.study import (ContextSpec, describe_study, load_checkpoint,
@@ -125,6 +127,26 @@ def test_interrupt_checkpoints_and_resumes_zero_recompute(tmp_path,
     assert result.study_fingerprint == spec.fingerprint()
 
 
+class _GatedBackend(SerialBackend):
+    """Serial rounds that pause after the first landed one until released.
+
+    Outcomes are yielded (and so recorded and checkpointed by the study)
+    before the pause, which makes "stop() mid-study" a sequence instead
+    of a race against a study that finishes in a fraction of a second.
+    """
+
+    def __init__(self):
+        self.landed = threading.Event()
+        self.release = threading.Event()
+
+    def run_iter(self, ctx, specs):
+        for index, outcome in super().run_iter(ctx, specs):
+            yield index, outcome
+            if not self.landed.is_set():
+                self.landed.set()
+                self.release.wait(timeout=60.0)
+
+
 def test_worker_stop_midstudy_leaves_resumable_entry(tmp_path, ctx_spec):
     """stop() during a study: the entry stays queued, a checkpoint
     holds the finished rounds, and a second worker finishes the study
@@ -137,25 +159,24 @@ def test_worker_stop_midstudy_leaves_resumable_entry(tmp_path, ctx_spec):
     queue = StudyQueue(str(tmp_path))
     queue.submit(spec)
 
-    first_engine = EvaluationEngine("serial")
+    gate = _GatedBackend()
+    first_engine = EvaluationEngine(gate)
     worker = SchedulerWorker(queue, _config(tmp_path),
                              engine=first_engine, name="w-first")
     worker.start()
     try:
-        # Wait for real progress, then yank the worker mid-study.
-        _wait(lambda: (queue.lease_info(fp) or {}).get("done", 0) >= 1,
-              message="first rounds to land")
+        # The first round has landed and the worker is parked before
+        # the second: yank it, then let the study run into the stop.
+        assert gate.landed.wait(timeout=60.0), "no round ever landed"
     finally:
         worker.stop()
+        gate.release.set()
         worker.join(timeout=30.0)
+    assert not worker.is_alive()
 
     assert queue.lease_info(fp) is None  # lease released on the way out
     entry = queue.get(fp)
-    if entry is None:
-        # The study finished before stop() won the race — legal, but
-        # then there is nothing to resume; the test needs slower runs.
-        pytest.skip("study completed before the interrupt landed")
-    assert entry.state == "queued"
+    assert entry is not None and entry.state == "queued"
     rows = load_checkpoint(str(tmp_path), fp)
     assert rows  # the shutdown flushed completed rounds
 

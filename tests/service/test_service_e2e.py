@@ -127,11 +127,11 @@ def test_already_archived_submit_zero_recompute(svc_client, svc, engine,
     status, doc = svc_client.json("POST", "/studies", tiny_spec.to_obj())
     assert status == 200
     assert doc == {"fingerprint": fp, "state": "done", "deduped": True}
-    # The archive answered; nothing was queued, nothing recomputed.
-    time.sleep(0.3)
+    # The archive answered and nothing was queued — so no worker can
+    # ever pick the study up, and nothing was (or will be) recomputed.
+    assert svc.queue.get(fp) is None
     assert engine.rounds_computed == rounds_after_first
     assert len(engine.batch_log) == batches_after_first
-    assert svc.queue.get(fp) is None
 
 
 def test_priority_wrapper_and_queue_route(svc_client, svc, spec_maker):

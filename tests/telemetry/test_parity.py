@@ -22,47 +22,80 @@ CONTEXT = {"name": "synthetic", "n_samples": 240}
 PERCENTILES = (0.0, 0.1, 0.3)
 
 
-def _spec():
-    return studies.figure1(context=CONTEXT, percentiles=PERCENTILES)
+# Two distinct studies run back to back on one engine: the second
+# computes fresh rounds (no cache hit), so the process backend forks a
+# second pool after the parent registry already holds the first
+# study's counts — the shape that exposed fork-inherited double counts.
+BACK_TO_BACK = (PERCENTILES, (0.05, 0.2))
+# Client-side spans plus the per-round stages: one per study, batch or
+# computed round on every backend.  fit spans are grouping-dependent.
+EXACT_SPANS = ("study", "batch", "attack", "defense", "payoff")
+
+
+def _spec(percentiles=PERCENTILES):
+    return studies.figure1(context=CONTEXT, percentiles=percentiles)
 
 
 def _run_with_telemetry(engine):
+    """Run the back-to-back studies; results plus the process summary."""
     telemetry.reset()
     telemetry.configure(metrics_only=True)
     try:
-        result = run_study(_spec(), engine=engine)
+        results = [run_study(_spec(p), engine=engine) for p in BACK_TO_BACK]
+        summary = telemetry.summary()
     finally:
         close = getattr(engine.backend, "close", None)
         if close is not None:
             close()
-    summary = result.extras["telemetry"]
     telemetry.configure()  # disarm + scrub env before the next backend
-    return result, summary
+    return results, summary
+
+
+def _engine_and_cache_counters(summary):
+    return {name: value for name, value in summary["counters"].items()
+            if name.startswith(("engine.", "cache."))}
 
 
 class TestBackendParity:
     def test_serial_process_cluster_agree(self):
-        serial_result, serial = _run_with_telemetry(
+        serial_results, serial = _run_with_telemetry(
             EvaluationEngine("serial"))
-        _, process = _run_with_telemetry(
+        process_results, process = _run_with_telemetry(
             EvaluationEngine("process", jobs=2))
-        cluster_result, cluster = _run_with_telemetry(
+        cluster_results, cluster = _run_with_telemetry(
             EvaluationEngine("cluster", jobs=2))
 
         # The numbers themselves are backend-independent.
-        assert cluster_result.payload == serial_result.payload
+        assert [r.payload for r in cluster_results] == \
+            [r.payload for r in serial_results]
 
-        for summary in (serial, process, cluster):
+        rounds = sum(r.n_rounds for r in serial_results)
+        assert serial["counters"]["engine.rounds_total"] == rounds
+        assert serial["stages"]["study"]["count"] == len(BACK_TO_BACK)
+        for results, summary in ((serial_results, serial),
+                                 (process_results, process),
+                                 (cluster_results, cluster)):
             assert summary["schema"] == telemetry.SUMMARY_SCHEMA_VERSION
-            # Exactly one span per computed round for the per-round
-            # stages, whichever tier executed them.
-            for stage in ("attack", "defense", "payoff"):
+            # Every engine/cache counter is counted once, in the client,
+            # whichever tier executed the rounds.
+            assert _engine_and_cache_counters(summary) == \
+                _engine_and_cache_counters(serial)
+            for stage in EXACT_SPANS:
                 assert summary["stages"][stage]["count"] == \
                     serial["stages"][stage]["count"], stage
-            # fit spans exist but their count is grouping-dependent.
             assert summary["stages"]["fit"]["count"] >= 1
-            assert summary["counters"]["engine.rounds_total"] == \
-                serial["counters"]["engine.rounds_total"]
+            # Each study's archived provenance is scoped to that study:
+            # a worker or shard delta merged late would move its spans
+            # into the next study's summary (or none) while the
+            # process-wide totals above stayed equal.
+            for result, reference in zip(results, serial_results):
+                archived = result.extras["telemetry"]
+                expected = reference.extras["telemetry"]
+                assert _engine_and_cache_counters(archived) == \
+                    _engine_and_cache_counters(expected)
+                for stage in ("attack", "defense", "payoff"):
+                    assert archived["stages"][stage]["count"] == \
+                        expected["stages"][stage]["count"], stage
 
     def test_cluster_chunk_latency_histogram_lands_clientside(self):
         telemetry.reset()
