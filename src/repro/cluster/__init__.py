@@ -34,7 +34,7 @@ from repro.cluster.scheduler import (
     ShardError,
     ShardRejected,
 )
-from repro.cluster.server import ShardExecutor, ShardServer, serve
+from repro.cluster.server import ShardServer, serve
 
 __all__ = [
     "ClusterBackend",
@@ -48,7 +48,6 @@ __all__ = [
     "ShardClient",
     "ShardError",
     "ShardRejected",
-    "ShardExecutor",
     "ShardServer",
     "serve",
 ]

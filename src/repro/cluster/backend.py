@@ -48,7 +48,7 @@ Registered under ``"cluster"`` (``EvaluationEngine("cluster")``,
   tier.  Unset means no shard cache (see
   :mod:`repro.cluster.server`).
 
-Every ``run`` opens one connection per shard, performs the
+Every batch opens one connection per shard, performs the
 content-fingerprint handshake (a shard holding a different context —
 or a different cache schema — refuses, loudly), and streams chunks
 through the :class:`~repro.cluster.scheduler.ClusterScheduler`.  The
@@ -397,13 +397,6 @@ class ClusterBackend(EvaluationBackend):
         close_local_pools()
 
     # -- EvaluationBackend -------------------------------------------------
-
-    def run(self, ctx, specs) -> list:
-        specs = list(specs)
-        results = [None] * len(specs)
-        for index, outcome in self.run_iter(ctx, specs):
-            results[index] = outcome
-        return results
 
     def run_iter(self, ctx, specs):
         specs = list(specs)

@@ -7,11 +7,12 @@ A :class:`ShardServer` owns exactly one
    context (:func:`~repro.engine.spec.prewarm_all`), so per-context
    work like the boundary attack's surrogate fit happens once, before
    any client connects;
-2. with ``jobs > 1``, publishes the context's data arrays into a
-   **per-host shared-memory segment** and keeps a persistent process
-   pool mapped onto it — the generalisation of the process backend's
-   zero-copy transport from "once per batch" to "once per server
-   lifetime";
+2. with ``jobs > 1``, holds the process backend's
+   :class:`~repro.engine.backends.WorkerPool` for its whole lifetime:
+   the context's data arrays sit in a **per-host shared-memory
+   segment** that every worker maps, packed once per server instead
+   of once per batch (with ``jobs <= 1`` rounds run in-process, like
+   the serial backend);
 3. listens on a TCP socket and answers the protocol of
    :mod:`repro.cluster.protocol`: a content-fingerprint handshake,
    then round chunks, executed through the engine's own
@@ -48,115 +49,22 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import socket
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 
 from repro import telemetry
 from repro.cluster import protocol
-from repro.engine.backends import (
-    _FIT_WINDOW,
-    _pack_context,
-    _release_shm,
-    _worker_init,
-    _worker_run_specs_telemetry,
-    execute_rounds,
-)
+from repro.engine.backends import SerialBackend, WorkerPool
 from repro.engine.cache import ResultCache, cache_schema_version, round_keys
 from repro.engine.spec import prewarm_all
 from repro.resilience import env_int, faults
 
-__all__ = ["ShardExecutor", "ShardServer", "serve", "main"]
+__all__ = ["ShardServer", "serve", "main"]
 
 # Exit code of a chaos-triggered mid-chunk crash (distinguishable from
 # ordinary failures in tests and process tables).
 CHAOS_EXIT_CODE = 17
-
-
-class ShardExecutor:
-    """Executes round chunks for one context, serially or on a pool.
-
-    With ``jobs <= 1`` rounds run in-process.  Otherwise the context is
-    packed once into shared memory and a persistent
-    ``ProcessPoolExecutor`` maps it read-only in every worker — chunk
-    execution then ships only the tiny specs.  ``close()`` releases the
-    pool and the segment.
-    """
-
-    def __init__(self, ctx, jobs: int | None = None):
-        self.ctx = ctx
-        self.jobs = int(jobs) if jobs else 1
-        self._pool = None
-        self._shm = None
-        if self.jobs > 1:
-            meta, shm = _pack_context(ctx)
-            self._shm = shm
-            try:
-                blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, initializer=_worker_init,
-                    initargs=(blob,),
-                )
-                # Spawn every worker NOW, before any client connects.
-                # ProcessPoolExecutor forks workers lazily at submit
-                # time; a worker forked mid-connection inherits the
-                # accepted socket fd, and if the server then dies the
-                # orphaned worker keeps that fd open — turning the
-                # client's instant connection-reset (fast failover)
-                # into a full protocol timeout.
-                for future in [self._pool.submit(os.getpid)
-                               for _ in range(self.jobs)]:
-                    future.result()
-            except Exception:
-                _release_shm(self._shm)
-                self._shm = None
-                raise
-
-    def run(self, specs: list) -> list:
-        """Outcomes for ``specs``, in order (the round semantics of
-        :func:`~repro.engine.backends.execute_round`, batch-dispatched
-        through :func:`~repro.engine.backends.execute_rounds`)."""
-        return [outcome for _, outcome in self.run_iter(specs)]
-
-    def run_iter(self, specs: list):
-        """Yield ``(offset, outcome)`` pairs, in order, as they land.
-
-        The incremental face of :meth:`run` for the shard cache tier's
-        streaming-to-disk contract: serial execution surfaces one fit
-        window at a time, pool execution one pool chunk at a time —
-        either way an outcome is yielded (and can hit disk) long before
-        the whole chunk completes, so a crash mid-chunk leaves the
-        already-landed prefix replayable.
-        """
-        if self._pool is None:
-            for base in range(0, len(specs), _FIT_WINDOW):
-                window = specs[base:base + _FIT_WINDOW]
-                for offset, outcome in enumerate(
-                        execute_rounds(self.ctx, window)):
-                    yield base + offset, outcome
-            return
-        chunksize = max(1, len(specs) // (self.jobs * 4))
-        chunks = [specs[i:i + chunksize]
-                  for i in range(0, len(specs), chunksize)]
-        position = 0
-        for chunk_outcomes, delta in self._pool.map(
-                _worker_run_specs_telemetry, chunks):
-            # Fold each pool worker's stage metrics into the shard's
-            # own registry, so the shard's piggybacked deltas (and its
-            # telemetry-report answers) cover the whole pool.
-            telemetry.merge(delta)
-            for outcome in chunk_outcomes:
-                yield position, outcome
-                position += 1
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        _release_shm(self._shm)
-        self._shm = None
 
 
 class ShardServer:
@@ -223,7 +131,10 @@ class ShardServer:
         self._rounds_executed = 0
         self._chaos_lock = threading.Lock()
         prewarm_all(ctx)
-        self.executor = ShardExecutor(ctx, jobs)
+        # Every pool worker is forked here, before the listening socket
+        # exists, so none inherits a socket fd.
+        self.jobs = int(jobs) if jobs else 1
+        self.pool = WorkerPool(ctx, self.jobs) if self.jobs > 1 else None
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, int(port)))
@@ -336,7 +247,7 @@ class ShardServer:
             return False
         protocol.send_message(conn, protocol.welcome(
             self.fingerprint, host=self.host, pid=os.getpid(),
-            capacity=self.executor.jobs, schema=self.schema,
+            capacity=self.jobs, schema=self.schema,
             secret=self.secret))
         return True
 
@@ -472,8 +383,8 @@ class ShardServer:
     def _run_chunk(self, specs: list) -> tuple[list, int]:
         """Outcomes for ``specs`` plus how many came from the cache tier.
 
-        With a cache: held rounds are served without touching the
-        executor (they do not count as *executed* — the chaos
+        With a cache: held rounds are served without running them
+        (they do not count as *executed* — the chaos
         crash-after-N threshold counts real work only, which is what
         makes replay-from-disk after a crash observable), and every
         computed outcome is stored the moment it lands, not when the
@@ -506,7 +417,7 @@ class ShardServer:
         order (for the cache-less path)."""
         if self.chaos_exit_after is None:
             collected = [None] * len(specs)
-            for offset, outcome in self.executor.run_iter(specs):
+            for offset, outcome in self._rounds(specs):
                 self._rounds_executed += 1
                 collected[offset] = outcome
                 land(offset, outcome)
@@ -520,10 +431,19 @@ class ShardServer:
                 if self._rounds_executed >= self.chaos_exit_after:
                     os._exit(CHAOS_EXIT_CODE)
                 self._rounds_executed += 1
-            outcome = self.executor.run([spec])[0]
+            [(_, outcome)] = self._rounds([spec])
             collected.append(outcome)
             land(offset, outcome)
         return collected
+
+    def _rounds(self, specs: list):
+        """``(offset, outcome)`` pairs as rounds land: on the worker
+        pool, or in-process like the serial backend when ``jobs <= 1``.
+        Either way an outcome surfaces (and can hit the disk tier) long
+        before the whole chunk completes."""
+        if self.pool is None:
+            return SerialBackend().run_iter(self.ctx, specs)
+        return self.pool.run_iter(specs)
 
     def close(self) -> None:
         self._shutdown.set()
@@ -531,7 +451,8 @@ class ShardServer:
             self._sock.close()
         except OSError:  # pragma: no cover
             pass
-        self.executor.close()
+        if self.pool is not None:
+            self.pool.close()
 
 
 def serve(ctx, *, host: str = "127.0.0.1", port: int = 0,

@@ -11,24 +11,25 @@ async backends drop-in safe.
 Built-ins:
 
 * ``serial`` — in-process loop; zero overhead, the reference semantics.
-* ``process`` — ``concurrent.futures.ProcessPoolExecutor`` fan-out
-  with **zero-copy context transport**: the context's data arrays are
-  published once into a ``multiprocessing.shared_memory`` block that
-  every worker maps read-only, and only a small metadata blob (array
-  layout, scalar fields, the picklable victim factory, and the round
-  kernel's fitted attack direction) is pickled into the pool
+* ``process`` — fans chunks out over a :class:`WorkerPool` opened per
+  batch, with **zero-copy context transport**: the context's data
+  arrays are published once into a ``multiprocessing.shared_memory``
+  block that every worker maps read-only, and only a small metadata
+  blob (array layout, scalar fields, the picklable victim factory, and
+  the round kernel's fitted attack direction) is pickled into the pool
   initializer.  Worker start-up therefore stops copying the full
   train/test split per process, and fan-out cost no longer grows with
   context size.  Contexts that do not look like experiment contexts
-  fall back to whole-object pickling.
+  fall back to whole-object pickling.  The cluster's shard server
+  holds the same pool for its lifetime.
 * ``cluster`` — fans chunks out to shard servers over TCP (see
   :mod:`repro.cluster`); autospawns localhost shards when none are
   configured.  Registered lazily so the engine package stays light.
 
-Backends additionally expose :meth:`EvaluationBackend.run_iter`, the
-streaming face of ``run``: ``(index, outcome)`` pairs as rounds land,
-bit-identical to ``run`` in every position.  The engine's
-``evaluate_stream`` rides it.
+A backend implements one method, :meth:`EvaluationBackend.run_iter`:
+``(index, outcome)`` pairs as rounds land, in any order.  The base
+class's ``run`` collects that stream into input order, and the
+engine's ``evaluate_batch`` and ``evaluate_stream`` both ride it.
 
 New backends register with :func:`register_backend`.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "EvaluationBackend",
     "SerialBackend",
     "ProcessPoolBackend",
+    "WorkerPool",
     "execute_round",
     "execute_rounds",
     "register_backend",
@@ -55,10 +57,10 @@ __all__ = [
     "available_backends",
 ]
 
-# Rounds per batched-fit window: execute_rounds prepares this many
-# rounds at a time, then trains eligible same-victim/same-shape groups
-# through LinearSVM.fit_many.  Large enough to catch a grid study's
-# repeat axis, small enough to keep B prepared training sets resident.
+# Rounds per batched-fit window: _iter_rounds prepares this many rounds
+# at a time, then trains eligible same-victim/same-shape groups through
+# LinearSVM.fit_many.  Large enough to catch a grid study's repeat
+# axis, small enough to keep B prepared training sets resident.
 _FIT_WINDOW = 32
 
 # Fields of an ExperimentContext large enough to be worth publishing in
@@ -168,35 +170,47 @@ def _fit_prepared_groups(prepared_rounds) -> None:
             prepared.fitted = True
 
 
-def execute_rounds(ctx, specs) -> list:
-    """Run a batch of round specs, outcomes in input order.
+def _iter_rounds(ctx, specs):
+    """Yield ``(index, outcome)`` for ``specs``, one fit window at a time.
 
-    The batch-aware sibling of :func:`execute_round`: rounds are
-    prepared (attack + defence + fresh victim) one at a time exactly
-    as today, but the victim fits of same-victim, same-shape rounds in
-    each window of ``_FIT_WINDOW`` are dispatched together through
-    ``LinearSVM.fit_many`` — bit-identical to sequential fits by the
-    batched trainer's contract, so outcomes, cache keys and streaming
-    semantics are unchanged.  Set ``REPRO_BATCH_FITS=0`` to force the
-    plain per-round path.
+    The one in-process execution loop (the serial backend, a shard
+    without a pool and every pool worker's chunk all run it).  Rounds
+    are prepared (attack + defence + fresh victim) one at a time, the
+    victim fits of same-victim, same-shape rounds in each window of
+    ``_FIT_WINDOW`` train together through ``LinearSVM.fit_many`` —
+    bit-identical to sequential fits by the batched trainer's contract
+    — and each window's outcomes surface, in input order, as soon as
+    the window finishes.  ``REPRO_BATCH_FITS=0`` forces the plain
+    per-round path.
     """
-    specs = list(specs)
-    if len(specs) < 2 or not _batch_fits_enabled():
-        return [execute_round(ctx, spec) for spec in specs]
-
     from repro.experiments.runner import (
         finish_configuration,
         prepare_configuration,
     )
 
-    outcomes = []
+    specs = list(specs)
+    batched = _batch_fits_enabled()
     for base in range(0, len(specs), _FIT_WINDOW):
         window = specs[base:base + _FIT_WINDOW]
-        prepared = [prepare_configuration(ctx, **_round_kwargs(ctx, spec))
-                    for spec in window]
-        _fit_prepared_groups(prepared)
-        outcomes.extend(finish_configuration(ctx, p) for p in prepared)
-    return outcomes
+        if batched and len(window) > 1:
+            prepared = [prepare_configuration(ctx, **_round_kwargs(ctx, spec))
+                        for spec in window]
+            _fit_prepared_groups(prepared)
+            outcomes = [finish_configuration(ctx, p) for p in prepared]
+        else:
+            outcomes = [execute_round(ctx, spec) for spec in window]
+        for offset, outcome in enumerate(outcomes):
+            yield base + offset, outcome
+
+
+def execute_rounds(ctx, specs) -> list:
+    """Run a batch of round specs, outcomes in input order.
+
+    The batch-aware sibling of :func:`execute_round`: same outcomes
+    round for round, with the victim fits of each window batched (see
+    :func:`_iter_rounds`).
+    """
+    return [outcome for _, outcome in _iter_rounds(ctx, specs)]
 
 
 class EvaluationBackend(ABC):
@@ -205,22 +219,23 @@ class EvaluationBackend(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def run(self, ctx, specs) -> list:
-        """Evaluate ``specs`` in ``ctx``; outcomes in input order."""
-
     def run_iter(self, ctx, specs):
         """Yield ``(index, outcome)`` pairs as rounds complete.
 
-        The streaming face of :meth:`run`: indices refer to positions
-        in ``specs``, every index is yielded exactly once, and — by the
-        module determinism contract — each outcome is bit-identical to
-        the one :meth:`run` would put at that position, whatever order
-        they arrive in.  The default runs the whole batch first and
-        yields in input order; backends with genuinely incremental
-        execution override it.
+        Indices refer to positions in ``specs`` and every index is
+        yielded exactly once, in whatever order rounds land; by the
+        module determinism contract each outcome is bit-identical to
+        the serial backend's at that position.
         """
-        for index, outcome in enumerate(self.run(ctx, specs)):
-            yield index, outcome
+
+    def run(self, ctx, specs) -> list:
+        """Evaluate ``specs`` in ``ctx``; outcomes in input order
+        (:meth:`run_iter`'s stream, collected)."""
+        specs = list(specs)
+        outcomes = [None] * len(specs)
+        for index, outcome in self.run_iter(ctx, specs):
+            outcomes[index] = outcome
+        return outcomes
 
     def batch_telemetry(self) -> dict | None:
         """Backend-specific counters of the most recent batch, or ``None``.
@@ -241,17 +256,8 @@ class SerialBackend(EvaluationBackend):
     def __init__(self, jobs: int | None = None):
         pass  # accepts (and ignores) jobs so all backends share a signature
 
-    def run(self, ctx, specs) -> list:
-        return execute_rounds(ctx, specs)
-
     def run_iter(self, ctx, specs):
-        # Stream one fit window at a time: rounds inside a window train
-        # together (batched fits), whole windows surface in input order.
-        specs = list(specs)
-        for base in range(0, len(specs), _FIT_WINDOW):
-            window = specs[base:base + _FIT_WINDOW]
-            for offset, outcome in enumerate(execute_rounds(ctx, window)):
-                yield base + offset, outcome
+        return _iter_rounds(ctx, specs)
 
 
 # -- zero-copy context transport --------------------------------------------
@@ -396,63 +402,118 @@ def _worker_init(meta_blob: bytes) -> None:
         atexit.register(_worker_cleanup)
 
 
-def _worker_run(spec):
-    return execute_round(_WORKER_CTX, spec)
-
-
-def _worker_run_specs(specs):
-    """Run a chunk of specs in a worker, outcomes in chunk order.
-
-    Routes through :func:`execute_rounds` so a worker's chunk gets the
-    same batched-fit treatment as the serial backend — chunking decides
-    *where* rounds run, ``execute_rounds`` decides *how*.
-    """
-    return execute_rounds(_WORKER_CTX, specs)
-
-
-def _worker_run_chunk(indexed_specs):
-    """Run ``[(index, spec), ...]`` and return ``[(index, outcome), ...]``.
-
-    The chunked unit of the process backend's streaming path: one
-    future per chunk keeps submission overhead off the hot path while
-    letting ``as_completed`` surface whole chunks as they finish.
-    """
-    outcomes = execute_rounds(_WORKER_CTX,
-                              [spec for _, spec in indexed_specs])
-    return [(index, outcome)
-            for (index, _), outcome in zip(indexed_specs, outcomes)]
-
-
-def _worker_run_specs_telemetry(specs):
-    """:func:`_worker_run_specs` plus the worker's telemetry delta.
+def _worker_run_chunk(specs):
+    """The pool workers' one entry point: a chunk's outcomes, in chunk
+    order, plus this worker's telemetry delta.
 
     The delta (``None`` when telemetry is disabled or nothing changed)
-    carries the stage histograms and counters this chunk accumulated in
-    the worker process; the parent merges it into its own registry so
-    client-side summaries cover the whole pool.  Spans still land in
-    the worker's own JSONL file — only metrics travel back.
+    carries the stage histograms and counters the chunk accumulated in
+    the worker process; the pool owner merges it into its own registry
+    so its summaries cover the whole pool.  Spans still land in the
+    worker's own JSONL file — only metrics travel back.
     """
     from repro import telemetry
 
-    return _worker_run_specs(specs), telemetry.flush_delta()
+    return execute_rounds(_WORKER_CTX, specs), telemetry.flush_delta()
 
 
-def _worker_run_chunk_telemetry(indexed_specs):
-    """:func:`_worker_run_chunk` plus the worker's telemetry delta."""
-    from repro import telemetry
+class WorkerPool:
+    """Worker processes that all map one context, packed once.
 
-    return _worker_run_chunk(indexed_specs), telemetry.flush_delta()
+    The context's data arrays go into one shared-memory block that
+    every worker maps read-only; the pool initializer receives only a
+    small metadata blob, pickled once.  Every worker is started before
+    the constructor returns: a worker forked later, while its owner
+    holds an accepted socket, would inherit that fd — and if the owner
+    then died, the orphaned worker would keep the connection open,
+    turning a client's instant connection-reset into a full protocol
+    timeout.
+
+    :class:`ProcessPoolBackend` opens one per batch; the cluster's
+    shard server holds one for its lifetime.  ``close()`` shuts the
+    workers down and unlinks the block.
+
+    Parameters
+    ----------
+    ctx:
+        The context every chunk runs in (prewarm it first: whatever
+        the round kernel holds ships to the workers in the blob).
+    jobs:
+        Worker process count.
+    """
+
+    def __init__(self, ctx, jobs: int):
+        self.jobs = int(jobs)
+        self._pool = None
+        meta, self._shm = _pack_context(ctx)
+        try:
+            # Pickling here, once, also surfaces unpicklable contexts
+            # (e.g. a lambda model_factory) as one clear error instead
+            # of a broken pool.
+            try:
+                meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                raise TypeError(
+                    "the experiment context cannot be pickled for the process "
+                    "backend (a lambda/closure model_factory is the usual "
+                    "culprit — use a picklable callable class such as "
+                    "repro.experiments.runner.SVMVictimFactory, or the serial "
+                    f"backend): {exc}"
+                ) from exc
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_worker_init,
+                initargs=(meta_blob,))
+            for future in [self._pool.submit(os.getpid)
+                           for _ in range(self.jobs)]:
+                future.result()
+        except BaseException:
+            self.close()
+            raise
+
+    def run_iter(self, specs):
+        """Yield ``(index, outcome)`` pairs as worker chunks complete.
+
+        ``specs`` is cut into chunks of a quarter of an even per-worker
+        share, one future each; every chunk runs through
+        :func:`execute_rounds` in its worker (so its fits are batched)
+        and surfaces whole, in arrival order.  Chunks not yet started
+        are cancelled if the stream is abandoned.
+        """
+        from repro import telemetry
+
+        specs = list(specs)
+        size = max(1, len(specs) // (self.jobs * 4))
+        futures = {self._pool.submit(_worker_run_chunk,
+                                     specs[base:base + size]): base
+                   for base in range(0, len(specs), size)}
+        try:
+            for future in as_completed(futures):
+                outcomes, delta = future.result()
+                telemetry.merge(delta)
+                base = futures[future]
+                for offset, outcome in enumerate(outcomes):
+                    yield base + offset, outcome
+        finally:
+            for future in futures:
+                future.cancel()
+
+    def close(self) -> None:
+        """Shut the workers down and release the shared block
+        (idempotent)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+        _release_shm(self._shm)
+        self._shm = None
 
 
 class ProcessPoolBackend(EvaluationBackend):
-    """Fan rounds out over a ``ProcessPoolExecutor``.
+    """Fan rounds out over a :class:`WorkerPool` opened per batch.
 
-    The context's data arrays ride in one shared-memory block (mapped
-    read-only by every worker); the pool initializer receives only a
-    small metadata blob.  Shared state attack builders can precompute
-    once per batch (e.g. the boundary attack's surrogate direction) is
-    warmed in the parent and shipped in that blob, so workers never
-    repeat it.
+    Shared state attack builders can precompute once per batch (e.g.
+    the boundary attack's surrogate direction) is warmed in the parent
+    and shipped in the pool's metadata blob, so workers never repeat
+    it.
 
     Parameters
     ----------
@@ -467,98 +528,20 @@ class ProcessPoolBackend(EvaluationBackend):
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
 
-    def _prepare(self, ctx, specs):
-        """Prewarm + pack ``ctx``; return ``(meta_blob, shm, workers)``.
-
-        Shared front half of :meth:`run` and :meth:`run_iter`.  The
-        caller owns the returned shared-memory block (when not None)
-        and must close+unlink it after the pool is done.
-        """
+    def run_iter(self, ctx, specs):
         # Imported lazily, like execute_round: keep the engine package
         # importable without the experiments layer.
         from repro.engine.spec import prewarm_context
 
-        prewarm_context(ctx, specs)
-        meta, shm = _pack_context(ctx)
-        try:
-            # The metadata is pickled exactly once, here, and shipped to
-            # each worker through the initializer; this also surfaces
-            # unpicklable contexts (e.g. a lambda model_factory) as one
-            # clear error instead of a broken pool.
-            try:
-                meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                raise TypeError(
-                    "the experiment context cannot be pickled for the process "
-                    "backend (a lambda/closure model_factory is the usual "
-                    "culprit — use a picklable callable class such as "
-                    "repro.experiments.runner.SVMVictimFactory, or the serial "
-                    f"backend): {exc}"
-                ) from exc
-        except BaseException:
-            _release_shm(shm)
-            raise
-        return meta_blob, shm, max(1, min(self.jobs, len(specs)))
-
-    def run(self, ctx, specs) -> list:
-        specs = list(specs)
-        if not specs:
-            return []
-        meta_blob, shm, workers = self._prepare(ctx, specs)
-        try:
-            # Explicit chunks (the same sizing pool.map would pick) so
-            # each worker-side chunk flows through execute_rounds and
-            # gets its fits batched; results flatten back in order.
-            chunksize = max(1, len(specs) // (workers * 4))
-            chunks = [specs[i:i + chunksize]
-                      for i in range(0, len(specs), chunksize)]
-            from repro import telemetry
-
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(meta_blob,)
-            ) as pool:
-                outcomes = []
-                for chunk_outcomes, delta in pool.map(
-                        _worker_run_specs_telemetry, chunks):
-                    telemetry.merge(delta)
-                    outcomes.extend(chunk_outcomes)
-                return outcomes
-        finally:
-            _release_shm(shm)
-
-    def run_iter(self, ctx, specs):
-        """Stream ``(index, outcome)`` pairs as worker chunks complete.
-
-        Same transport and chunk sizing as :meth:`run`, but chunks are
-        submitted as individual futures and surfaced through
-        ``as_completed`` — outcomes arrive while other chunks still
-        train.  Bit-identity with :meth:`run` is inherited from
-        ``execute_round``; only arrival order differs.
-        """
         specs = list(specs)
         if not specs:
             return
-        meta_blob, shm, workers = self._prepare(ctx, specs)
+        prewarm_context(ctx, specs)
+        pool = WorkerPool(ctx, min(self.jobs, len(specs)))
         try:
-            chunksize = max(1, len(specs) // (workers * 4))
-            indexed = list(enumerate(specs))
-            chunks = [indexed[i:i + chunksize]
-                      for i in range(0, len(indexed), chunksize)]
-            from repro import telemetry
-
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(meta_blob,)
-            ) as pool:
-                futures = [pool.submit(_worker_run_chunk_telemetry, chunk)
-                           for chunk in chunks]
-                for future in as_completed(futures):
-                    pairs, delta = future.result()
-                    telemetry.merge(delta)
-                    yield from pairs
+            yield from pool.run_iter(specs)
         finally:
-            _release_shm(shm)
+            pool.close()
 
 
 # -- registry --------------------------------------------------------------
@@ -599,5 +582,4 @@ def _make_cluster_backend(jobs: int | None):
 
 register_backend("serial", SerialBackend)
 register_backend("process", ProcessPoolBackend)
-register_backend("process-pool", ProcessPoolBackend)  # alias
 register_backend("cluster", _make_cluster_backend)

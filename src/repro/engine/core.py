@@ -29,7 +29,7 @@ import time
 
 from repro import telemetry
 from repro.engine.backends import EvaluationBackend, make_backend
-from repro.engine.cache import ResultCache, round_key
+from repro.engine.cache import ResultCache, round_keys
 
 __all__ = [
     "EvaluationEngine",
@@ -95,67 +95,18 @@ class EvaluationEngine:
         batches — are computed exactly once.
 
         ``progress`` is an optional ``callback(done, total)`` invoked
-        after every spec resolves (cache hits included); when given,
-        the batch rides the streaming path (:meth:`evaluate_stream`'s
-        machinery), whose outcomes are bit-identical — with ``None``
-        (the default) the batch goes through ``backend.run`` unchanged.
+        after every spec resolves (cache hits included).  The batch is
+        :meth:`evaluate_stream`'s stream collected into input order, so
+        outcomes and cache state are the same with or without it.
         """
         specs = list(specs)
-        if not specs:
-            return []
-        if progress is not None:
-            results = [None] * len(specs)
-            done = 0
-            for index, outcome in self._stream_indexed(ctx, specs):
-                results[index] = outcome
-                done += 1
+        results = [None] * len(specs)
+        for done, (index, outcome) in enumerate(
+                self._stream_indexed(ctx, specs), 1):
+            results[index] = outcome
+            if progress is not None:
                 progress(done, len(specs))
-            return results
-        start = time.perf_counter()
-        fingerprint = ctx.fingerprint()
-        keys = [round_key(fingerprint, spec) for spec in specs]
-
-        unique: dict[str, object] = {}
-        for key, spec in zip(keys, specs):
-            unique.setdefault(key, spec)
-
-        results: dict[str, object] = {}
-        to_run = []
-        for key, spec in unique.items():
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is None:
-                to_run.append((key, spec))
-            else:
-                results[key] = cached
-
-        if to_run:
-            with telemetry.trace_span("batch", backend=self.backend.name,
-                                      rounds=len(to_run)):
-                outcomes = self.backend.run(ctx,
-                                            [spec for _, spec in to_run])
-            self.rounds_computed += len(outcomes)
-            for (key, _), outcome in zip(to_run, outcomes):
-                if self.cache is not None:
-                    self.cache.put(key, outcome)
-                results[key] = outcome
-
-        telemetry.counter("engine.rounds_total").inc(len(specs))
-        telemetry.counter("engine.rounds_computed").inc(len(to_run))
-        telemetry.counter("engine.batches_total").inc()
-        entry = {
-            "batch": len(self.batch_log) + 1,
-            "backend": self.backend.name,
-            "n_specs": len(specs),
-            "n_unique": len(unique),
-            "computed": len(to_run),
-            "cache_hits": len(unique) - len(to_run),
-            "seconds": time.perf_counter() - start,
-        }
-        cluster_telemetry = self.backend.batch_telemetry()
-        if cluster_telemetry:
-            entry["cluster"] = cluster_telemetry
-        self.batch_log.append(entry)
-        return [results[key] for key in keys]
+        return results
 
     def evaluate_stream(self, ctx, specs):
         """Yield ``(spec, outcome)`` pairs as rounds land.
@@ -175,15 +126,20 @@ class EvaluationEngine:
     def _stream_indexed(self, ctx, specs):
         """Yield ``(index, outcome)``: cache hits first, then the
         backend's :meth:`~repro.engine.backends.EvaluationBackend.
-        run_iter` completions, deduplicated by content key exactly like
-        the batch path."""
+        run_iter` completions.
+
+        The engine's one execution path.  Specs are keyed by content
+        and duplicates collapse onto one computation; computed outcomes
+        enter the cache in input order whatever order they land in, so
+        every backend leaves the same cache behind (LRU order
+        included).  A stream abandoned or failed mid-batch still caches
+        every round that landed.
+        """
         if not specs:
             return
         start = time.perf_counter()
-        fingerprint = ctx.fingerprint()
-        keys = [round_key(fingerprint, spec) for spec in specs]
         positions: dict[str, list[int]] = {}
-        for index, key in enumerate(keys):
+        for index, key in enumerate(round_keys(ctx.fingerprint(), specs)):
             positions.setdefault(key, []).append(index)
 
         to_run = []
@@ -195,23 +151,30 @@ class EvaluationEngine:
                 for index in indices:
                     yield index, cached
 
+        landed: list = [None] * len(to_run)
+        committed = 0  # to_run[:committed] are in the cache
         computed = 0
         try:
             if to_run:
-                run_specs = [spec for _, spec in to_run]
                 with telemetry.trace_span("batch",
                                           backend=self.backend.name,
                                           rounds=len(to_run)):
-                    for j, outcome in self.backend.run_iter(ctx,
-                                                            run_specs):
-                        key = to_run[j][0]
+                    for j, outcome in self.backend.run_iter(
+                            ctx, [spec for _, spec in to_run]):
                         self.rounds_computed += 1
                         computed += 1
-                        if self.cache is not None:
-                            self.cache.put(key, outcome)
-                        for index in positions[key]:
+                        landed[j] = outcome
+                        while committed < len(to_run) and \
+                                landed[committed] is not None:
+                            self._commit(to_run[committed][0],
+                                         landed[committed])
+                            committed += 1
+                        for index in positions[to_run[j][0]]:
                             yield index, outcome
         finally:
+            for j in range(committed, len(to_run)):
+                if landed[j] is not None:
+                    self._commit(to_run[j][0], landed[j])
             telemetry.counter("engine.rounds_total").inc(len(specs))
             telemetry.counter("engine.rounds_computed").inc(computed)
             telemetry.counter("engine.batches_total").inc()
@@ -228,6 +191,10 @@ class EvaluationEngine:
             if cluster_telemetry:
                 entry["cluster"] = cluster_telemetry
             self.batch_log.append(entry)
+
+    def _commit(self, key: str, outcome) -> None:
+        if self.cache is not None:
+            self.cache.put(key, outcome)
 
     # -- introspection ----------------------------------------------------
 

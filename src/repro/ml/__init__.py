@@ -2,8 +2,8 @@
 
 The paper trains a hinge-loss Support Vector Machine on Spambase; this
 subpackage provides that model plus the surrounding stack a real
-experiment needs — optimisers, preprocessing, metrics and model
-selection — with a familiar ``fit`` / ``predict`` estimator API.
+experiment needs — preprocessing, metrics and model selection — with
+a familiar ``fit`` / ``predict`` estimator API.
 
 Nothing here depends on scikit-learn; the library is fully self
 contained so the reproduction runs offline.
@@ -33,8 +33,6 @@ from repro.ml.model_selection import (
     cross_val_score,
     GridSearch,
 )
-from repro.ml.optim import SGD, MomentumSGD, Adagrad, ConstantLR, InverseScalingLR, StepDecayLR
-from repro.ml.kernels import RandomFourierFeatures, RBFSampleSVM
 
 __all__ = [
     "BaseEstimator",
@@ -61,12 +59,4 @@ __all__ = [
     "StratifiedKFold",
     "cross_val_score",
     "GridSearch",
-    "SGD",
-    "MomentumSGD",
-    "Adagrad",
-    "ConstantLR",
-    "InverseScalingLR",
-    "StepDecayLR",
-    "RandomFourierFeatures",
-    "RBFSampleSVM",
 ]

@@ -2,10 +2,10 @@
 
 :func:`run_study` takes a :class:`~repro.study.spec.StudySpec` and an
 optional engine, executes the study's rounds through the ordinary
-evaluation machinery (streaming included — pass ``progress=`` and the
-study rides :meth:`~repro.engine.EvaluationEngine.evaluate_stream`
-with per-round callbacks, on any backend including the cluster), and
-returns a provenance-stamped :class:`~repro.study.result.StudyResult`.
+evaluation machinery (pass ``progress=`` for per-round callbacks as
+rounds land, on any backend including the cluster), and returns a
+provenance-stamped :class:`~repro.study.result.StudyResult` whose
+scenarios are archived in input order on every backend.
 
 :func:`describe_study` is the dry run: it expands the study's scenario
 grid through the *same* round constructors the execution layer uses
@@ -54,11 +54,12 @@ class _RecordingEngine:
     Behaves exactly like the wrapped engine (attribute access
     delegates), but notes ``(cache key, context fingerprint, spec,
     outcome)`` for each first-seen round — the raw material of the
-    result's ``scenarios`` section.  Recording happens on both the
-    batch and the streaming path, so progress callbacks keep working.
-
-    ``on_record`` (optional) fires once per first-seen round with the
-    raw note — the hook study checkpointing hangs off.
+    result's ``scenarios`` section.  Every batch rides the engine's
+    one stream path: a round is noted (and ``on_record``, the hook
+    study checkpointing hangs off, fires) the moment it lands, so a
+    run killed mid-batch keeps every completed round — but
+    :attr:`records` takes each batch's rounds in input order, so the
+    archive is the same whatever order a backend lands them in.
     """
 
     def __init__(self, engine, on_record=None):
@@ -73,48 +74,49 @@ class _RecordingEngine:
         self._progress_done = 0
         self._progress_total = 0
 
-    def _note(self, fingerprint: str, spec, outcome) -> None:
+    def _note(self, fingerprint: str, spec, outcome) -> dict | None:
+        """The record of a first-seen round (``None`` for a repeat)."""
         key = round_key(fingerprint, spec)
         if key in self._seen:
-            return
+            return None
         self._seen.add(key)
         record = {"key": key, "fingerprint": fingerprint,
                   "spec": spec, "outcome": outcome}
-        self.records.append(record)
         if self._on_record is not None:
             self._on_record(record)
+        return record
 
     def evaluate(self, ctx, spec):
         return self.evaluate_batch(ctx, [spec])[0]
 
     def evaluate_batch(self, ctx, specs, *, progress=None):
         specs = list(specs)
-        fingerprint = ctx.fingerprint()
-        if progress is not None:
-            # The streaming path the engine itself takes under
-            # progress=, with the note moved *inside* the loop: a round
-            # is recorded (and checkpointed) the moment it lands, so a
-            # run killed mid-batch keeps every completed round.
-            base = self._progress_done
-            self._progress_total += len(specs)
-            results = [None] * len(specs)
-            for index, outcome in self._engine._stream_indexed(ctx, specs):
-                results[index] = outcome
-                self._note(fingerprint, specs[index], outcome)
-                self._progress_done += 1
-                progress(self._progress_done, self._progress_total)
-            self._progress_done = base + len(specs)
-            return results
-        outcomes = self._engine.evaluate_batch(ctx, specs)
-        for spec, outcome in zip(specs, outcomes):
-            self._note(fingerprint, spec, outcome)
-        return outcomes
+        results = [None] * len(specs)
+        for index, outcome in self._stream(ctx, specs, progress):
+            results[index] = outcome
+        return results
 
     def evaluate_stream(self, ctx, specs):
+        specs = list(specs)
+        for index, outcome in self._stream(ctx, specs, None):
+            yield specs[index], outcome
+
+    def _stream(self, ctx, specs, progress):
         fingerprint = ctx.fingerprint()
-        for spec, outcome in self._engine.evaluate_stream(ctx, specs):
-            self._note(fingerprint, spec, outcome)
-            yield spec, outcome
+        base = self._progress_done
+        self._progress_total += len(specs)
+        landed: list = [None] * len(specs)
+        try:
+            for index, outcome in self._engine._stream_indexed(ctx, specs):
+                landed[index] = self._note(fingerprint, specs[index],
+                                           outcome)
+                self._progress_done += 1
+                if progress is not None:
+                    progress(self._progress_done, self._progress_total)
+                yield index, outcome
+        finally:
+            self.records.extend(r for r in landed if r is not None)
+            self._progress_done = base + len(specs)
 
     def __getattr__(self, name):
         return getattr(self._engine, name)
@@ -331,8 +333,7 @@ def run_study(
         process-wide default.  Results are bit-identical whatever runs
         them — serial, process pool or the cluster backend.
     progress:
-        Optional ``callback(done, total)``; rounds then stream through
-        ``evaluate_stream`` and the callback fires per scenario as
+        Optional ``callback(done, total)``, fired per scenario as
         outcomes land (cache hits first).  Counts are cumulative
         across the study's engine batches, and a resumed run's
         checkpointed rounds land first as cache hits — so after a

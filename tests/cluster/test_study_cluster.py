@@ -1,5 +1,7 @@
 """run_study on the cluster backend: parity, streaming, resume."""
 
+import pytest
+
 from repro.cluster.backend import ClusterBackend
 from repro.engine import EvaluationEngine
 from repro.study import run_study, studies
@@ -9,17 +11,21 @@ SPEC = studies.figure1(context=None, percentiles=(0.0, 0.1, 0.3),
 
 
 class TestStudyOnCluster:
-    def test_matches_serial_bit_for_bit(self, cluster_ctx, shard_farm):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inprocess", "pooled"])
+    def test_matches_serial_bit_for_bit(self, cluster_ctx, shard_farm,
+                                        jobs):
+        """Shards with jobs=2 run chunks on a WorkerPool; both shapes
+        archive the serial run's scenario rows, in the same order."""
         serial = run_study(SPEC, context=cluster_ctx,
                            engine=EvaluationEngine("serial", cache=False))
         clustered = run_study(
             SPEC, context=cluster_ctx,
-            engine=EvaluationEngine(ClusterBackend(shards=shard_farm(2)),
-                                    cache=False))
+            engine=EvaluationEngine(
+                ClusterBackend(shards=shard_farm(2, jobs=jobs)),
+                cache=False))
         assert clustered.payload == serial.payload
         assert clustered.study_fingerprint == serial.study_fingerprint
-        assert {row["key"] for row in clustered.scenarios} == \
-            {row["key"] for row in serial.scenarios}
+        assert clustered.scenarios == serial.scenarios
         assert clustered.engine_stats["backend"] == "cluster"
 
     def test_streams_per_scenario_progress(self, cluster_ctx, shard_farm):

@@ -16,6 +16,7 @@ from repro.engine import (
     ProcessPoolBackend,
     RoundSpec,
     SerialBackend,
+    round_key,
 )
 from repro.experiments.runner import make_synthetic_context
 
@@ -23,6 +24,14 @@ from repro.experiments.runner import make_synthetic_context
 @pytest.fixture(scope="module")
 def ctx():
     return make_synthetic_context(seed=2, n_samples=120, n_features=3)
+
+
+class _ReversedBackend(SerialBackend):
+    """Serial outcomes landing last-first: arrival order is the exact
+    reverse of input order."""
+
+    def run_iter(self, ctx, specs):
+        return reversed(list(super().run_iter(ctx, specs)))
 
 
 def batch(n_percentiles=3, n_seeds=1):
@@ -58,14 +67,28 @@ class TestEvaluateStream:
         for spec, expected in zip(specs, batched):
             assert streamed[repr(spec)] == expected
 
-    def test_cache_state_identical_to_batch(self, ctx):
+    @pytest.mark.parametrize("backend", [SerialBackend, _ReversedBackend],
+                             ids=["serial", "reversed"])
+    def test_cache_state_identical_to_batch(self, ctx, backend):
+        # The caches are OrderedDicts, so equality also pins LRU order:
+        # entries commit in input order whatever order rounds land in.
         specs = batch()
-        stream_engine = EvaluationEngine("serial")
+        stream_engine = EvaluationEngine(backend())
         batch_engine = EvaluationEngine("serial")
         list(stream_engine.evaluate_stream(ctx, specs))
         batch_engine.evaluate_batch(ctx, specs)
         assert stream_engine.cache._memory == batch_engine.cache._memory
         assert stream_engine.rounds_computed == batch_engine.rounds_computed
+
+    def test_abandoned_stream_caches_every_landed_round(self, ctx):
+        specs = batch()
+        engine = EvaluationEngine(_ReversedBackend())
+        stream = engine.evaluate_stream(ctx, specs)
+        spec, outcome = next(stream)  # the last spec lands first
+        stream.close()
+        assert spec == specs[-1]
+        assert len(engine.cache) == 1
+        assert engine.cache.get(round_key(ctx.fingerprint(), spec)) == outcome
 
     def test_cache_hits_come_first(self, ctx):
         engine = EvaluationEngine("serial")

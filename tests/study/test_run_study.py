@@ -5,11 +5,19 @@ import os
 
 import pytest
 
-from repro.engine import EvaluationEngine, cache_schema_version
+from repro.engine import EvaluationEngine, SerialBackend, cache_schema_version
 from repro.study import (archive_path, run_study, studies,
                          study_result_from_json)
 
 PERCENTILES = (0.0, 0.1, 0.3)
+
+
+class _ReversedBackend(SerialBackend):
+    """Serial outcomes landing last-first: arrival order is the exact
+    reverse of input order."""
+
+    def run_iter(self, ctx, specs):
+        return reversed(list(super().run_iter(ctx, specs)))
 
 
 def figure1_spec(ctx_spec, **kwargs):
@@ -188,6 +196,19 @@ class TestRendering:
                                (done, total)))
         assert calls[-1] == (result.n_rounds, result.n_rounds)
         assert len(calls) == result.n_rounds
+
+
+    def test_progress_archives_scenarios_in_input_order(self, ctx_spec):
+        """Rows are archived in input order whatever order rounds land
+        in — also in the second sweep, whose clean rounds are cache
+        hits that land before any computed round."""
+        spec = figure1_spec(ctx_spec, fractions=(0.1, 0.25))
+        serial = run_study(spec, engine=EvaluationEngine("serial"))
+        landed_reversed = run_study(
+            spec, engine=EvaluationEngine(_ReversedBackend()),
+            progress=lambda done, total: None)
+        assert landed_reversed.scenarios == serial.scenarios
+        assert landed_reversed.payload == serial.payload
 
 
 class TestCacheManifestProvenance:
