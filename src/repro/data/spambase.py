@@ -37,7 +37,8 @@ from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_int
 
 __all__ = ["SPAMBASE_N_FEATURES", "SPAMBASE_N_SAMPLES", "SPAMBASE_SPAM_FRACTION",
-           "SpambaseSurrogate", "load_spambase", "spambase_feature_names"]
+           "SpambaseSurrogate", "load_spambase", "spambase_feature_names",
+           "spambase_source"]
 
 SPAMBASE_N_FEATURES = 57
 SPAMBASE_N_SAMPLES = 4601
@@ -315,6 +316,29 @@ def _read_spambase_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     return data[:, :-1], data[:, -1].astype(int)
 
 
+def _spambase_file(path: str | None = None) -> str | None:
+    """The file :func:`load_spambase` reads, or ``None`` (surrogate)."""
+    for candidate in (path, os.environ.get("SPAMBASE_PATH"),
+                      os.path.join("data", "spambase.data")):
+        if candidate and os.path.isfile(candidate):
+            return candidate
+    return None
+
+
+def spambase_source(path: str | None = None) -> tuple | None:
+    """Identity of the data :func:`load_spambase` would read right now.
+
+    ``(realpath, st_size, st_mtime_ns)`` of the file the loader's search
+    finds, or ``None`` when it would generate the seeded surrogate.  A
+    changed file, ``SPAMBASE_PATH`` or working directory changes it.
+    """
+    found = _spambase_file(path)
+    if found is None:
+        return None
+    st = os.stat(found)
+    return (os.path.realpath(found), st.st_size, st.st_mtime_ns)
+
+
 def load_spambase(
     path: str | None = None,
     *,
@@ -333,15 +357,10 @@ def load_spambase(
     ``(X, y, is_real)`` where ``is_real`` reports whether the data came
     from an actual UCI file.
     """
-    candidates = [
-        path,
-        os.environ.get("SPAMBASE_PATH"),
-        os.path.join("data", "spambase.data"),
-    ]
-    for candidate in candidates:
-        if candidate and os.path.isfile(candidate):
-            X, y = _read_spambase_file(candidate)
-            return X, y, True
+    found = _spambase_file(path)
+    if found is not None:
+        X, y = _read_spambase_file(found)
+        return X, y, True
     if not allow_surrogate:
         raise FileNotFoundError(
             "spambase.data not found (looked at: explicit path, $SPAMBASE_PATH, "

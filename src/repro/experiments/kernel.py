@@ -208,8 +208,13 @@ class ContextKernel:
         clean axis recomputes identically every round.  ``None`` when
         the clean data has fewer than two classes or a zero axis (the
         filter then scores everything zero anyway).
+
+        Computed into locals and published with one assignment: a
+        context shared across scheduler threads must never show another
+        thread a half-built (``None``, i.e. "degenerate") geometry.
         """
-        if isinstance(self._slab, str):
+        slab = self._slab
+        if isinstance(slab, str):
             # Shared with SlabFilter's from-scratch path: the fast
             # path's bit-identity holds because both compute geometry
             # and scores through the same two helpers.
@@ -217,7 +222,7 @@ class ContextKernel:
                                                     slab_displacement)
             from repro.ml.base import signed_labels
 
-            self._slab = None
+            slab = None
             y_signed = signed_labels(self.y_train)
             if len(np.unique(y_signed)) == 2:
                 mu_pos = compute_centroid(self.X_train[y_signed == 1],
@@ -228,8 +233,9 @@ class ContextKernel:
                 if geometry is not None:
                     axis, midpoint = geometry
                     scores = slab_displacement(self.X_train, axis, midpoint)
-                    self._slab = ((mu_pos, mu_neg), axis, midpoint, scores)
-        return self._slab
+                    slab = ((mu_pos, mu_neg), axis, midpoint, scores)
+            self._slab = slab
+        return slab
 
     @property
     def class_centroids(self):

@@ -261,9 +261,9 @@ class ExperimentContext:
         meta = "|".join([self.dataset_name, self.centroid_method,
                          str(self.seed), str(self.is_real_data), factory_sig])
         h.update(meta.encode("utf-8"))
-        fp = h.hexdigest()
-        self.__dict__["_fingerprint"] = fp
-        return fp
+        # Published once, like the kernel: racing threads agree even on
+        # an opaque factory's per-instance salt.
+        return self.__dict__.setdefault("_fingerprint", h.hexdigest())
 
     def kernel(self):
         """The lazily-built, cached per-context round kernel.
@@ -272,14 +272,15 @@ class ExperimentContext:
         clean distance vector, percentile->radius lookups, fitted
         attack direction — so one uncached round only pays for what
         actually varies with its spec and seed.  See
-        :mod:`repro.experiments.kernel`.
+        :mod:`repro.experiments.kernel`.  Published once: threads that
+        race to build it all get the first kernel stored.
         """
         k = self.__dict__.get("_kernel")
         if k is None:
             from repro.experiments.kernel import build_context_kernel
 
-            k = build_context_kernel(self)
-            self.__dict__["_kernel"] = k
+            k = self.__dict__.setdefault("_kernel",
+                                         build_context_kernel(self))
         return k
 
     def __getstate__(self):

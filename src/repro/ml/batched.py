@@ -26,8 +26,10 @@ Two mechanisms enforce it:
   match BLAS accumulation order.
 * *Runtime probes.*  The equivalences above are properties of this
   NumPy/BLAS build, not of IEEE-754, so they are verified at runtime
-  on deterministic data at the exact problem shape before the batched
-  path engages (memoised per shape).  A failed probe — or any shape /
+  on deterministic data at every exact mini-batch shape before the
+  batched path engages (memoised per ``(d, mini-batch length)``, so a
+  new training-set size only probes a tail length not seen before).
+  A failed probe — or any shape /
   dtype / hyperparameter combination outside the verified envelope —
   falls back to plain sequential fits rather than silently diverging.
 
@@ -68,65 +70,68 @@ def _batch_plan(n: int, batch_size: int) -> list[tuple[int, int, int]]:
 
 def pegasos_kernels_verified(n: int, d: int, batch_size: int) -> bool:
     """True when the stacked Pegasos kernels reproduce the sequential
-    trainer's bits at this problem shape (memoised per shape).
+    trainer's bits at this problem shape.
 
-    Checks, with the exact array forms the hot loop uses (strided
-    mini-batch views of a ``(B, n, d)`` gather, ``out=`` buffers):
+    The hot loop only ever runs its kernels on ``(B, length, d)``
+    mini-batches, so the shape that matters is each distinct mini-batch
+    length of the ``(n, batch_size)`` plan (at most two: the full batch
+    and the tail).  Each length is probed once per ``(d, length)`` by
+    :func:`_probe_pegasos`, memoised in ``_pegasos_probe_cache``; the
+    shape passes only if every one of its lengths does.
+    """
+    d = int(d)
+    lengths = sorted({length for _, _, length in
+                      _batch_plan(int(n), int(batch_size))})
+    for length in lengths:
+        key = (d, length)
+        ok = _pegasos_probe_cache.get(key)
+        if ok is None:
+            ok = _pegasos_probe_cache[key] = _probe_pegasos(d, length)
+        if not ok:
+            return False
+    return True
+
+
+def _probe_pegasos(d: int, length: int) -> bool:
+    """Probe the stacked kernels at one exact ``(B, length, d)`` shape.
+
+    Checks, with the array forms the hot loop uses (fresh C-contiguous
+    gathered batches, ``out=`` score buffers):
 
     * stacked ``matmul(Xb, W[:, :, None])`` == per-problem
-      ``dot(Xb[b], w)`` for every distinct mini-batch length;
+      ``dot(Xb[b], w)``;
     * zero-masked stacked ``einsum("bi,bij->bj")`` == per-problem
       compressed ``einsum("i,ij->j")`` (full and partial masks);
     * stacked ``matmul(W[:, None, :], W[:, :, None])`` == per-problem
       ``w.dot(w)`` (the projection's squared norm).
     """
-    key = (int(n), int(d), int(batch_size))
-    cached = _pegasos_probe_cache.get(key)
-    if cached is not None:
-        return cached
-    ok = _probe_pegasos(*key)
-    _pegasos_probe_cache[key] = ok
-    return ok
-
-
-def _probe_pegasos(n: int, d: int, batch_size: int) -> bool:
     rng = np.random.default_rng(_PROBE_SEED)
     B = _PROBE_B
-    X = rng.standard_normal((B, n, d))
-    y = rng.choice([-1.0, 1.0], size=(B, n))
+    Xb = rng.standard_normal((B, length, d))
+    yb = rng.choice([-1.0, 1.0], size=(B, length))
     W = rng.standard_normal((B, d))
 
-    seen_lengths: set[int] = set()
-    for start, stop, length in _batch_plan(n, batch_size):
-        if length in seen_lengths:
-            continue
-        seen_lengths.add(length)
-        # The hot loop's per-step fancy gather always yields fresh
-        # C-contiguous batches; probe with the same memory layout.
-        Xb = np.ascontiguousarray(X[:, start:stop])
-        yb = np.ascontiguousarray(y[:, start:stop])
+    scores = np.empty((B, length, 1))
+    np.matmul(Xb, W[:, :, None], out=scores)
+    for b in range(B):
+        if scores[b, :, 0].tobytes() != np.dot(Xb[b], W[b]).tobytes():
+            return False
 
-        scores = np.empty((B, length, 1))
-        np.matmul(Xb, W[:, :, None], out=scores)
-        for b in range(B):
-            if scores[b, :, 0].tobytes() != np.dot(Xb[b], W[b]).tobytes():
-                return False
-
-        active = rng.random((B, length)) < 0.5
-        active[0] = True  # whole batch active (the compress-skip branch)
-        ym = yb * active
-        grad = np.einsum("bi,bij->bj", ym, Xb)
-        for b in range(B):
-            m = active[b]
-            n_active = int(np.count_nonzero(m))
-            if n_active == 0:
-                continue  # handled by explicit zeroing, nothing to compare
-            if n_active == length:
-                ref = np.einsum("i,ij->j", yb[b], Xb[b])
-            else:
-                ref = np.einsum("i,ij->j", yb[b][m], Xb[b][m])
-            if grad[b].tobytes() != ref.tobytes():
-                return False
+    active = rng.random((B, length)) < 0.5
+    active[0] = True  # whole batch active (the compress-skip branch)
+    ym = yb * active
+    grad = np.einsum("bi,bij->bj", ym, Xb)
+    for b in range(B):
+        m = active[b]
+        n_active = int(np.count_nonzero(m))
+        if n_active == 0:
+            continue  # handled by explicit zeroing, nothing to compare
+        if n_active == length:
+            ref = np.einsum("i,ij->j", yb[b], Xb[b])
+        else:
+            ref = np.einsum("i,ij->j", yb[b][m], Xb[b][m])
+        if grad[b].tobytes() != ref.tobytes():
+            return False
 
     normsq = np.matmul(W[:, None, :], W[:, :, None])
     for b in range(B):

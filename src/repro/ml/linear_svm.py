@@ -307,7 +307,7 @@ class LinearSVM(LinearClassifierMixin, BaseEstimator):
         objective tracking or early stopping (the per-epoch trace
         would desynchronise the trajectories); and the runtime kernel
         probe (:func:`repro.ml.batched.pegasos_kernels_verified`)
-        passing at the exact problem shape.
+        passing at every exact mini-batch shape of the problem.
         """
         first = models[0]
         if type(first) is not cls:

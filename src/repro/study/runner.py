@@ -19,6 +19,7 @@ keys (hence hit predictions) are not enumerable up front.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import warnings
@@ -27,13 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.data.spambase import spambase_source
 from repro.engine.cache import cache_schema_version, round_key
 from repro.resilience import env_int
 from repro.study import drivers
 from repro.study.checkpoint import StudyCheckpointer, load_checkpoint
 from repro.study.result import StudyResult, utc_timestamp
-from repro.study.spec import (StudySpec, attack_to_obj, defense_to_obj,
-                              victim_to_obj)
+from repro.study.spec import (ContextSpec, StudySpec, attack_to_obj,
+                              defense_to_obj, victim_to_obj)
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -143,6 +145,36 @@ def _scenario_row(rec: dict) -> dict:
 def _scenario_records(records) -> list[dict]:
     """Serialise the recorder's raw notes into archival scenario rows."""
     return [_scenario_row(rec) for rec in records]
+
+
+# -- context reuse -----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=8)
+def _memoised_context(cspec: ContextSpec, seed: int, source):
+    return cspec.materialize(seed=seed)
+
+
+def _study_context(cspec: ContextSpec, seed: int | None = None):
+    """The live context ``cspec`` names at ``seed``, built once per process.
+
+    Studies on one setting share it, kernel included — the surrogate
+    direction, radius lookups, verified masks and slab geometry survive
+    from one study to the next.  The memo is keyed on ``(cspec, seed,
+    data source)``, where the source is the Spambase file the loader
+    would read (real path, size, mtime; ``None`` for the seeded
+    surrogate and synthetic contexts), so a changed file,
+    ``SPAMBASE_PATH`` or working directory builds afresh.  Callers share
+    the object and must not mutate it; ``ContextSpec.materialize()``
+    still returns a fresh one.
+    """
+    seed = cspec.seed if seed is None else int(seed)
+    source = (spambase_source(dict(cspec.params).get("path"))
+              if cspec.name == "spambase" else None)
+    return _memoised_context(cspec, seed, source)
+
+
+_study_context.cache_clear = _memoised_context.cache_clear
 
 
 # -- kind dispatch -----------------------------------------------------------
@@ -260,7 +292,7 @@ def _run_multi_seed(spec, ctx, engine, progress):
     result = drivers.multi_seed_sweep(
         n_seeds=int(spec.solver_param("n_seeds", 5)),
         base_seed=int(spec.solver_param("base_seed", 0)),
-        context_factory=lambda seed: cspec.materialize(seed=seed),
+        context_factory=lambda seed: _study_context(cspec, seed),
         percentiles=np.asarray(g.percentiles, dtype=float),
         poison_fraction=_single_fraction(spec), n_repeats=g.n_repeats,
         engine=engine, progress=progress)
@@ -396,7 +428,7 @@ def run_study(
             fingerprint = spec.fingerprint(
                 context_fingerprint=ctx.fingerprint())
         elif spec.context is not None:
-            ctx = spec.context.materialize()
+            ctx = _study_context(spec.context)
             fingerprint = spec.fingerprint()
         else:
             raise ValueError(
@@ -655,9 +687,10 @@ def describe_study(
     predicted specs/unique/cache-hit counts in its batch telemetry.
     ``context`` supplies the live context for specs built with
     ``context=None`` — like :func:`run_study`, it is consulted only
-    then; a spec that names its own ContextSpec is materialised from
-    the spec (one dataset load; ``n_seeds`` loads for ``multi_seed``),
-    which still runs no rounds.
+    then; a spec that names its own ContextSpec gets the same
+    per-process context :func:`run_study` uses (one dataset load the
+    first time; ``n_seeds`` for ``multi_seed``), which still runs no
+    rounds.
     """
     if spec.context is not None:
         base_seed = spec.context.seed
@@ -679,7 +712,6 @@ def describe_study(
 
     cache = getattr(engine, "cache", None) if engine is not None else None
     need_keys = cache is not None
-    contexts: dict[int, object] = {}
 
     def context_for(phase):
         # The live override stands in only for specs without their own
@@ -687,11 +719,7 @@ def describe_study(
         # ambiguous combination outright.
         if spec.context is None:
             return context
-        if phase.context_seed not in contexts:
-            contexts[phase.context_seed] = spec.context.materialize(
-                seed=(phase.context_seed
-                      if spec.kind == "multi_seed" else None))
-        return contexts[phase.context_seed]
+        return _study_context(spec.context, phase.context_seed)
 
     n_unique_total: int | None = 0
     predicted_total: int | None = 0

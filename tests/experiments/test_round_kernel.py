@@ -7,6 +7,9 @@ fitted surrogate direction) through a round produces outcomes
 backends and cache states.
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -220,3 +223,113 @@ class TestKernelHousekeeping:
         np.testing.assert_array_equal(
             kernel.clean_distances, distances_to_centroid(ctx.X_train, centroid)
         )
+
+
+def _park_first_call(monkeypatch, module, name):
+    """Patch ``module.name`` so its first call blocks until released.
+
+    Returns ``(entered, release)`` events: ``entered`` is set once the
+    first caller is parked inside the patched function, which then runs
+    the real one after ``release``.  Later calls pass straight through.
+    """
+    real = getattr(module, name)
+    entered, release = threading.Event(), threading.Event()
+    calls = []
+
+    def parked(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            entered.set()
+            release.wait(timeout=60.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, parked)
+    return entered, release
+
+
+def _while_parked(entered, release, target, read):
+    """Run ``target`` on a thread; once it is parked, ``read()`` here.
+
+    Returns ``(what the thread got, what read() got)``.
+    """
+    got = []
+    thread = threading.Thread(target=lambda: got.append(target()))
+    thread.start()
+    try:
+        assert entered.wait(timeout=60.0), "the thread never parked"
+        mine = read()
+    finally:
+        release.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive() and len(got) == 1
+    return got[0], mine
+
+
+class TestKernelPublishOnce:
+    """Lazily built kernel state is published with one assignment, so a
+    context shared across threads never shows another thread a
+    half-built value."""
+
+    def test_slab_geometry_never_read_half_built(self, monkeypatch):
+        from repro.defenses import slab_filter
+
+        kernel = build_context_kernel(
+            make_synthetic_context(seed=3, n_samples=200, n_features=4))
+        entered, release = _park_first_call(monkeypatch, slab_filter,
+                                            "slab_axis_midpoint")
+        # The thread is parked inside the geometry computation: a read
+        # from here must not see "degenerate" (None), which would make
+        # slab_filter axis="clean" refuse the round.
+        theirs, mine = _while_parked(
+            entered, release, lambda: kernel.class_centroids,
+            lambda: kernel.class_centroids)
+        assert mine is not None
+        for a, b in zip(theirs, mine):
+            np.testing.assert_array_equal(a, b)
+
+    def test_racing_threads_get_one_kernel(self, monkeypatch):
+        from repro.experiments import kernel as kernel_module
+
+        shared = make_synthetic_context(seed=3, n_samples=200, n_features=4)
+        entered, release = _park_first_call(monkeypatch, kernel_module,
+                                            "build_context_kernel")
+        theirs, mine = _while_parked(entered, release, shared.kernel,
+                                     shared.kernel)
+        assert theirs is mine is shared.kernel()
+
+    def test_many_threads_one_context_stress(self):
+        """More threads than cores, a tiny switch interval: every reader
+        of a fresh shared context sees one kernel, the real slab
+        geometry and one fingerprint."""
+        import sys
+
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(5):
+                shared = make_synthetic_context(seed=trial, n_samples=200,
+                                                n_features=4)
+                start = threading.Barrier(n_threads, timeout=60.0)
+                seen = []
+
+                def read():
+                    start.wait()
+                    kernel = shared.kernel()
+                    seen.append((kernel, kernel.class_centroids,
+                                 shared.fingerprint()))
+
+                threads = [threading.Thread(target=read)
+                           for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == n_threads
+                kernel, _, fingerprint = seen[0]
+                assert all(k is kernel for k, _, _ in seen)
+                assert all(c is not None for _, c, _ in seen)
+                assert {fp for _, _, fp in seen} == {fingerprint}
+        finally:
+            sys.setswitchinterval(previous)

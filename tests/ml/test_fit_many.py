@@ -7,6 +7,8 @@ by the plain sequential ``fit`` (itself pinned bit-for-bit to the seed
 trainer by ``test_linear_svm.py``).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,54 @@ class TestFallbacks:
         assert LinearSVM.fit_many([], []) == []
         with pytest.raises(ValueError, match="models"):
             LinearSVM.fit_many([LinearSVM()], [])
+
+
+class TestProbeMemo:
+    """The kernel probe runs once per ``(d, mini-batch length)``."""
+
+    @pytest.fixture()
+    def probes(self, monkeypatch):
+        """Record every real probe; setting ``.fail`` to a length makes
+        that length's probe fail."""
+        record = SimpleNamespace(calls=[], fail=None)
+        real = batched._probe_pegasos
+
+        def probe(d, length):
+            record.calls.append((d, length))
+            return length != record.fail and real(d, length)
+
+        monkeypatch.setattr(batched, "_probe_pegasos", probe)
+        monkeypatch.setattr(batched, "_pegasos_probe_cache", {})
+        return record
+
+    def test_new_size_with_a_seen_tail_probes_nothing(self, probes):
+        # 3954 = 30 * 128 + 114 and 4082 = 31 * 128 + 114: the same two
+        # mini-batch shapes, so the second size reuses both verdicts.
+        assert batched.pegasos_kernels_verified(3954, 57, 128)
+        assert sorted(probes.calls) == [(57, 114), (57, 128)]
+        assert batched.pegasos_kernels_verified(4082, 57, 128)
+        assert len(probes.calls) == 2
+
+    def test_failed_length_falls_back_wherever_it_occurs(self, probes,
+                                                         monkeypatch):
+        probes.fail = 38
+        lockstep = []
+        real_fit_many = batched.pegasos_fit_many
+
+        def recording_fit_many(models, problems):
+            lockstep.append(len(problems[0][0]))
+            real_fit_many(models, problems)
+
+        monkeypatch.setattr(batched, "pegasos_fit_many", recording_fit_many)
+        # With batch_size 64: 230 = 3 * 64 + 38 and 102 = 64 + 38 end on
+        # the failed length, 38 is it, and 192 = 3 * 64 never meets it.
+        for n, batches in ((230, False), (102, False), (38, False),
+                           (192, True)):
+            datasets = _problems(3, n=n)
+            configs = [dict(epochs=5, batch_size=64, seed=i)
+                       for i in range(3)]
+            models = [LinearSVM(**c) for c in configs]
+            assert LinearSVM.can_fit_many(models, datasets) is batches, n
+            assert_models_identical(LinearSVM.fit_many(models, datasets),
+                                    _fit_sequentially(configs, datasets))
+        assert lockstep == [192]

@@ -1,5 +1,6 @@
 """SchedulerWorker: lease-and-run, retry/backoff, interrupt, resume."""
 
+import json
 import threading
 import time
 
@@ -224,3 +225,48 @@ def test_two_workers_never_run_the_same_study_twice(tmp_path, spec_maker):
     # Exactly-once execution: the fleet computed each round once.
     assert sum(e.rounds_computed for e in engines) == total
     assert sum(w.studies_completed for w in workers) == len(specs)
+
+
+def test_two_workers_share_one_context_bit_identically(tmp_path, ctx_spec):
+    """Scheduler threads share run_study's per-process context, kernel
+    included; every study they archive matches a direct serial run."""
+    from repro.study.runner import _study_context
+
+    specs = [studies.grid(context=ctx_spec,
+                          defenses=("none", "slab_filter:0.1:axis=clean",
+                                    "radius:0.1", "loss_filter:0.1"),
+                          attacks=("clean", f"boundary:{q}"),
+                          fractions=(fraction,))
+             for q, fraction in ((0.05, 0.1), (0.06, 0.15), (0.07, 0.2),
+                                 (0.08, 0.25))]
+    queue = StudyQueue(str(tmp_path))
+    for spec in specs:
+        queue.submit(spec)
+
+    _study_context.cache_clear()  # both workers start on one cold context
+    workers = [SchedulerWorker(queue, _config(tmp_path),
+                               engine=EvaluationEngine("serial"),
+                               name=f"w{i}")
+               for i in range(2)]
+    for worker in workers:
+        worker.start()
+    try:
+        _wait(lambda: all((queue.study_state(s.fingerprint()) or {})
+                          .get("state") == "done" for s in specs),
+              message="all studies archived")
+    finally:
+        for worker in workers:
+            worker.stop()
+        for worker in workers:
+            worker.join(timeout=30.0)
+    assert sum(w.studies_completed for w in workers) == len(specs)
+
+    _study_context.cache_clear()
+    for spec in specs:
+        served = json.loads(run_study(spec, archive_dir=str(tmp_path))
+                            .to_json())["data"]
+        direct = json.loads(run_study(spec, engine=EvaluationEngine(
+            "serial", cache=False)).to_json())["data"]
+        for key in ("scenarios", "payload"):
+            assert json.dumps(served[key], sort_keys=True) == \
+                json.dumps(direct[key], sort_keys=True), key

@@ -3,11 +3,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.engine import EvaluationEngine, SerialBackend, cache_schema_version
-from repro.study import (archive_path, run_study, studies,
-                         study_result_from_json)
+from repro.study import (ContextSpec, archive_path, describe_study,
+                         run_study, studies, study_result_from_json)
+from repro.study.runner import _study_context
 
 PERCENTILES = (0.0, 0.1, 0.3)
 
@@ -260,3 +262,121 @@ class TestStudyResultJson:
         with pytest.raises(ValueError, match="newer"):
             study_result_from_json(json.dumps(
                 {"type": "StudyResult", "schema": 99, "data": {}}))
+
+
+# Kernel-heavy defences: clean-axis slab geometry, a verified loss-filter
+# mask, radius lookups and the attack surrogate all live on the kernel.
+REUSE_DEFENSES = ("none", "radius:0.1", "slab_filter:0.1:axis=clean",
+                  "loss_filter:0.1")
+REUSE_ATTACKS = ("clean", "boundary:0.05", "label-flip")
+
+
+def _archived(result, key):
+    """``key`` of the result's archive document, as canonical JSON."""
+    return json.dumps(json.loads(result.to_json())["data"][key],
+                      sort_keys=True)
+
+
+class TestContextReuse:
+    """run_study builds a ContextSpec's context once per process."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """Every context the synthetic maker builds, cold memo to start."""
+        from repro.experiments import runner as experiments_runner
+
+        calls = []
+        maker = experiments_runner._CONTEXT_MAKERS["synthetic"]
+
+        def counting_maker(**kwargs):
+            calls.append(kwargs)
+            return maker(**kwargs)
+
+        monkeypatch.setitem(experiments_runner._CONTEXT_MAKERS, "synthetic",
+                            counting_maker)
+        _study_context.cache_clear()
+        yield calls
+        _study_context.cache_clear()
+
+    def test_second_study_builds_nothing_and_matches_cold(self, ctx_spec,
+                                                          builds):
+        first, second = (studies.grid(context=ctx_spec,
+                                      defenses=REUSE_DEFENSES,
+                                      attacks=REUSE_ATTACKS,
+                                      fractions=(fraction,))
+                         for fraction in (0.1, 0.25))
+        run_study(first, engine=EvaluationEngine("serial"))
+        assert len(builds) == 1
+        warm = run_study(second, engine=EvaluationEngine("serial"))
+        assert len(builds) == 1  # the second study built no context
+
+        _study_context.cache_clear()
+        cold = run_study(second, engine=EvaluationEngine("serial"))
+        assert len(builds) == 2
+        for key in ("scenarios", "payload"):
+            assert _archived(warm, key) == _archived(cold, key), key
+
+    def test_describe_shares_the_memo(self, ctx_spec, builds):
+        spec = figure1_spec(ctx_spec)
+        describe_study(spec, engine=EvaluationEngine("serial"))
+        run_study(spec, engine=EvaluationEngine("serial"))
+        assert len(builds) == 1
+
+    def test_materialize_stays_fresh(self, ctx_spec):
+        a, b = ctx_spec.materialize(), ctx_spec.materialize()
+        shared = _study_context(ctx_spec)
+        assert a is not b and shared is not a and shared is not b
+        assert _study_context(ctx_spec, ctx_spec.seed) is shared
+        assert a.fingerprint() == b.fingerprint() == shared.fingerprint()
+
+
+def _write_spambase(path, n_rows, seed):
+    """A small file in ``spambase.data``'s format (57 features + label)."""
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([rng.random((n_rows, 57)), np.arange(n_rows) % 2])
+    np.savetxt(path, rows, delimiter=",")
+    return str(path)
+
+
+class TestContextReuseDataSource:
+    """The memo key covers the file the Spambase loader would read."""
+
+    CSPEC = ContextSpec(name="spambase", seed=0)
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.delenv("SPAMBASE_PATH", raising=False)
+        _study_context.cache_clear()
+        yield
+        _study_context.cache_clear()
+
+    def test_spambase_path_change_misses(self, tmp_path, monkeypatch):
+        one = _write_spambase(tmp_path / "one.data", 120, seed=1)
+        two = _write_spambase(tmp_path / "two.data", 120, seed=2)
+        monkeypatch.setenv("SPAMBASE_PATH", one)
+        first = _study_context(self.CSPEC)
+        assert first.is_real_data and _study_context(self.CSPEC) is first
+        monkeypatch.setenv("SPAMBASE_PATH", two)
+        second = _study_context(self.CSPEC)
+        assert second is not first
+        assert second.fingerprint() != first.fingerprint()
+
+    def test_rewritten_file_misses(self, tmp_path, monkeypatch):
+        path = _write_spambase(tmp_path / "spambase.data", 120, seed=1)
+        monkeypatch.setenv("SPAMBASE_PATH", path)
+        first = _study_context(self.CSPEC)
+        _write_spambase(path, 130, seed=1)
+        second = _study_context(self.CSPEC)
+        assert second is not first
+        assert second.n_train > first.n_train
+
+    def test_working_directory_change_misses(self, tmp_path, monkeypatch):
+        contexts = []
+        for name, seed in (("a", 1), ("b", 2)):
+            (tmp_path / name / "data").mkdir(parents=True)
+            _write_spambase(tmp_path / name / "data" / "spambase.data",
+                            120, seed=seed)
+            monkeypatch.chdir(tmp_path / name)
+            contexts.append(_study_context(self.CSPEC))
+        assert contexts[0] is not contexts[1]
+        assert contexts[0].fingerprint() != contexts[1].fingerprint()
