@@ -58,9 +58,12 @@ __all__ = [
 ]
 
 # Rounds per batched-fit window: _iter_rounds prepares this many rounds
-# at a time, then trains eligible same-victim/same-shape groups through
-# LinearSVM.fit_many.  Large enough to catch a grid study's repeat
-# axis, small enough to keep B prepared training sets resident.
+# at a time, then trains each group of same-victim rounds (whatever
+# their training-set sizes) through LinearSVM.fit_many as one ragged
+# lockstep group, gathering from one resident source: the clean
+# training matrix plus every round's surviving poison rows.  Large
+# enough to span a grid study's repeat and defence axes, small enough
+# to keep the window's prepared rounds resident.
 _FIT_WINDOW = 32
 
 # Fields of an ExperimentContext large enough to be worth publishing in
@@ -130,10 +133,11 @@ def _fit_group_key(prepared):
     """Grouping key for batched fits, or ``None`` when ineligible.
 
     Exactly LinearSVM (subclasses may override ``fit``) with matching
-    hyperparameters on same-shape float64 training sets — the envelope
-    ``LinearSVM.can_fit_many`` accepts.  The key errs loose on purpose:
-    ``fit_many`` re-checks eligibility and falls back to sequential
-    fits itself, so a stale key can cost speed, never bits.
+    hyperparameters on float64 training sets of one width ``d``, of any
+    row count — the envelope ``LinearSVM.can_fit_many`` accepts.  The
+    key errs loose on purpose: ``fit_many`` re-checks eligibility and
+    falls back to sequential fits itself, so a stale key can cost
+    speed, never bits.
     """
     from repro.ml.linear_svm import LinearSVM
 
@@ -145,14 +149,20 @@ def _fit_group_key(prepared):
         return None
     return (model.reg, model.epochs, model.batch_size, model.fit_intercept,
             model.average, model.tol, bool(model.track_objective),
-            X.shape, X.dtype.str)
+            X.shape[1], X.dtype.str)
 
 
-def _fit_prepared_groups(prepared_rounds) -> None:
+def _fit_prepared_groups(ctx, prepared_rounds) -> None:
     """Train all eligible groups of prepared rounds through
     ``LinearSVM.fit_many``; ungrouped rounds stay unfitted (the finish
-    step trains them sequentially, as before)."""
+    step trains them sequentially, as before).
+
+    A group's datasets are row sets of one resident source
+    (:func:`~repro.experiments.runner.resident_source`), so every
+    lockstep gather reads the shared clean rows from one block.
+    """
     from repro import telemetry
+    from repro.experiments.runner import resident_source
     from repro.ml.linear_svm import LinearSVM
 
     groups: dict[tuple, list] = {}
@@ -164,8 +174,9 @@ def _fit_prepared_groups(prepared_rounds) -> None:
         if len(group) < 2:
             continue
         with telemetry.trace_span("fit", rounds=len(group), batched=True):
+            X, y, rows = resident_source(ctx, group)
             LinearSVM.fit_many([p.model for p in group],
-                               [(p.X_tr, p.y_tr) for p in group])
+                               [(X, y, r) for r in rows])
         for prepared in group:
             prepared.fitted = True
 
@@ -176,7 +187,7 @@ def _iter_rounds(ctx, specs):
     The one in-process execution loop (the serial backend, a shard
     without a pool and every pool worker's chunk all run it).  Rounds
     are prepared (attack + defence + fresh victim) one at a time, the
-    victim fits of same-victim, same-shape rounds in each window of
+    victim fits of same-victim rounds in each window of
     ``_FIT_WINDOW`` train together through ``LinearSVM.fit_many`` —
     bit-identical to sequential fits by the batched trainer's contract
     — and each window's outcomes surface, in input order, as soon as
@@ -195,7 +206,7 @@ def _iter_rounds(ctx, specs):
         if batched and len(window) > 1:
             prepared = [prepare_configuration(ctx, **_round_kwargs(ctx, spec))
                         for spec in window]
-            _fit_prepared_groups(prepared)
+            _fit_prepared_groups(ctx, prepared)
             outcomes = [finish_configuration(ctx, p) for p in prepared]
         else:
             outcomes = [execute_round(ctx, spec) for spec in window]

@@ -41,7 +41,7 @@ from repro.data.spambase import load_spambase
 from repro.data.synthetic import make_gaussian_blobs
 from repro.defenses.base import DefenseReport, defense_report
 from repro.defenses.radius_filter import RadiusFilter
-from repro.ml.base import BaseEstimator
+from repro.ml.base import BaseEstimator, signed_labels
 from repro.ml.linear_svm import LinearSVM
 from repro.ml.model_selection import train_test_split
 from repro.ml.preprocessing import RobustScaler, StandardScaler
@@ -62,6 +62,7 @@ __all__ = [
     "finish_configuration",
     "PreparedRound",
     "EvaluationOutcome",
+    "resident_source",
 ]
 
 
@@ -494,6 +495,11 @@ class PreparedRound:
     groups through :meth:`~repro.ml.linear_svm.LinearSVM.fit_many` —
     a caller that fits a prepared model itself sets ``fitted`` so the
     finish step doesn't train twice.
+
+    ``rows`` locates the training set in a shared source: row ``i``
+    of ``X_tr`` is row ``rows[i]`` of ``[ctx.X_train; X_poison]``,
+    where ``X_poison`` / ``y_poison`` (signed labels) are the poison
+    rows that survived the defence (see :func:`resident_source`).
     """
 
     model: BaseEstimator
@@ -504,6 +510,9 @@ class PreparedRound:
     filter_percentile: float | None
     filter_radius: float | None
     report: DefenseReport | None
+    rows: np.ndarray
+    X_poison: np.ndarray
+    y_poison: np.ndarray
     fitted: bool = False
 
 
@@ -578,6 +587,9 @@ def prepare_configuration(
                 seed=rng, return_sources=True,
             )
         n_poison = int(is_poison.sum())
+    # Row i of the training set is row rows[i] of the pre-shuffle
+    # [ctx.X_train; all poison] stack.
+    rows = np.arange(X_tr.shape[0]) if sources is None else sources
 
     report = None
     filter_radius = None
@@ -599,6 +611,7 @@ def prepare_configuration(
         report = defense_report(keep, is_poison)
         n_removed = int((~keep).sum())
         X_tr, y_tr = X_tr[keep], y_tr[keep]
+        rows, is_poison = rows[keep], is_poison[keep]
     elif defense is not None:
         keep = None
         with telemetry.trace_span("defense", seed=round_seed):
@@ -616,6 +629,7 @@ def prepare_configuration(
         report = defense_report(keep, is_poison)
         n_removed = int((~keep).sum())
         X_tr, y_tr = X_tr[keep], y_tr[keep]
+        rows, is_poison = rows[keep], is_poison[keep]
         # Defences that realise a geometric radius expose it (e.g.
         # PercentileFilter.theta_); report it when finite.
         realised = getattr(defense, "theta_", None)
@@ -623,6 +637,10 @@ def prepare_configuration(
             realised = getattr(defense, "theta", None)
         if realised is not None and np.isfinite(realised):
             filter_radius = float(realised)
+
+    # Renumber the surviving poison rows into their own block.
+    rows[is_poison] = ctx.X_train.shape[0] + np.arange(
+        int(np.count_nonzero(is_poison)))
 
     factory = ctx.model_factory if victim_factory is None else victim_factory
     model = factory(derive_seed(round_seed, "model"))
@@ -635,7 +653,34 @@ def prepare_configuration(
         filter_percentile=filter_percentile,
         filter_radius=filter_radius,
         report=report,
+        rows=rows,
+        X_poison=X_tr[is_poison],
+        y_poison=y_tr[is_poison],
     )
+
+
+def resident_source(ctx: ExperimentContext, prepared_rounds):
+    """Several prepared rounds' training sets as row sets of one source.
+
+    Returns ``(X, y_signed, rows)``: ``X`` stacks ``ctx.X_train`` and
+    every round's surviving poison rows, ``y_signed`` holds their
+    signed float labels, and ``X[rows[i]]`` is round ``i``'s ``X_tr``
+    row for row.  Gathering many rounds' rows from it reads the shared
+    clean rows from one block.
+    """
+    n_clean = ctx.X_train.shape[0]
+    X_blocks = [ctx.X_train]
+    y_blocks = [signed_labels(ctx.y_train).astype(float)]
+    rows = []
+    offset = n_clean
+    for prepared in prepared_rounds:
+        # Shift this round's poison rows onto its block's offset.
+        rows.append(np.where(prepared.rows < n_clean, prepared.rows,
+                             prepared.rows + (offset - n_clean)))
+        X_blocks.append(prepared.X_poison)
+        y_blocks.append(prepared.y_poison.astype(float))
+        offset += prepared.X_poison.shape[0]
+    return np.concatenate(X_blocks), np.concatenate(y_blocks), rows
 
 
 def finish_configuration(ctx: ExperimentContext,

@@ -1,12 +1,32 @@
 """Lockstep trainers: B independent problems as one stacked tensor program.
 
-The victim fit dominates an uncached round (~95% of its wall time, see
-``BENCH_hotpath.json``), and PR 2 showed the single-problem loop is
-dispatch-bound: each mini-batch step is a handful of tiny NumPy calls
-whose interpreter overhead dwarfs their flops.  Running B same-shape
-problems *simultaneously* — ``(B, batch, d)`` gathers, one stacked
-matmul/einsum per step, ``(B, d)`` weight buffers — pays that overhead
-once per step instead of B times.
+The victim fit dominates an uncached round (see ``BENCH_hotpath.json``),
+and the single-problem loop is dispatch-bound: each mini-batch step is a
+handful of tiny NumPy calls whose interpreter overhead dwarfs their
+flops.  Running B problems *simultaneously* — ``(B, batch, d)`` gathers,
+one stacked matmul/einsum per step, ``(B, d)`` weight buffers — pays
+that overhead once per step instead of B times.
+
+Ragged lockstep
+---------------
+The B problems share hyperparameters and ``d`` but not their row counts
+(every defence keeps a different number of rows).  Each problem keeps
+its own step counter, step size ``1/(reg t)`` and averaging count as
+``(B,)`` vectors.  Problems are sorted by steps per epoch, then by tail
+length, so at every step the problems still inside their epoch are a
+prefix ``W[:k]`` whose batch lengths never increase along it: the
+leading ``kf`` run at the step's full width, the rest are runs of equal
+shorter tails.  Tails are padded to the full width for the gather and
+the zero-masked ``einsum`` (padding is never margin-active), but they
+are scored by unpadded per-tail-length ``matmul``s: BLAS takes another
+remainder path on a padded block, so padded score rows do not match a
+per-problem ``dot``.  A group of equal sizes is the case with no tails.
+
+Every problem gathers its rows from one resident source: a problem is a
+row-index vector into one shared ``(X, y)`` block (for the engine, the
+clean training matrix followed by each round's surviving poison rows),
+so the per-step gathers read mostly cache-resident rows instead of B
+spread-out copies.
 
 Bit-identity contract
 ---------------------
@@ -20,18 +40,24 @@ Two mechanisms enforce it:
   the batch axis is an outer loop), and a zero-masked stacked
   ``einsum("bi,bij->bj")`` accumulates each problem's subgradient sum
   in the same order as the sequential compressed
-  ``einsum("i,ij->j")`` — inactive terms contribute exact ``±0.0``
-  addends, which cannot perturb the accumulator.  Stacked ``einsum``
-  contractions for the *score* products are **not** used: they do not
-  match BLAS accumulation order.
-* *Runtime probes.*  The equivalences above are properties of this
-  NumPy/BLAS build, not of IEEE-754, so they are verified at runtime
-  on deterministic data at every exact mini-batch shape before the
-  batched path engages (memoised per ``(d, mini-batch length)``, so a
-  new training-set size only probes a tail length not seen before).
-  A failed probe — or any shape /
-  dtype / hyperparameter combination outside the verified envelope —
-  falls back to plain sequential fits rather than silently diverging.
+  ``einsum("i,ij->j")`` — inactive and padding terms contribute exact
+  ``±0.0`` addends, which cannot perturb the accumulator.  Stacked
+  ``einsum`` contractions for the *score* products are **not** used:
+  they do not match BLAS accumulation order.  The per-problem step
+  sizes, lengths and averaging counts are elementwise IEEE operations,
+  correctly rounded per element, so vectors of them need no probe.
+* *Runtime probes.*  The kernel equivalences are properties of this
+  NumPy/BLAS build, not of IEEE-754, so they are verified at runtime on
+  deterministic data at every exact step shape a group's plan uses
+  before the batched path engages: the full-width kernels per
+  ``(d, width)`` (:func:`_probe_pegasos`), and the strided tail scores
+  and the padded ``einsum`` per ``(d, width, tail)``
+  (:func:`_probe_tail_scores`, :func:`_probe_padded_einsum`).  Verdicts
+  are memoised, so a new training-set size only probes shapes not seen
+  before.  A failed probe sends just the problems whose plan contains
+  that shape to plain sequential fits, and the rest still batch; a
+  shape / dtype / hyperparameter combination outside the envelope falls
+  back the same way rather than silently diverging.
 
 The module is deliberately free of model-class imports at top level so
 ``repro.ml`` stays cycle-free; callers hand in plain arrays and
@@ -44,6 +70,7 @@ import numpy as np
 
 __all__ = [
     "pegasos_kernels_verified",
+    "pegasos_lockstep_subset",
     "ridge_kernels_verified",
     "pegasos_fit_many",
     "ridge_scores_many",
@@ -55,45 +82,101 @@ __all__ = [
 _PROBE_B = 3
 _PROBE_SEED = 0x5EED
 
+# Probe verdicts: (d, width) for the full-width kernels, (d, width,
+# tail) for the tail kernels.
 _pegasos_probe_cache: dict[tuple, bool] = {}
 _ridge_probe_cache: dict[tuple, bool] = {}
 
 
-def _batch_plan(n: int, batch_size: int) -> list[tuple[int, int, int]]:
-    """The sequential trainer's mini-batch slicing: (start, stop, length)."""
+def _n_steps(n: int, batch_size: int) -> int:
+    """Mini-batch steps per epoch of the sequential trainer."""
+    return -(-n // batch_size)
+
+
+def _lockstep_order(ns, batch_size: int) -> list[int]:
+    """Positions of the problems sized ``ns`` in lockstep order: most
+    steps per epoch first, then longest tail first."""
+    def key(i):
+        steps = _n_steps(ns[i], batch_size)
+        return (-steps, (steps - 1) * batch_size - ns[i])
+    return sorted(range(len(ns)), key=key)
+
+
+def _step_plan(ns, batch_size: int) -> list[tuple]:
+    """One epoch's steps for problems sized ``ns``, in lockstep order.
+
+    Each step is ``(start, k, width, kf, tails, lengths)``: the first
+    ``k`` problems are inside their epoch, with batch lengths
+    ``lengths`` (non-increasing) over rows ``start:start + width``; the
+    first ``kf`` run at the full ``width`` and ``tails`` holds the runs
+    ``(lo, hi, length)`` of equal shorter lengths.
+    """
     plan = []
-    for start in range(0, n, batch_size):
-        length = min(batch_size, n - start)
-        plan.append((start, start + length, length))
+    for start in range(0, ns[0], batch_size):
+        lengths = [min(batch_size, n - start) for n in ns if n > start]
+        runs = []
+        lo = 0
+        for i in range(1, len(lengths) + 1):
+            if i == len(lengths) or lengths[i] != lengths[lo]:
+                runs.append((lo, i, lengths[lo]))
+                lo = i
+        plan.append((start, len(lengths), lengths[0], runs[0][1], runs[1:],
+                     lengths))
     return plan
+
+
+def _verdict(key: tuple, probe, *args) -> bool:
+    """``probe(*args)``, memoised under ``key``."""
+    ok = _pegasos_probe_cache.get(key)
+    if ok is None:
+        ok = _pegasos_probe_cache[key] = bool(probe(*args))
+    return ok
+
+
+def pegasos_lockstep_subset(ns, d: int, batch_size: int) -> list[int]:
+    """The problems, of ``ns`` rows each, that may train in one lockstep
+    group: their indices, ascending.
+
+    Every step shape of the group's plan is probed (memoised per
+    ``(d, width)`` and ``(d, width, tail)``).  A failed full-width
+    probe drops the problems running at that width, a failed tail probe
+    the problems with that tail; the plan of the survivors is then
+    checked again, since dropping problems can change the widths.
+    Empty problems never batch (the sequential ``fit`` rejects them).
+    """
+    d = int(d)
+    batch_size = int(batch_size)
+    members = [i for i, n in enumerate(ns) if n > 0]
+    while members:
+        order = _lockstep_order([ns[i] for i in members], batch_size)
+        members = [members[i] for i in order]
+        failed = set()
+        for _, _, width, kf, tails, _ in _step_plan(
+                [ns[i] for i in members], batch_size):
+            if not _verdict((d, width), _probe_pegasos, d, width):
+                failed.update(range(kf))
+            for lo, hi, length in tails:
+                if not (_verdict((d, width, length), _probe_tail_scores,
+                                 d, width, length)
+                        and _verdict(("einsum", d, width, length),
+                                     _probe_padded_einsum, d, width, length)):
+                    failed.update(range(lo, hi))
+        if not failed:
+            return sorted(members)
+        members = [i for pos, i in enumerate(members) if pos not in failed]
+    return []
 
 
 def pegasos_kernels_verified(n: int, d: int, batch_size: int) -> bool:
     """True when the stacked Pegasos kernels reproduce the sequential
-    trainer's bits at this problem shape.
-
-    The hot loop only ever runs its kernels on ``(B, length, d)``
-    mini-batches, so the shape that matters is each distinct mini-batch
-    length of the ``(n, batch_size)`` plan (at most two: the full batch
-    and the tail).  Each length is probed once per ``(d, length)`` by
-    :func:`_probe_pegasos`, memoised in ``_pegasos_probe_cache``; the
-    shape passes only if every one of its lengths does.
-    """
-    d = int(d)
-    lengths = sorted({length for _, _, length in
-                      _batch_plan(int(n), int(batch_size))})
-    for length in lengths:
-        key = (d, length)
-        ok = _pegasos_probe_cache.get(key)
-        if ok is None:
-            ok = _pegasos_probe_cache[key] = _probe_pegasos(d, length)
-        if not ok:
-            return False
-    return True
+    trainer's bits for problems of ``n`` rows: every step shape of the
+    ``(n, batch_size)`` plan (the full batch and the tail) passes
+    :func:`_probe_pegasos`, memoised per ``(d, length)``."""
+    return bool(pegasos_lockstep_subset([int(n)], d, batch_size))
 
 
-def _probe_pegasos(d: int, length: int) -> bool:
-    """Probe the stacked kernels at one exact ``(B, length, d)`` shape.
+def _probe_pegasos(d: int, width: int) -> bool:
+    """Probe the full-width kernels at one exact ``(B, width, d)`` shape.
 
     Checks, with the array forms the hot loop uses (fresh C-contiguous
     gathered batches, ``out=`` score buffers):
@@ -107,31 +190,20 @@ def _probe_pegasos(d: int, length: int) -> bool:
     """
     rng = np.random.default_rng(_PROBE_SEED)
     B = _PROBE_B
-    Xb = rng.standard_normal((B, length, d))
-    yb = rng.choice([-1.0, 1.0], size=(B, length))
+    Xb = rng.standard_normal((B, width, d))
+    yb = rng.choice([-1.0, 1.0], size=(B, width))
     W = rng.standard_normal((B, d))
 
-    scores = np.empty((B, length, 1))
+    scores = np.empty((B, width, 1))
     np.matmul(Xb, W[:, :, None], out=scores)
     for b in range(B):
         if scores[b, :, 0].tobytes() != np.dot(Xb[b], W[b]).tobytes():
             return False
 
-    active = rng.random((B, length)) < 0.5
+    active = rng.random((B, width)) < 0.5
     active[0] = True  # whole batch active (the compress-skip branch)
-    ym = yb * active
-    grad = np.einsum("bi,bij->bj", ym, Xb)
-    for b in range(B):
-        m = active[b]
-        n_active = int(np.count_nonzero(m))
-        if n_active == 0:
-            continue  # handled by explicit zeroing, nothing to compare
-        if n_active == length:
-            ref = np.einsum("i,ij->j", yb[b], Xb[b])
-        else:
-            ref = np.einsum("i,ij->j", yb[b][m], Xb[b][m])
-        if grad[b].tobytes() != ref.tobytes():
-            return False
+    if not _masked_einsum_matches(Xb, yb, active, width):
+        return False
 
     normsq = np.matmul(W[:, None, :], W[:, :, None])
     for b in range(B):
@@ -141,77 +213,103 @@ def _probe_pegasos(d: int, length: int) -> bool:
     return True
 
 
+def _probe_tail_scores(d: int, width: int, tail: int) -> bool:
+    """Probe the tail score kernel: a stacked ``matmul`` over the first
+    ``tail`` rows of each ``(width, d)`` block of a gathered batch (a
+    strided view), written into the same slice of the score buffer,
+    must equal the per-problem ``dot`` of the contiguous tail."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    B = _PROBE_B
+    Xb = rng.standard_normal((B, width, d))
+    W = rng.standard_normal((B, d))
+    scores = np.zeros((B, width, 1))
+    np.matmul(Xb[:, :tail], W[:, :, None], out=scores[:, :tail])
+    for b in range(B):
+        if scores[b, :tail, 0].tobytes() != \
+                np.dot(Xb[b, :tail], W[b]).tobytes():
+            return False
+    return True
+
+
+def _probe_padded_einsum(d: int, width: int, tail: int) -> bool:
+    """Probe the padded subgradient sum: tails padded to ``width`` with
+    a repeated source row whose mask is off must give the compressed
+    ``einsum`` over the tail's active rows (all-active row included)."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    B = _PROBE_B
+    Xb = rng.standard_normal((B, width, d))
+    yb = rng.choice([-1.0, 1.0], size=(B, width))
+    Xb[:, tail:] = Xb[0, 0]      # the hot loop pads with source row 0
+    yb[:, tail:] = yb[0, 0]
+    active = rng.random((B, width)) < 0.5
+    active[0] = True
+    active[:, tail:] = False
+    return _masked_einsum_matches(Xb, yb, active, tail)
+
+
+def _masked_einsum_matches(Xb, yb, active, length) -> bool:
+    """Zero-masked stacked ``einsum`` over the whole batch == each
+    problem's compressed ``einsum`` over its first ``length`` rows."""
+    grad = np.einsum("bi,bij->bj", yb * active, Xb)
+    for b in range(Xb.shape[0]):
+        m = active[b, :length]
+        n_active = int(np.count_nonzero(m))
+        if n_active == 0:
+            continue  # handled by explicit zeroing, nothing to compare
+        if n_active == length:
+            ref = np.einsum("i,ij->j", yb[b, :length], Xb[b, :length])
+        else:
+            ref = np.einsum("i,ij->j", yb[b, :length][m], Xb[b, :length][m])
+        if grad[b].tobytes() != ref.tobytes():
+            return False
+    return True
+
+
 def pegasos_fit_many(models, problems) -> None:
-    """Run the Pegasos schedule on B same-shape problems in lockstep.
+    """Run the Pegasos schedule on B problems in ragged lockstep.
 
-    ``problems`` is a list of validated ``(X, y_signed)`` float64 pairs,
-    all of shape ``(n, d)``; ``models`` the matching ``LinearSVM``
-    instances, whose hyperparameters (everything except ``seed``) must
-    agree.  The caller (``LinearSVM.fit_many``) is responsible for the
-    eligibility checks and the :func:`pegasos_kernels_verified` probe —
-    this function assumes the batched kernels are exact and writes each
-    model's ``coef_`` / ``intercept_`` / ``objective_trace_`` with the
-    precise bits a sequential ``fit`` would have produced.
+    ``problems[i]`` is ``(rows, X, y_signed)``: model ``i`` trains on
+    ``X[rows], y_signed[rows]``, where every problem shares the one
+    resident float64 ``X`` and signed float ``y_signed``.  ``models``
+    are the matching ``LinearSVM`` instances, whose hyperparameters
+    (everything except ``seed``) must agree.  The caller
+    (``LinearSVM.fit_many``) is responsible for the eligibility checks
+    and for passing only problems :func:`pegasos_lockstep_subset`
+    admits — this function assumes the batched kernels are exact and
+    writes each model's ``coef_`` / ``intercept_`` /
+    ``objective_trace_`` with the precise bits a sequential ``fit``
+    would have produced.
 
-    Why lockstep works: every problem shares ``(epochs, batch_size)``,
-    so all B trajectories take the same steps at the same ``t`` and the
-    per-step scalars (``eta``, the projection radius) are shared.  Each
-    problem keeps its *own* RNG stream, drawn one permutation per epoch
-    in epoch order — exactly the sequential consumption order.  All
-    cross-problem arithmetic is elementwise along the batch axis or a
-    probed stacked kernel; problems whose mini-batch has no
-    margin-active rows get their subgradient-sum row forced to ``+0.0``
-    (subtracting ``+0.0`` is the IEEE identity for every float,
-    including ``-0.0``) and their intercept left untouched, matching
-    the sequential trainer's skipped branch.
+    Each problem keeps its *own* RNG stream, drawn one permutation per
+    epoch in epoch order — exactly the sequential consumption order —
+    and its own step counter, so its ``eta`` sequence is the sequential
+    one however many steps its epochs take.  All cross-problem
+    arithmetic is elementwise along the batch axis or a probed stacked
+    kernel; problems whose mini-batch has no margin-active rows get
+    their subgradient-sum row forced to ``+0.0`` (subtracting ``+0.0``
+    is the IEEE identity for every float, including ``-0.0``) and their
+    intercept left untouched, matching the sequential trainer's skipped
+    branch.
     """
     from repro.utils.rng import as_generator
 
-    B = len(models)
     m0 = models[0]
     reg = m0.reg
     epochs = m0.epochs
     batch_size = m0.batch_size
     fit_intercept = m0.fit_intercept
     average = m0.average
-    n, d = problems[0][0].shape
+    _, X_src, y_src = problems[0]
+    d = X_src.shape[1]
 
-    rngs = [as_generator(m.seed) for m in models]
-
-    # The engine's grouped rounds share most of their training bytes:
-    # multi-seed repeats of a clean round are *identical* problems (only
-    # the model seed differs), and attacked repeats share the clean
-    # prefix of ``vstack([clean, poison])``, differing only in the
-    # poison tail.  Deduplicating the longest common ``(X, y)`` prefix
-    # into one source block keeps the per-step gathers reading mostly
-    # cache-resident rows instead of B spread-out copies — the gathered
-    # values (and therefore the bits) are identical either way.
-    X0, y0 = problems[0]
-    prefix = n
-    for X, y in problems[1:]:
-        if X is not X0:
-            mism = (X != X0).any(axis=1)
-            hit = int(np.argmax(mism))
-            if mism[hit]:
-                prefix = min(prefix, hit)
-        if y is not y0:
-            mism = y != y0
-            hit = int(np.argmax(mism))
-            if mism[hit]:
-                prefix = min(prefix, hit)
-        if prefix == 0:
-            break
-    tail_n = n - prefix
-    if tail_n == 0:
-        X_src, y_src = X0, y0
-    else:
-        X_src = np.concatenate([X0[:prefix]] + [X[prefix:] for X, _ in problems])
-        y_src = np.concatenate([y0[:prefix]] + [y[prefix:] for _, y in problems])
-        # Row r >= prefix of problem b lives at r + b * tail_n in the
-        # packed source; prefix rows keep their own index.
-        tail_offsets = (np.arange(B) * tail_n)[:, None]
-        in_tail = np.empty((B, n), dtype=bool)
-    ys = np.empty((B, n))
+    order = _lockstep_order([len(p[0]) for p in problems], batch_size)
+    models = [models[i] for i in order]
+    rows = [problems[i][0] for i in order]
+    ns = [len(r) for r in rows]
+    B = len(models)
+    plan = _step_plan(ns, batch_size)
+    n_steps = len(plan)
+    steps = np.array([_n_steps(n, batch_size) for n in ns], dtype=float)
 
     add = np.add
     multiply = np.multiply
@@ -221,13 +319,19 @@ def pegasos_fit_many(models, problems) -> None:
     matmul = np.matmul
     einsum = np.einsum
 
+    # Each epoch's gather indices into the source, one row per problem.
+    # Columns past a problem's own rows stay 0: its tail's padding
+    # gathers source row 0, never margin-active.
+    span = plan[-1][0] + plan[-1][2]
+    idx = np.zeros((B, span), dtype=np.intp)
+    ys = np.empty((B, span))
+    shuffles = [(as_generator(m.seed), n, r, idx[b, :n])
+                for b, (m, n, r) in enumerate(zip(models, ns, rows))]
+
     W = np.zeros((B, d))
     b_vec = np.zeros(B)
-    b_col = b_vec[:, None]          # broadcast view; b_vec mutated in place
     W_sum = np.zeros((B, d))
     b_sum = np.zeros(B)
-    n_averaged = 0
-
     grad_w = np.empty((B, d))
     grad_sum = np.empty((B, d))
     deltas = np.empty(B)
@@ -236,100 +340,121 @@ def pegasos_fit_many(models, problems) -> None:
     over = np.empty(B, dtype=bool)
     factors = np.empty(B)
     counts = np.empty(B, dtype=np.intp)
+    # eta[j, b] = 1 / (reg * t) at step j of the current epoch, where
+    # problem b's counter is t = epoch * steps[b] + j + 1.
+    eta = np.empty((n_steps, B))
+    step_numbers = np.arange(1.0, n_steps + 1.0)[:, None]
 
-    # One contiguous (scores3, scores2, active, ym) buffer set per
-    # distinct mini-batch length (there are at most two: the full batch
-    # and the tail).
+    # One (scores3, scores2, active, ym) buffer set per distinct width
+    # (at most two: the full batch and a last step of tails only), and
+    # every view a step touches, built once: the plan repeats each epoch.
     buffers: dict[int, tuple] = {}
-    plan = []
-    for start, stop, length in _batch_plan(n, batch_size):
-        bufs = buffers.get(length)
+    step_views = []
+    for j, (start, k, width, kf, tails, lengths) in enumerate(plan):
+        bufs = buffers.get(width)
         if bufs is None:
-            scores3 = np.empty((B, length, 1))
-            bufs = (scores3, scores3.reshape(B, length),
-                    np.empty((B, length), dtype=bool),
-                    np.empty((B, length)))
-            buffers[length] = bufs
-        plan.append((start, stop, float(length)) + bufs)
+            scores3 = np.zeros((B, width, 1))
+            bufs = buffers[width] = (scores3, scores3.reshape(B, width),
+                                     np.empty((B, width), dtype=bool),
+                                     np.empty((B, width)))
+        scores3, scores2, active, ym = bufs
+        length_vec = np.array(lengths, dtype=float)
+        step_views.append((
+            idx[:k, start:start + width], ys[:k, start:start + width],
+            kf, W[:kf, :, None], scores3[:kf],
+            [(lo, hi, length, W[lo:hi, :, None],
+              scores3[lo:hi, :length], active[lo:hi, length:])
+             for lo, hi, length in tails],
+            scores2[:k], active[:k], ym[:k], counts[:k],
+            W[:k], b_vec[:k], b_vec[:k, None], grad_w[:k], grad_sum[:k],
+            deltas[:k], eta[j, :k], eta[j, :k, None],
+            length_vec, length_vec[:, None],
+            W[:k, None, :], W[:k, :, None], normsq[:k], norms[:k],
+            over[:k], factors[:k], factors[:k, None],
+            W_sum[:k], b_sum[:k],
+        ))
 
-    perms = np.empty((B, n), dtype=np.intp)
-    flat_idx = np.empty((B, n), dtype=np.intp)
-
-    t = 0
     averaging_starts = max(1, epochs // 2)
     radius = 1.0 / np.sqrt(reg)
     for epoch in range(epochs):
         # Per-problem shuffles, one permutation per epoch in epoch
         # order — each problem's RNG consumption order is exactly the
-        # sequential trainer's.
-        for b in range(B):
-            perms[b] = rngs[b].permutation(n)
-        if tail_n == 0:
-            idx = perms
-        else:
-            np.greater_equal(perms, prefix, out=in_tail)
-            multiply(in_tail, tail_offsets, out=flat_idx)
-            add(flat_idx, perms, out=flat_idx)
-            idx = flat_idx
-        np.take(y_src, idx, out=ys)                   # whole epoch's labels
+        # sequential trainer's — mapped to source rows.
+        # (Every index is in range, so "clip" only skips the bounds
+        # check's buffering.)
+        for rng, n, r, dst in shuffles:
+            r.take(rng.permutation(n), out=dst, mode="clip")
+        y_src.take(idx, out=ys, mode="clip")          # whole epoch's labels
+        multiply(steps, epoch, out=eta)
+        add(eta, step_numbers, out=eta)
+        multiply(eta, reg, out=eta)
+        divide(1.0, eta, out=eta)
         averaging = average and epoch >= averaging_starts
-        for start, stop, length, scores3, scores2, active, ym in plan:
-            t += 1
-            # Gather this step's rows for all B problems in one fancy
-            # index — a fresh C-contiguous (B, length, d) batch.  No
+        for (ix, yb, kf, W_full, scores_full, tails, scores2, active, ym,
+             cnt, Wk, bk, bk_col, gw, gs, dl, eta_k, eta_col, lens,
+             len_col, W_row, W_col, nsq, nrm, ov, fac, fac_col,
+             Ws, bsum) in step_views:
+            # Gather this step's rows for the k problems in one fancy
+            # index — a fresh C-contiguous (k, width, d) batch.  No
             # (B, n, d) permuted copy is ever materialised.
-            Xb = X_src[idx[:, start:stop]]
-            yb = ys[:, start:stop]
-            # margins = yb * (Xb @ w + b) for all B problems at once
-            matmul(Xb, W[:, :, None], out=scores3)
-            add(scores2, b_col, out=scores2)
+            Xb = X_src[ix]
+            # margins = yb * (Xb @ w + b): one stacked matmul for the
+            # full-width problems, one unpadded one per tail length.
+            matmul(Xb[:kf], W_full, out=scores_full)
+            for lo, hi, length, W_tail, scores_tail, _ in tails:
+                matmul(Xb[lo:hi, :length], W_tail, out=scores_tail)
+            add(scores2, bk_col, out=scores2)
             multiply(scores2, yb, out=scores2)
             less(scores2, 1.0, out=active)
+            for tail in tails:
+                tail[5].fill(False)                   # padding never active
             # Per-problem active counts, needed only to detect (and fix
             # up) problems whose mini-batch has no margin-active rows.
-            np.sum(active, axis=1, out=counts)
-            no_empty = bool(counts.all())
-            eta = 1.0 / (reg * t)
-            multiply(W, reg, out=grad_w)
-            # Zero-masked subgradient sums: inactive rows contribute
-            # exact +/-0.0 addends, preserving each accumulator's bits.
+            active.sum(axis=1, out=cnt)
+            no_empty = bool(cnt.all())
+            multiply(Wk, reg, out=gw)
+            # Zero-masked subgradient sums: inactive and padding rows
+            # contribute exact +/-0.0 addends, preserving each
+            # accumulator's bits.
             multiply(yb, active, out=ym)
-            einsum("bi,bij->bj", ym, Xb, out=grad_sum)
+            einsum("bi,bij->bj", ym, Xb, out=gs)
             if not no_empty:
                 # Problems with an empty active set skip the whole
                 # subgradient branch sequentially; forcing their row to
                 # +0.0 makes the batched subtract the IEEE identity.
-                grad_sum[counts == 0] = 0.0
-            divide(grad_sum, length, out=grad_sum)
-            subtract(grad_w, grad_sum, out=grad_w)
+                gs[cnt == 0] = 0.0
+            divide(gs, len_col, out=gs)
+            subtract(gw, gs, out=gw)
             if fit_intercept:
-                np.sum(ym, axis=1, out=deltas)  # exact: sums of {-1, 0, +1}
-                multiply(deltas, eta, out=deltas)
-                divide(deltas, length, out=deltas)
+                ym.sum(axis=1, out=dl)  # exact: sums of {-1, 0, +1}
+                multiply(dl, eta_k, out=dl)
+                divide(dl, lens, out=dl)
                 if no_empty:
-                    add(b_vec, deltas, out=b_vec)
+                    add(bk, dl, out=bk)
                 else:
-                    hit = counts != 0
-                    b_vec[hit] += deltas[hit]
-            multiply(grad_w, eta, out=grad_w)
-            subtract(W, grad_w, out=W)
+                    hit = cnt != 0
+                    bk[hit] += dl[hit]
+            multiply(gw, eta_col, out=gw)
+            subtract(Wk, gw, out=Wk)
             # Pegasos projection onto the ball of radius 1/sqrt(reg):
             # scale only the problems outside it (x * 1.0 would be
             # exact too, but the sequential trainer skips them).
-            matmul(W[:, None, :], W[:, :, None], out=normsq)
-            np.sqrt(norms, out=norms)
-            np.greater(norms, radius, out=over)
-            if over.any():
-                factors.fill(1.0)
-                factors[over] = radius / norms[over]
-                multiply(W, factors[:, None], out=W)
+            matmul(W_row, W_col, out=nsq)
+            np.sqrt(nrm, out=nrm)
+            np.greater(nrm, radius, out=ov)
+            if ov.any():
+                fac.fill(1.0)
+                fac[ov] = radius / nrm[ov]
+                multiply(Wk, fac_col, out=Wk)
             if averaging:
-                add(W_sum, W, out=W_sum)
-                add(b_sum, b_vec, out=b_sum)
-                n_averaged += 1
+                add(Ws, Wk, out=Ws)
+                add(bsum, bk, out=bsum)
 
-    if average and n_averaged > 0:
-        coef = W_sum / n_averaged
+    # Each problem averaged over every step of the averaging epochs.
+    averaged_epochs = epochs - averaging_starts if average else 0
+    if averaged_epochs > 0:
+        n_averaged = steps * averaged_epochs
+        coef = W_sum / n_averaged[:, None]
         intercept = b_sum / n_averaged
     else:
         coef, intercept = W, b_vec

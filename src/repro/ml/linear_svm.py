@@ -267,15 +267,20 @@ class LinearSVM(LinearClassifierMixin, BaseEstimator):
 
     @classmethod
     def fit_many(cls, models, datasets) -> list:
-        """Fit ``models[i]`` on ``datasets[i] = (X, y)``, batched when safe.
+        """Fit ``models[i]`` on ``datasets[i]``, batched when safe.
 
-        The result is always bit-identical to ``[m.fit(X, y) for ...]``;
-        when :meth:`can_fit_many` holds, the B problems run in lockstep
-        through :func:`repro.ml.batched.pegasos_fit_many` (one stacked
-        tensor program instead of B dispatch-bound loops), otherwise —
-        ragged shapes, mixed hyperparameters, ``d == 1``, objective
-        tracking, or a failed kernel probe — each model falls back to
-        its own sequential :meth:`fit`.  Returns the models.
+        ``datasets[i]`` is ``(X, y)``, or ``(X, y, rows)`` to train on
+        ``X[rows], y[rows]``.  The result is always bit-identical to
+        ``[m.fit(X, y) for ...]``: the problems :meth:`can_fit_many`
+        admits run in ragged lockstep through
+        :func:`repro.ml.batched.pegasos_fit_many` (one stacked tensor
+        program instead of B dispatch-bound loops, whatever their row
+        counts), and the rest — mixed hyperparameters, ``d == 1``,
+        objective tracking, or a failed kernel probe at one of their
+        step shapes — fall back to their own sequential :meth:`fit`.
+        Datasets passing the same ``X`` and ``y`` objects share one
+        block of the resident source every lockstep gather reads.
+        Returns the models.
         """
         models = list(models)
         datasets = list(datasets)
@@ -284,57 +289,61 @@ class LinearSVM(LinearClassifierMixin, BaseEstimator):
                 f"got {len(models)} models but {len(datasets)} datasets")
         if not models:
             return models
-        validated = [check_X_y(X, y) for X, y in datasets]
-        if cls.can_fit_many(models, validated):
+        X, y, rows = _resident_source(datasets)
+        lockstep = cls._lockstep_subset(models, X, rows)
+        batched = set(lockstep)
+        for i, model in enumerate(models):
+            if i not in batched:
+                model.fit(*_training_set(datasets[i]))
+        if lockstep:
             from repro.ml.batched import pegasos_fit_many
 
-            signed = [(X, signed_labels(y).astype(float))
-                      for X, y in validated]
-            pegasos_fit_many(models, signed)
-        else:
-            for model, (X, y) in zip(models, validated):
-                model.fit(X, y)
+            pegasos_fit_many([models[i] for i in lockstep],
+                             [(rows[i], X, y) for i in lockstep])
         return models
 
     @classmethod
     def can_fit_many(cls, models, datasets) -> bool:
-        """Whether ``fit_many`` may run these problems in lockstep.
+        """Whether ``fit_many`` runs every one of these problems in
+        lockstep.
 
         Requires: plain ``LinearSVM`` instances whose hyperparameters
-        (everything except ``seed``) agree; same-shape 2-d float64
-        problems with ``d > 1`` (the sequential ``d == 1`` branch uses
-        a pairwise reduction no stacked kernel reproduces); no
-        objective tracking or early stopping (the per-epoch trace
-        would desynchronise the trajectories); and the runtime kernel
-        probe (:func:`repro.ml.batched.pegasos_kernels_verified`)
-        passing at every exact mini-batch shape of the problem.
+        (everything except ``seed``) agree; 2-d problems of one width
+        ``d > 1`` (the sequential ``d == 1`` branch uses a pairwise
+        reduction no stacked kernel reproduces), of any row counts; no
+        objective tracking or early stopping (the per-epoch trace would
+        desynchronise the trajectories); and the runtime kernel probes
+        (:func:`repro.ml.batched.pegasos_lockstep_subset`) passing at
+        every exact step shape of the group's plan.
         """
+        models = list(models)
+        X, _, rows = _resident_source(datasets)
+        return len(cls._lockstep_subset(models, X, rows)) == len(models)
+
+    @classmethod
+    def _lockstep_subset(cls, models, X, rows) -> list[int]:
+        """Indices of the problems ``fit_many`` trains in lockstep."""
         first = models[0]
         if type(first) is not cls:
-            return False
+            return []
         if first.tol is not None or first.track_objective is True:
-            return False
+            return []
         for model in models[1:]:
             if type(model) is not cls:
-                return False
+                return []
             if (model.reg, model.epochs, model.batch_size,
                     model.fit_intercept, model.average, model.tol,
                     model.track_objective is True) != \
                     (first.reg, first.epochs, first.batch_size,
                      first.fit_intercept, first.average, first.tol,
                      first.track_objective is True):
-                return False
-        shape = np.asarray(datasets[0][0]).shape
-        if len(shape) != 2 or shape[1] < 2:
-            return False
-        for X, _ in datasets:
-            X = np.asarray(X)
-            if X.shape != shape or X.dtype != np.float64:
-                return False
-        from repro.ml.batched import pegasos_kernels_verified
+                return []
+        if X is None or X.shape[1] < 2:
+            return []
+        from repro.ml.batched import pegasos_lockstep_subset
 
-        return pegasos_kernels_verified(shape[0], shape[1],
-                                        min(first.batch_size, shape[0]))
+        return pegasos_lockstep_subset([len(r) for r in rows], X.shape[1],
+                                       first.batch_size)
 
     def _objective(self, X: np.ndarray, y_signed: np.ndarray, w: np.ndarray,
                    b: float) -> float:
@@ -347,3 +356,56 @@ class LinearSVM(LinearClassifierMixin, BaseEstimator):
         X, y = check_X_y(X, y)
         return self._objective(X, signed_labels(y).astype(float), self.coef_,
                                self.intercept_)
+
+
+def _resident_source(datasets):
+    """One resident training source for ``fit_many``'s datasets.
+
+    Returns ``(X, y_signed, rows)``: the validated float64 ``X`` and
+    signed float labels of every distinct dataset, stacked (datasets
+    passing the same ``X`` and ``y`` objects share one block), and per
+    dataset the row indices it trains on.  ``X`` is ``None`` when the
+    datasets differ in width, which no lockstep group spans.
+    """
+    blocks: dict[tuple, tuple] = {}
+    rows = []
+    offset = 0
+    for dataset in datasets:
+        if len(dataset) not in (2, 3):
+            raise ValueError(
+                "each dataset must be (X, y) or (X, y, rows), got "
+                f"{len(dataset)} items")
+        X, y = dataset[0], dataset[1]
+        key = (id(X), id(y))
+        block = blocks.get(key)
+        if block is None:
+            Xv, yv = check_X_y(X, y)
+            block = blocks[key] = (offset, Xv, signed_labels(yv).astype(float))
+            offset += Xv.shape[0]
+        start, Xv, _ = block
+        if len(dataset) == 2:
+            rows.append(np.arange(start, start + Xv.shape[0]))
+            continue
+        r = np.asarray(dataset[2], dtype=np.intp)
+        if r.ndim != 1 or (r.size and (r.min() < 0
+                                       or r.max() >= Xv.shape[0])):
+            raise ValueError(
+                f"rows must be 1-d indices into the {Xv.shape[0]} rows of X")
+        rows.append(r + start if start else r)
+    parts = list(blocks.values())
+    if len({Xv.shape[1] for _, Xv, _ in parts}) != 1:
+        return None, None, rows
+    if len(parts) == 1:
+        _, X, y = parts[0]
+    else:
+        X = np.concatenate([Xv for _, Xv, _ in parts])
+        y = np.concatenate([yv for _, _, yv in parts])
+    return X, y, rows
+
+
+def _training_set(dataset):
+    """The ``(X, y)`` one of ``fit_many``'s datasets trains on."""
+    if len(dataset) == 2:
+        return dataset
+    X, y, rows = dataset
+    return np.asarray(X)[rows], np.asarray(y)[rows]

@@ -1,7 +1,7 @@
 """execute_rounds: the batch-aware sibling of execute_round.
 
-PR 6 contract: grouping same-victim, same-shape rounds through
-``LinearSVM.fit_many`` is an execution strategy — outcomes must be
+Contract: grouping same-victim rounds (of any training-set size)
+through ``LinearSVM.fit_many`` is an execution strategy — outcomes must be
 bit-identical to per-spec ``execute_round`` calls, in input order,
 with and without the ``REPRO_BATCH_FITS`` toggle.
 """
@@ -17,7 +17,13 @@ from repro.engine import (
     execute_rounds,
 )
 from repro.engine import backends as backends_mod
-from repro.experiments.runner import make_synthetic_context
+from repro.engine.backends import _round_kwargs
+from repro.experiments.runner import (
+    make_synthetic_context,
+    prepare_configuration,
+    resident_source,
+)
+from repro.ml.base import signed_labels
 from repro.ml.linear_svm import LinearSVM
 
 
@@ -86,6 +92,39 @@ class TestBatchedDispatch:
         # The repeat axis (same percentile, different seeds) yields
         # same-shape training sets -> one batched fit of all four.
         assert calls == [4]
+
+    def test_ragged_window_dispatches_one_group(self, ctx, monkeypatch):
+        calls = []
+        original = LinearSVM.fit_many.__func__
+
+        def counting_fit_many(cls, models, datasets):
+            calls.append(len(models))
+            return original(cls, models, datasets)
+
+        monkeypatch.setattr(LinearSVM, "fit_many",
+                            classmethod(counting_fit_many))
+        specs = [RoundSpec(filter_percentile=percentile,
+                           attack=AttackSpec("boundary", 0.3),
+                           poison_fraction=fraction, seed=0)
+                 for percentile, fraction in ((0.02, 0.05), (0.02, 0.2),
+                                              (0.05, 0.1), (0.05, 0.3),
+                                              (0.1, 0.05), (0.1, 0.3),
+                                              (0.2, 0.1), (0.3, 0.2))]
+        sizes = {prepare_configuration(ctx, **_round_kwargs(ctx, spec))
+                 .X_tr.shape[0] for spec in specs}
+        assert len(sizes) == len(specs)  # every training-set size differs
+        assert execute_rounds(ctx, specs) == \
+            [execute_round(ctx, spec) for spec in specs]
+        assert calls == [len(specs)]
+
+    def test_resident_source_reproduces_each_training_set(self, ctx):
+        prepared = [prepare_configuration(ctx, **_round_kwargs(ctx, spec))
+                    for spec in mixed_specs()]
+        X, y, rows = resident_source(ctx, prepared)
+        for p, r in zip(prepared, rows):
+            assert X[r].tobytes() == p.X_tr.tobytes()
+            assert y[r].tobytes() == \
+                signed_labels(p.y_tr).astype(float).tobytes()
 
     def test_toggle_off_disables_dispatch(self, ctx, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_FITS", "0")

@@ -10,6 +10,8 @@ cache populated by an unbatched run is fully hit by a batched rerun
 (the CLI ``--expect-cached`` gate).
 """
 
+import json
+
 import pytest
 
 from repro.engine import EvaluationEngine
@@ -51,6 +53,40 @@ class TestBatchedStudyParity:
                                                     jobs=2))
         assert process.payload == serial.payload
         assert process.scenarios == serial.scenarios
+
+
+def ragged_grid_spec(ctx_spec):
+    """Defences that keep different row counts, against two attack
+    families: each fit window trains as one ragged lockstep group."""
+    return studies.grid(context=ctx_spec,
+                        defenses=("radius:0.1", "slab_filter:0.1",
+                                  "loss_filter:0.1", "none"),
+                        attacks=("boundary:0.05", "label-flip"),
+                        fractions=(0.1, 0.2),
+                        n_repeats=2)
+
+
+def _archived_bytes(result):
+    return (json.dumps(result.scenarios, sort_keys=True),
+            json.dumps(result.payload, sort_keys=True))
+
+
+class TestRaggedGridParity:
+    def test_batched_matches_unbatched_and_process(self, ctx_spec,
+                                                   monkeypatch):
+        spec = ragged_grid_spec(ctx_spec)
+        batched = run_study(spec,
+                            engine=EvaluationEngine("serial", cache=False))
+        process = run_study(spec,
+                            engine=EvaluationEngine("process", cache=False,
+                                                    jobs=2))
+        monkeypatch.setenv("REPRO_BATCH_FITS", "0")
+        plain = run_study(spec,
+                          engine=EvaluationEngine("serial", cache=False))
+        assert len({record["outcome"]["n_removed"]
+                    for record in batched.scenarios}) > 2
+        assert _archived_bytes(plain) == _archived_bytes(batched)
+        assert _archived_bytes(process) == _archived_bytes(batched)
 
 
 class TestExpectCachedAcrossToggle:
