@@ -10,9 +10,10 @@ A :class:`ShardServer` owns exactly one
 2. with ``jobs > 1``, holds the process backend's
    :class:`~repro.engine.backends.WorkerPool` for its whole lifetime:
    the context's data arrays sit in a **per-host shared-memory
-   segment** that every worker maps, packed once per server instead
-   of once per batch (with ``jobs <= 1`` rounds run in-process, like
-   the serial backend);
+   segment** that every worker maps, packed once per server, and each
+   chunk is dealt over the workers by the pool's fit-window rule
+   (with ``jobs <= 1`` rounds run in-process, like the serial
+   backend);
 3. listens on a TCP socket and answers the protocol of
    :mod:`repro.cluster.protocol`: a content-fingerprint handshake,
    then round chunks, executed through the engine's own

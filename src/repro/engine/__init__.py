@@ -27,7 +27,6 @@ from repro.engine.spec import (
     register_victim_prewarmer,
     registered_victim_kinds,
     materialize_victim,
-    prewarm_context,
     prewarm_all,
     parse_spec_string,
     parse_attack_spec,
@@ -79,7 +78,6 @@ __all__ = [
     "register_victim_prewarmer",
     "registered_victim_kinds",
     "materialize_victim",
-    "prewarm_context",
     "prewarm_all",
     "parse_spec_string",
     "parse_attack_spec",

@@ -11,17 +11,18 @@ async backends drop-in safe.
 Built-ins:
 
 * ``serial`` — in-process loop; zero overhead, the reference semantics.
-* ``process`` — fans chunks out over a :class:`WorkerPool` opened per
-  batch, with **zero-copy context transport**: the context's data
-  arrays are published once into a ``multiprocessing.shared_memory``
-  block that every worker maps read-only, and only a small metadata
-  blob (array layout, scalar fields, the picklable victim factory, and
-  the round kernel's fitted attack direction) is pickled into the pool
-  initializer.  Worker start-up therefore stops copying the full
-  train/test split per process, and fan-out cost no longer grows with
-  context size.  Contexts that do not look like experiment contexts
-  fall back to whole-object pickling.  The cluster's shard server
-  holds the same pool for its lifetime.
+* ``process`` — deals each batch over a long-lived :class:`WorkerPool`
+  per context (a small LRU keyed by context fingerprint), with
+  **zero-copy context transport**: the context's data arrays are
+  published once into a ``multiprocessing.shared_memory`` block that
+  every worker maps read-only, and only a small metadata blob (array
+  layout, scalar fields, the picklable victim factory, and the round
+  kernel's fitted attack direction) is pickled into the pool
+  initializer.  A context's first batch packs and forks; later
+  batches reuse the workers, whose kernel memos and fit probes stay
+  warm.  Contexts that do not look like experiment contexts fall back
+  to whole-object pickling.  The cluster's shard server holds the
+  same pool for its lifetime.
 * ``cluster`` — fans chunks out to shard servers over TCP (see
   :mod:`repro.cluster`); autospawns localhost shards when none are
   configured.  Registered lazily so the engine package stays light.
@@ -38,8 +39,12 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
+import weakref
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 from typing import Callable
 
@@ -67,8 +72,8 @@ __all__ = [
 _FIT_WINDOW = 32
 
 # Fields of an ExperimentContext large enough to be worth publishing in
-# shared memory instead of pickling ("map" is the radius map's sorted
-# distance vector).
+# shared memory instead of pickling.  The radius map's sorted distance
+# vector travels in the same block, as "map_distances".
 _SHARED_ARRAY_FIELDS = ("X_train", "y_train", "X_test", "y_test")
 
 
@@ -404,6 +409,25 @@ def _worker_cleanup() -> None:
         _WORKER_SHM = None
 
 
+# How often an idle worker checks that its owner is still alive.
+_OWNER_POLL_SECONDS = 1.0
+
+
+def _exit_with_owner(owner: int) -> None:
+    """End this worker once its owner has died (it is then reparented).
+
+    Workers outlive batches, so an owner killed without cleanup would
+    otherwise leave them blocked on their task queue forever, holding
+    the shared block and the resource tracker's pipe open.  Once they
+    exit, the owner's resource tracker unlinks the block.
+    """
+    import time
+
+    while os.getppid() == owner:
+        time.sleep(_OWNER_POLL_SECONDS)
+    os._exit(1)
+
+
 def _worker_init(meta_blob: bytes) -> None:
     global _WORKER_CTX, _WORKER_SHM
     import atexit
@@ -411,20 +435,27 @@ def _worker_init(meta_blob: bytes) -> None:
     _WORKER_CTX, _WORKER_SHM = _unpack_context(pickle.loads(meta_blob))
     if _WORKER_SHM is not None:
         atexit.register(_worker_cleanup)
+    threading.Thread(target=_exit_with_owner, args=(os.getppid(),),
+                     name="owner-watch", daemon=True).start()
 
 
-def _worker_run_chunk(specs):
+def _worker_run_chunk(specs, arming):
     """The pool workers' one entry point: a chunk's outcomes, in chunk
     order, plus this worker's telemetry delta.
 
-    The delta (``None`` when telemetry is disabled or nothing changed)
-    carries the stage histograms and counters the chunk accumulated in
-    the worker process; the pool owner merges it into its own registry
-    so its summaries cover the whole pool.  Spans still land in the
+    ``arming`` is the pool owner's telemetry setting
+    (:func:`repro.telemetry.arming`), applied before the chunk runs: a
+    worker outlives many batches, so it follows the owner's current
+    setting rather than the one it was forked with.  The delta
+    (``None`` when telemetry is disabled or nothing changed) carries
+    the stage histograms and counters the chunk accumulated in the
+    worker process; the pool owner merges it into its own registry so
+    its summaries cover the whole pool.  Spans still land in the
     worker's own JSONL file — only metrics travel back.
     """
     from repro import telemetry
 
+    telemetry.rearm(arming)
     return execute_rounds(_WORKER_CTX, specs), telemetry.flush_delta()
 
 
@@ -440,9 +471,15 @@ class WorkerPool:
     turning a client's instant connection-reset into a full protocol
     timeout.
 
-    :class:`ProcessPoolBackend` opens one per batch; the cluster's
-    shard server holds one for its lifetime.  ``close()`` shuts the
-    workers down and unlinks the block.
+    Workers live as long as the pool, so everything they memoise (the
+    round kernel's geometry, the batched trainer's probes) serves every
+    batch after the first.  :class:`ProcessPoolBackend` keeps one per
+    context across batches; the cluster's shard server holds one for
+    its lifetime.  ``close()`` shuts the workers down and unlinks the
+    block; an owner killed before it can close the pool leaves no
+    worker behind either (each exits once it is reparented).  A worker
+    that dies breaks the pool: every later chunk raises
+    ``BrokenProcessPool``, and the owner must replace it.
 
     Parameters
     ----------
@@ -484,26 +521,31 @@ class WorkerPool:
     def run_iter(self, specs):
         """Yield ``(index, outcome)`` pairs as worker chunks complete.
 
-        ``specs`` is cut into chunks of a quarter of an even per-worker
-        share, one future each; every chunk runs through
-        :func:`execute_rounds` in its worker (so its fits are batched)
-        and surfaces whole, in arrival order.  Chunks not yet started
-        are cancelled if the stream is abandoned.
+        ``specs`` is dealt round-robin into ``jobs * ceil(n / (jobs *
+        _FIT_WINDOW))`` chunks (never more than ``n``): each worker gets
+        an equal share of chunks, and no chunk exceeds one fit window,
+        so each trains as one lockstep group.  Dealing round-robin
+        spreads a grid's costly axis values over every chunk.  Each
+        chunk runs through :func:`execute_rounds` in its worker and
+        surfaces whole, in arrival order; chunks not yet started are
+        cancelled if the stream is abandoned.
         """
         from repro import telemetry
 
         specs = list(specs)
-        size = max(1, len(specs) // (self.jobs * 4))
-        futures = {self._pool.submit(_worker_run_chunk,
-                                     specs[base:base + size]): base
-                   for base in range(0, len(specs), size)}
+        chunks_per_worker = -(-len(specs) // (self.jobs * _FIT_WINDOW))
+        stride = min(len(specs), self.jobs * chunks_per_worker)
+        arming = telemetry.arming()
+        futures = {self._pool.submit(_worker_run_chunk, specs[first::stride],
+                                     arming): first
+                   for first in range(stride)}
         try:
             for future in as_completed(futures):
                 outcomes, delta = future.result()
                 telemetry.merge(delta)
-                base = futures[future]
+                first = futures[future]
                 for offset, outcome in enumerate(outcomes):
-                    yield base + offset, outcome
+                    yield first + offset * stride, outcome
         finally:
             for future in futures:
                 future.cancel()
@@ -518,13 +560,99 @@ class WorkerPool:
         self._shm = None
 
 
-class ProcessPoolBackend(EvaluationBackend):
-    """Fan rounds out over a :class:`WorkerPool` opened per batch.
+# Pools one ProcessPoolBackend keeps open.  Two cover a process that
+# alternates two contexts (a synthetic grid and the paper game, say)
+# without re-forking, and cap its idle workers at 2 * jobs processes.
+_MAX_POOLS = 2
 
-    Shared state attack builders can precompute once per batch (e.g.
-    the boundary attack's surrogate direction) is warmed in the parent
-    and shipped in the pool's metadata blob, so workers never repeat
-    it.
+
+class _PoolCache:
+    """A backend's open pools: an LRU keyed by context fingerprint.
+
+    Counts the batches running on each pool, so a pool that leaves the
+    LRU (evicted, found broken, or closed) while a batch runs on it
+    closes when its last batch ends, never under one.  Holds no
+    reference to its backend, so the backend's finalizer can close it.
+    """
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self._lock = threading.Lock()
+        self._open: OrderedDict = OrderedDict()  # fingerprint -> pool
+        self._users: dict = {}  # pool -> batches running on it
+
+    def acquire(self, ctx) -> WorkerPool:
+        """The open pool for ``ctx`` (prewarmed and opened on a miss),
+        counted as in use until :meth:`release`."""
+        from repro.engine.spec import prewarm_all
+
+        fingerprint = ctx.fingerprint()
+        with self._lock:
+            pool = self._open.get(fingerprint)
+            if pool is None:
+                prewarm_all(ctx)
+                pool = self._open[fingerprint] = WorkerPool(ctx, self.jobs)
+            self._open.move_to_end(fingerprint)
+            self._users[pool] = self._users.get(pool, 0) + 1
+            idle = self._drop(list(self._open.values())[:-_MAX_POOLS])
+        for old in idle:
+            old.close()
+        return pool
+
+    def release(self, pool: WorkerPool) -> None:
+        """End one batch on ``pool``; close it if it has left the LRU
+        and this was its last batch."""
+        with self._lock:
+            self._users[pool] -= 1
+            if self._users[pool]:
+                return
+            del self._users[pool]
+            if pool in self._open.values():
+                return
+        pool.close()
+
+    def discard(self, pool: WorkerPool) -> None:
+        """Take a broken ``pool`` out of the LRU (its batches still
+        hold it; the last :meth:`release` closes it)."""
+        with self._lock:
+            self._drop([pool])
+
+    def close(self) -> None:
+        """Close every idle pool now, and every busy one as its last
+        batch ends."""
+        with self._lock:
+            idle = self._drop(list(self._open.values()))
+        for pool in idle:
+            pool.close()
+
+    def _drop(self, pools: list) -> list:
+        """Remove ``pools`` from the LRU (lock held); the idle ones are
+        returned for the caller to close outside the lock."""
+        for fingerprint in [f for f, p in self._open.items() if p in pools]:
+            del self._open[fingerprint]
+        return [pool for pool in pools if not self._users.get(pool)]
+
+
+class ProcessPoolBackend(EvaluationBackend):
+    """Deal rounds over long-lived :class:`WorkerPool`\\ s, one per
+    context.
+
+    A context's first batch runs every registered prewarmer on it
+    (:func:`~repro.engine.spec.prewarm_all`, the shard server's
+    start-up policy), so whatever the round kernel holds ships in the
+    pool's metadata blob and no worker repeats it, then opens its pool.
+    Later batches on a context with the same fingerprint reuse that
+    pool: no fork, no shared-memory packing, and warm workers.  At most
+    ``_MAX_POOLS`` pools stay open, the least recently used evicted
+    first; pools also close on :meth:`close`, when the backend is
+    garbage-collected, and at interpreter exit.
+
+    A pool found broken (a worker died between batches) before the
+    batch's first outcome is replaced, and the batch reruns on the new
+    pool.  A pool that breaks after outcomes have landed is discarded
+    and the batch raises ``BrokenProcessPool``.  Batches from several
+    threads may share a pool; one leaving the LRU closes only when its
+    running batches end.
 
     Parameters
     ----------
@@ -538,21 +666,32 @@ class ProcessPoolBackend(EvaluationBackend):
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+        self._pools = _PoolCache(self.jobs)
+        weakref.finalize(self, self._pools.close)
 
     def run_iter(self, ctx, specs):
-        # Imported lazily, like execute_round: keep the engine package
-        # importable without the experiments layer.
-        from repro.engine.spec import prewarm_context
-
         specs = list(specs)
         if not specs:
             return
-        prewarm_context(ctx, specs)
-        pool = WorkerPool(ctx, min(self.jobs, len(specs)))
-        try:
-            yield from pool.run_iter(specs)
-        finally:
-            pool.close()
+        landed = False
+        for attempt in (1, 2):
+            pool = self._pools.acquire(ctx)
+            try:
+                for index, outcome in pool.run_iter(specs):
+                    landed = True
+                    yield index, outcome
+                return
+            except BrokenProcessPool:
+                self._pools.discard(pool)
+                if landed or attempt == 2:
+                    raise
+            finally:
+                self._pools.release(pool)
+
+    def close(self) -> None:
+        """Close this backend's pools (a running batch keeps its pool
+        until it ends); the next batch opens fresh ones."""
+        self._pools.close()
 
 
 # -- registry --------------------------------------------------------------

@@ -30,6 +30,7 @@ import time
 from repro import telemetry
 from repro.engine.backends import EvaluationBackend, make_backend
 from repro.engine.cache import ResultCache, round_keys
+from repro.resilience import env_bool, env_int
 
 __all__ = [
     "EvaluationEngine",
@@ -239,7 +240,6 @@ class EvaluationEngine:
 
 # -- process-wide default ---------------------------------------------------
 
-_TRUTHY_OFF = {"0", "false", "off", "no"}
 _default: EvaluationEngine | None = None
 
 
@@ -247,19 +247,22 @@ def engine_from_env() -> EvaluationEngine:
     """Build an engine from ``REPRO_*`` environment variables.
 
     * ``REPRO_BACKEND`` — backend name (default ``serial``);
-    * ``REPRO_JOBS`` — worker count for parallel backends;
-    * ``REPRO_CACHE`` — set to ``0``/``false`` to disable caching;
+    * ``REPRO_JOBS`` — worker count for parallel backends (``0`` or
+      unset: the backend's default);
+    * ``REPRO_CACHE`` — a boolean (``1``/``0``, ``true``/``false``,
+      ``yes``/``no``, ``on``/``off``); off disables caching;
     * ``REPRO_CACHE_DIR`` — enable the persistent on-disk cache tier;
     * ``REPRO_CACHE_MAX_ENTRIES`` — LRU cap for the in-memory tier
-      (default unbounded).
+      (``0`` or unset: unbounded).
+
+    An unparseable value raises ``ValueError`` naming its variable.
     """
     backend = os.environ.get("REPRO_BACKEND", "serial")
-    jobs_raw = os.environ.get("REPRO_JOBS")
-    jobs = int(jobs_raw) if jobs_raw else None
-    cache_on = os.environ.get("REPRO_CACHE", "1").strip().lower() not in _TRUTHY_OFF
+    jobs = env_int("REPRO_JOBS", 0, lo=0, hi=1024) or None
+    cache_on = env_bool("REPRO_CACHE", True)
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    max_raw = os.environ.get("REPRO_CACHE_MAX_ENTRIES")
-    cache_max_entries = int(max_raw) if max_raw else None
+    cache_max_entries = env_int("REPRO_CACHE_MAX_ENTRIES", 0, lo=0,
+                                hi=1_000_000_000) or None
     return EvaluationEngine(backend, jobs=jobs, cache=cache_on,
                             cache_dir=cache_dir,
                             cache_max_entries=cache_max_entries)

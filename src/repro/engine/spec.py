@@ -57,7 +57,6 @@ __all__ = [
     "register_victim_prewarmer",
     "registered_victim_kinds",
     "materialize_victim",
-    "prewarm_context",
     "prewarm_all",
 ]
 
@@ -466,13 +465,15 @@ def register_attack_builder(kind: str, builder: Callable) -> None:
 
 
 def register_attack_prewarmer(kind: str, prewarmer: Callable) -> None:
-    """Register ``prewarmer(ctx)`` invoked once per batch for a kind.
+    """Register ``prewarmer(ctx)``, run once per context, for a kind.
 
     Prewarmers force shared per-context state (cached on the context)
     that every round of the family would otherwise compute for itself —
-    e.g. the boundary attack's fitted surrogate direction.  Parallel
-    backends call them in the *parent* before shipping the context, so
-    the work happens exactly once per batch instead of once per worker.
+    e.g. the boundary attack's fitted surrogate direction.  Pooled
+    executors (the process backend, on a context's first batch, and the
+    shard server, at start-up) run every registered prewarmer through
+    :func:`prewarm_all` in the *parent* before shipping the context, so
+    the work happens once per context instead of once per worker.
     """
     if not callable(prewarmer):
         raise TypeError(f"prewarmer for {kind!r} must be callable")
@@ -493,7 +494,8 @@ def register_defense_builder(kind: str, builder: Callable) -> None:
 
 
 def register_defense_prewarmer(kind: str, prewarmer: Callable) -> None:
-    """Register ``prewarmer(ctx)`` invoked once per batch for a kind."""
+    """Register ``prewarmer(ctx)``, run once per context, for a kind
+    (see :func:`register_attack_prewarmer`)."""
     if not callable(prewarmer):
         raise TypeError(f"prewarmer for {kind!r} must be callable")
     _DEFENSE_PREWARMERS[str(kind)] = prewarmer
@@ -512,7 +514,8 @@ def register_victim_builder(kind: str, builder: Callable) -> None:
 
 
 def register_victim_prewarmer(kind: str, prewarmer: Callable) -> None:
-    """Register ``prewarmer(ctx)`` invoked once per batch for a kind."""
+    """Register ``prewarmer(ctx)``, run once per context, for a kind
+    (see :func:`register_attack_prewarmer`)."""
     if not callable(prewarmer):
         raise TypeError(f"prewarmer for {kind!r} must be callable")
     _VICTIM_PREWARMERS[str(kind)] = prewarmer
@@ -533,31 +536,14 @@ def registered_victim_kinds() -> list[str]:
     return sorted(_VICTIM_BUILDERS)
 
 
-def prewarm_context(ctx, specs) -> None:
-    """Run each distinct kind's prewarmer (if any) on ``ctx``.
-
-    Covers all three spec axes: attack, defence and victim kinds that
-    appear anywhere in ``specs``.
-    """
-    attacks = {spec.attack.kind for spec in specs if spec.attack is not None}
-    defenses = {spec.defense.kind for spec in specs if spec.defense is not None}
-    victims = {spec.victim.kind for spec in specs if spec.victim is not None}
-    for kinds, registry in ((attacks, _ATTACK_PREWARMERS),
-                            (defenses, _DEFENSE_PREWARMERS),
-                            (victims, _VICTIM_PREWARMERS)):
-        for kind in sorted(kinds):
-            prewarmer = registry.get(kind)
-            if prewarmer is not None:
-                prewarmer(ctx)
-
-
 def prewarm_all(ctx) -> None:
     """Run *every* registered prewarmer (all three registries) on ``ctx``.
 
     Used by long-lived executors that cannot see their future specs —
-    a cluster shard server warms the context once at startup, before
-    packing it into the per-host shared-memory segment, so no chunk
-    ever pays for the surrogate fit or the clean geometry.
+    the process backend warms a context before opening its pool, and a
+    cluster shard server at start-up, each before packing the context
+    into shared memory, so no chunk ever pays for the surrogate fit or
+    the clean geometry.
     """
     for registry in (_ATTACK_PREWARMERS, _DEFENSE_PREWARMERS,
                      _VICTIM_PREWARMERS):

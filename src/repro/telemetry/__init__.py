@@ -10,7 +10,8 @@ I/O — so the hot-path benchmark floors are unaffected.
 Enabling
 --------
 ``REPRO_TELEMETRY_DIR=<dir>`` (or ``--telemetry-dir``) arms metrics
-*and* the JSONL trace sink: every process — client, pool workers,
+*and* the JSONL trace sink: every process — client, pool workers
+(they follow their owner's :func:`arming`, shipped with each chunk),
 autospawned shards (they inherit the environment) — writes spans to
 its own ``trace-<pid>-*.jsonl`` under the directory.  ``repro trace
 <dir>`` renders the merged tree.  ``REPRO_TELEMETRY=1`` arms metrics
@@ -49,6 +50,7 @@ from repro.telemetry.tracing import NOOP_SPAN, Tracer
 
 __all__ = [
     "SUMMARY_SCHEMA_VERSION",
+    "arming",
     "configure",
     "counter",
     "diff_snapshots",
@@ -57,6 +59,7 @@ __all__ = [
     "gauge",
     "histogram",
     "merge",
+    "rearm",
     "registry",
     "reset",
     "snapshot",
@@ -142,6 +145,29 @@ def configure(directory: str | None = None, *,
             os.environ.pop("REPRO_TELEMETRY_DIR", None)
             os.environ.pop("REPRO_TELEMETRY", None)
             _state = _State(False, None)
+
+
+def arming() -> tuple[bool, str | None]:
+    """This process's setting as ``(enabled, directory)``: what a pool
+    owner ships with each chunk, for :func:`rearm` in the worker."""
+    state = _ensure()
+    return state.enabled, state.directory
+
+
+def rearm(setting: tuple[bool, str | None]) -> None:
+    """Match :func:`arming`'s ``setting`` from another process.
+
+    A long-lived pool worker calls this before each chunk: its own
+    setting was copied at fork time, and the owner may have armed or
+    disarmed telemetry since.  A matching setting keeps the current
+    state (and registry); a different one closes it, as :func:`reset`
+    does, and re-arms.
+    """
+    enabled, directory = setting
+    if arming() == (enabled, directory):
+        return
+    reset()
+    configure(directory, metrics_only=enabled)
 
 
 def reset() -> None:

@@ -210,6 +210,24 @@ class TestConfiguration:
         assert engine.backend.jobs == 3
         assert engine.cache is None
 
+    @pytest.mark.parametrize("name, value", [("REPRO_JOBS", "two"),
+                                             ("REPRO_CACHE", "junk"),
+                                             ("REPRO_CACHE_MAX_ENTRIES",
+                                              "1e3")])
+    def test_bad_env_value_names_its_variable(self, monkeypatch, name,
+                                              value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"bad {name}="):
+            engine_from_env()
+
+    def test_zero_env_values_mean_the_defaults(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "0")
+        engine = engine_from_env()
+        assert engine.backend.jobs == ProcessPoolBackend().jobs
+        assert engine.cache.max_entries is None
+
     def test_default_engine_resolution(self):
         previous = default_engine()
         try:

@@ -22,18 +22,20 @@ CONTEXT = {"name": "synthetic", "n_samples": 240}
 PERCENTILES = (0.0, 0.1, 0.3)
 
 
-# Two distinct studies run back to back on one engine: the second
-# computes fresh rounds (no cache hit), so the process backend forks a
-# second pool after the parent registry already holds the first
-# study's counts — the shape that exposed fork-inherited double counts.
-BACK_TO_BACK = (PERCENTILES, (0.05, 0.2))
+# Two distinct studies run back to back on one engine.  The second
+# computes fresh rounds (no cache hit) on its own context, so the
+# process backend forks a second pool after the parent registry
+# already holds the first study's counts — the shape that exposed
+# fork-inherited double counts.
+BACK_TO_BACK = ((CONTEXT, PERCENTILES),
+                ({**CONTEXT, "seed": 1}, (0.05, 0.2)))
 # Client-side spans plus the per-round stages: one per study, batch or
 # computed round on every backend.  fit spans are grouping-dependent.
 EXACT_SPANS = ("study", "batch", "attack", "defense", "payoff")
 
 
-def _spec(percentiles=PERCENTILES):
-    return studies.figure1(context=CONTEXT, percentiles=percentiles)
+def _spec(context=CONTEXT, percentiles=PERCENTILES):
+    return studies.figure1(context=context, percentiles=percentiles)
 
 
 def _run_with_telemetry(engine):
@@ -41,7 +43,8 @@ def _run_with_telemetry(engine):
     telemetry.reset()
     telemetry.configure(metrics_only=True)
     try:
-        results = [run_study(_spec(p), engine=engine) for p in BACK_TO_BACK]
+        results = [run_study(_spec(*study), engine=engine)
+                   for study in BACK_TO_BACK]
         summary = telemetry.summary()
     finally:
         close = getattr(engine.backend, "close", None)
