@@ -29,10 +29,10 @@ from repro.core.payoff_estimation import estimate_payoff_curves
 from repro.data.geometry import compute_centroid
 from repro.engine import AttackSpec, DefenseSpec, EvaluationEngine, RoundSpec
 from repro.attacks.base import poison_dataset
-from repro.experiments.payoff_sweep import evaluate_mixed_defense
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import evaluate_configuration
 from repro.ml.ridge import RidgeClassifier
+from repro.study.drivers import mixed_defense_evaluation
 from repro.utils.rng import derive_seed
 
 
@@ -128,14 +128,15 @@ def test_ablation_strategy_families(benchmark, spambase_ctx, figure1_sweep):
     def run():
         rows = []
         if equalized is not None:
-            acc_eq, _, _ = evaluate_mixed_defense(ctx, equalized,
-                                                  poison_fraction=0.2,
-                                                  engine=engine)
+            acc_eq, _, _ = mixed_defense_evaluation(ctx, equalized,
+                                                    poison_fraction=0.2,
+                                                    engine=engine)
             rows.append(("equalized (Sec. 4.2)", acc_eq))
         uniform = MixedDefense(percentiles=support,
                                probabilities=np.full(3, 1 / 3))
-        acc_un, _, _ = evaluate_mixed_defense(ctx, uniform, poison_fraction=0.2,
-                                              engine=engine)
+        acc_un, _, _ = mixed_defense_evaluation(ctx, uniform,
+                                                poison_fraction=0.2,
+                                                engine=engine)
         rows.append(("uniform probabilities", acc_un))
         best_p, best_acc = sweep.best_pure
         rows.append((f"best pure (filter {best_p:.0%})", best_acc))

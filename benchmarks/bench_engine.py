@@ -2,8 +2,9 @@
 
 Quantifies the two headline properties of :mod:`repro.engine`:
 
-1. **Equal-seed reruns are nearly free.**  ``run_table1_experiment``
-   re-executed against a warm engine touches no victim training at
+1. **Equal-seed reruns are nearly free.**  Table 1's rows
+   (``repro.study.drivers.table1_rows``) re-executed against a warm
+   engine touches no victim training at
    all — only Algorithm 1 and cache lookups — and must come in at
    least 5x faster than the cold run, with bit-identical results.
    (On multi-core machines the cold run itself can instead be
@@ -21,9 +22,8 @@ import numpy as np
 import pytest
 
 from repro.engine import AttackSpec, EvaluationEngine, RoundSpec
-from repro.experiments.payoff_sweep import (run_pure_strategy_sweep,
-                                            run_table1_experiment)
 from repro.experiments.runner import evaluate_configuration, make_synthetic_context
+from repro.study.drivers import pure_strategy_sweep, table1_rows
 from repro.utils.rng import derive_seed
 
 
@@ -35,18 +35,17 @@ def engine_ctx():
 
 def test_table1_cached_rerun(benchmark, engine_ctx):
     engine = EvaluationEngine("serial")
-    sweep = run_pure_strategy_sweep(engine_ctx, poison_fraction=0.2,
-                                    n_repeats=1, engine=engine)
+    sweep = pure_strategy_sweep(engine_ctx, poison_fraction=0.2,
+                                n_repeats=1, engine=engine)
 
     start = time.perf_counter()
-    cold = run_table1_experiment(engine_ctx, sweep, n_radii_values=(2, 3),
-                                 poison_fraction=0.2, n_repeats=2, engine=engine)
+    cold = table1_rows(engine_ctx, sweep, n_radii_values=(2, 3),
+                       poison_fraction=0.2, n_repeats=2, engine=engine)
     cold_seconds = time.perf_counter() - start
 
     warm = benchmark.pedantic(
-        lambda: run_table1_experiment(engine_ctx, sweep, n_radii_values=(2, 3),
-                                      poison_fraction=0.2, n_repeats=2,
-                                      engine=engine),
+        lambda: table1_rows(engine_ctx, sweep, n_radii_values=(2, 3),
+                            poison_fraction=0.2, n_repeats=2, engine=engine),
         rounds=3, iterations=1,
     )
     warm_seconds = benchmark.stats.stats.mean

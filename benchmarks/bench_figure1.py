@@ -22,8 +22,8 @@ import numpy as np
 
 from benchmarks.conftest import SWEEP_PERCENTILES
 from repro.engine import EvaluationEngine
-from repro.experiments.payoff_sweep import run_pure_strategy_sweep
 from repro.experiments.reporting import format_engine_stats, format_pure_sweep
+from repro.study.drivers import pure_strategy_sweep
 
 
 def test_figure1_pure_strategy_sweep(benchmark, spambase_ctx):
@@ -33,7 +33,7 @@ def test_figure1_pure_strategy_sweep(benchmark, spambase_ctx):
     engine = EvaluationEngine(
         os.environ.get("REPRO_BENCH_BACKEND", "serial"), cache=False)
     result = benchmark.pedantic(
-        lambda: run_pure_strategy_sweep(
+        lambda: pure_strategy_sweep(
             spambase_ctx, percentiles=SWEEP_PERCENTILES,
             poison_fraction=0.2, n_repeats=1, engine=engine,
         ),

@@ -26,9 +26,8 @@ accuracy strictly above every pure accuracy):
 import numpy as np
 import pytest
 
-from repro.experiments.empirical_game import solve_empirical_game
-from repro.experiments.payoff_sweep import run_table1_experiment
 from repro.experiments.reporting import ascii_table, format_table1
+from repro.study.drivers import empirical_game_solve, table1_rows
 
 
 def _is_paper_setting(ctx) -> bool:
@@ -41,7 +40,7 @@ def _is_paper_setting(ctx) -> bool:
 
 def test_table1_algorithm1_protocol(benchmark, spambase_ctx, figure1_sweep):
     results = benchmark.pedantic(
-        lambda: run_table1_experiment(
+        lambda: table1_rows(
             spambase_ctx, figure1_sweep, n_radii_values=(2, 3),
             poison_fraction=0.2, n_repeats=2,
         ),
@@ -60,8 +59,8 @@ def test_table1_algorithm1_protocol(benchmark, spambase_ctx, figure1_sweep):
         if _is_paper_setting(spambase_ctx):
             assert res.accuracy > 0.7
     # Note: when the *measured* E(p) is flat across the support (our
-    # surrogate's damage decays mostly in the first percentile — see
-    # EXPERIMENTS.md), the equalizing distribution legitimately
+    # surrogate's damage decays mostly in the first percentile), the
+    # equalizing distribution legitimately
     # concentrates on the outermost radius.  The strong non-degeneracy
     # assertions therefore live in bench_table1_paper_curves.py, where
     # the curves carry the paper's own E decay.
@@ -70,7 +69,7 @@ def test_table1_algorithm1_protocol(benchmark, spambase_ctx, figure1_sweep):
 def test_table1_empirical_game_cross_check(benchmark, spambase_ctx):
     grid = np.array([0.0, 0.02, 0.05, 0.10, 0.15, 0.20, 0.30])
     result = benchmark.pedantic(
-        lambda: solve_empirical_game(
+        lambda: empirical_game_solve(
             spambase_ctx, percentiles=grid, poison_fraction=0.2, n_repeats=2,
         ),
         rounds=1, iterations=1,

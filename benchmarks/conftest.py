@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro.engine import EvaluationEngine, set_default_engine
-from repro.experiments.payoff_sweep import run_pure_strategy_sweep
 from repro.experiments.runner import make_spambase_context, make_synthetic_context
+from repro.study.drivers import pure_strategy_sweep
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -58,7 +58,7 @@ def spambase_ctx():
 @pytest.fixture(scope="session")
 def figure1_sweep(spambase_ctx):
     """The Figure-1 measurement, shared by the table/ablation benches."""
-    return run_pure_strategy_sweep(
+    return pure_strategy_sweep(
         spambase_ctx, percentiles=SWEEP_PERCENTILES,
         poison_fraction=0.2, n_repeats=2,
     )

@@ -1,19 +1,12 @@
 """Mixed vs pure defence on Spambase — the paper's Table-1 story.
 
 Runs the complete Table-1 protocol (sweep -> curves -> Algorithm 1 ->
-empirical evaluation) and the measured-game LP cross-check side by
-side, then verifies the equilibrium properties (attacker indifference,
-no pure saddle point).
-
-NOTE — this example deliberately uses the *legacy driver functions*
-(``run_pure_strategy_sweep``, ``run_table1_experiment``,
-``solve_empirical_game``).  They are deprecation shims now: each call
-emits a ``DeprecationWarning`` and delegates to the study layer, with
-bit-identical results.  New code should build a
-:class:`repro.StudySpec` instead — see ``examples/quickstart.py`` —
-e.g. ``run_study(studies.table1(...))`` replaces the sweep+table pair
-here in one call.  This file is kept as-is to show that pre-study code
-keeps working unchanged.
+empirical evaluation) as one ``table1`` study and the measured-game LP
+cross-check as one ``empirical_game`` study, then verifies the
+equilibrium properties (attacker indifference, no pure saddle point).
+Both studies run on the same live context through
+``run_study(spec, context=ctx)``; ``repro run table1`` and ``repro run
+empirical-game`` run the same studies from the command line.
 
 Run:  python examples/mixed_defense_spambase.py
 """
@@ -23,22 +16,23 @@ import numpy as np
 from repro.core.best_response import find_pure_equilibrium
 from repro.core.equilibrium import attacker_best_response_value
 from repro.core.game import PoisoningGame
+from repro.core.mixed_strategy import MixedDefense
 from repro.core.payoff_estimation import estimate_payoff_curves
-from repro.experiments import (
-    make_spambase_context,
-    run_pure_strategy_sweep,
-    run_table1_experiment,
-    solve_empirical_game,
-)
+from repro.experiments import make_spambase_context
 from repro.experiments.reporting import ascii_table, format_table1
+from repro.study import run_study, studies
 
 
 def main() -> None:
     ctx = make_spambase_context(seed=0)
     print(f"dataset: {ctx.dataset_name}, train={ctx.n_train}")
 
+    table1 = run_study(
+        studies.table1(context=None, n_radii=(2, 3), poison_fraction=0.2),
+        context=ctx).payload_object()
+    sweep, results = table1["sweep"], table1["rows"]
+
     print("\n[1/4] Figure-1 sweep (pure strategies)...")
-    sweep = run_pure_strategy_sweep(ctx, poison_fraction=0.2)
     best_p, best_acc = sweep.best_pure
     print(f"      best pure filter: {best_p:.0%} -> accuracy {best_acc:.4f}")
 
@@ -52,13 +46,10 @@ def main() -> None:
           f"(best-response cycle length: {search.trace.cycle_length})")
 
     print("\n[3/4] Algorithm 1 (paper's protocol)...")
-    results = run_table1_experiment(ctx, sweep, n_radii_values=(2, 3),
-                                    poison_fraction=0.2)
     print(format_table1(results))
     defense = None
     for res in results:
         if res.n_radii == 3:
-            from repro.core.mixed_strategy import MixedDefense
             defense = MixedDefense(percentiles=np.array(res.percentiles),
                                    probabilities=np.array(res.probabilities))
     if defense is not None:
@@ -67,10 +58,12 @@ def main() -> None:
               f"modelled damage {br_value:.4f}")
 
     print("\n[4/4] Measured-game LP cross-check...")
-    empirical = solve_empirical_game(
-        ctx, percentiles=np.array([0.0, 0.02, 0.05, 0.10, 0.15, 0.20, 0.30]),
-        poison_fraction=0.2,
-    )
+    empirical = run_study(
+        studies.empirical_game(
+            context=None,
+            percentiles=(0.0, 0.02, 0.05, 0.10, 0.15, 0.20, 0.30),
+            poison_fraction=0.2),
+        context=ctx).payload_object()
     rows = [(f"{p:.0%}", f"{q:.1%}")
             for p, q in zip(empirical.percentiles, empirical.defender_mix)
             if q > 0.001]

@@ -20,10 +20,11 @@ Subpackages
 -----------
 ``repro.core``
     The paper's contribution: game model, best responses, mixed NE,
-    Algorithm 1, payoff-curve estimation, equilibrium checks.
+    Algorithm 1, payoff-curve estimation, and the LP and double-oracle
+    reference solutions Algorithm 1 is checked against.
 ``repro.gametheory``
-    Generic zero-sum solvers (LP, fictitious play, regret matching,
-    support enumeration) used for independent cross-checks.
+    Generic zero-sum substrate: matrix games, the exact minimax LP,
+    best-response dynamics, discretisation and double oracle.
 ``repro.ml``
     From-scratch ML substrate (hinge-loss SVM et al.).
 ``repro.data``
@@ -38,12 +39,19 @@ Subpackages
     The sharded evaluation service behind the ``cluster`` backend:
     shard servers, socket protocol, failover scheduler.
 ``repro.experiments``
-    Seeded harnesses behind every figure and table.
+    The round pipeline and contexts, result records, reporting and the
+    ``repro`` command line.
 ``repro.study``
     The declarative study API: every experiment as one frozen,
     serialisable :class:`~repro.study.StudySpec` submitted to
-    :func:`~repro.study.run_study` — the supported public surface
-    (the per-experiment driver functions are deprecation shims).
+    :func:`~repro.study.run_study` — the one way to run an experiment
+    (``repro run <name>`` on the command line).
+``repro.service``
+    Studies as a service: ``repro serve``, an HTTP tier over a
+    persistent study queue.
+``repro.telemetry`` / ``repro.resilience``
+    Metrics, tracing and profiling; seeded fault injection, retry and
+    validated environment knobs.
 """
 
 from repro.core import (
@@ -65,10 +73,7 @@ from repro.engine import (
 from repro.experiments import (
     make_spambase_context,
     make_synthetic_context,
-    run_pure_strategy_sweep,
-    run_table1_experiment,
     evaluate_configuration,
-    solve_cross_family_game,
 )
 from repro.study import (
     ContextSpec,
@@ -99,10 +104,7 @@ __all__ = [
     "set_default_engine",
     "make_spambase_context",
     "make_synthetic_context",
-    "run_pure_strategy_sweep",
-    "run_table1_experiment",
     "evaluate_configuration",
-    "solve_cross_family_game",
     "ContextSpec",
     "ScenarioGrid",
     "StudySpec",

@@ -17,6 +17,13 @@ Modules
   the algorithm's inputs from Figure 1).
 * :mod:`repro.core.equilibrium` — equilibrium quality metrics and an
   exact LP cross-check on a discretised version of the game.
+* :mod:`repro.core.oracle_solver` — the game solved by double oracle
+  over the continuous strategy spaces.
+* :mod:`repro.core.paper_curves` — curves calibrated to the published
+  Figure 1, the inputs behind ``repro paper-table1``.
+
+The equilibrium and oracle modules are reference implementations:
+tests check Algorithm 1's equalized defence against them.
 """
 
 from repro.core.game import PayoffCurves, PoisoningGame
@@ -56,12 +63,6 @@ from repro.core.oracle_solver import (
     solve_poisoning_game_double_oracle,
     OracleSolution,
 )
-from repro.core.sensitivity import (
-    perturb_curves,
-    defense_sensitivity,
-    regret_under_misestimation,
-    SensitivityReport,
-)
 
 __all__ = [
     "PayoffCurves",
@@ -91,8 +92,4 @@ __all__ = [
     "PAPER_TABLE1_N3",
     "solve_poisoning_game_double_oracle",
     "OracleSolution",
-    "perturb_curves",
-    "defense_sensitivity",
-    "regret_under_misestimation",
-    "SensitivityReport",
 ]

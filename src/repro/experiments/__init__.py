@@ -1,12 +1,18 @@
-"""Experiment orchestration: the code behind every table and figure.
+"""Experiment substrate: the round pipeline, result records, reporting.
+
+Experiments themselves are studies: build one with
+:mod:`repro.study.studies <repro.study.builders>` and run it with
+:func:`repro.study.run_study` (or ``repro run <name>`` on the command
+line).  This package holds what every study stands on:
 
 * :mod:`repro.experiments.runner` — seeded end-to-end pipeline
-  (dataset → attack → filter → train → score).
-* :mod:`repro.experiments.payoff_sweep` — the Figure-1 pure-strategy
-  sweep and the Table-1 mixed-strategy evaluation.
-* :mod:`repro.experiments.results` — serialisable result records.
+  (dataset → attack → filter → train → score) and the contexts it
+  runs in.
+* :mod:`repro.experiments.results` — the serialisable result records
+  every study kind returns, and their payload codec.
 * :mod:`repro.experiments.reporting` — ASCII tables/series matching the
   paper's presentation.
+* :mod:`repro.experiments.cli` — the ``repro`` command line.
 """
 
 from repro.experiments.runner import (
@@ -18,32 +24,15 @@ from repro.experiments.runner import (
     evaluate_configuration,
     EvaluationOutcome,
 )
-from repro.experiments.payoff_sweep import (
-    run_pure_strategy_sweep,
-    evaluate_mixed_defense,
-    run_table1_experiment,
-)
-from repro.experiments.empirical_game import (
-    build_empirical_game,
-    solve_empirical_game,
-    EmpiricalGameResult,
-    build_cross_family_game,
-    solve_cross_family_game,
-    CrossGameResult,
-)
-from repro.experiments.multi_seed import (
-    run_multi_seed_sweep,
-    aggregate_metric,
-    AggregatedSweep,
-)
 from repro.experiments.results import (
     PureSweepResult,
     MixedStrategyResult,
     Table1Row,
     MixedEvalResult,
     GridResult,
-    results_to_json,
-    results_from_json,
+    EmpiricalGameResult,
+    CrossGameResult,
+    AggregatedSweep,
     result_to_payload,
     result_from_payload,
 )
@@ -67,25 +56,14 @@ __all__ = [
     "make_synthetic_context",
     "evaluate_configuration",
     "EvaluationOutcome",
-    "run_pure_strategy_sweep",
-    "evaluate_mixed_defense",
-    "run_table1_experiment",
-    "build_empirical_game",
-    "solve_empirical_game",
-    "EmpiricalGameResult",
-    "build_cross_family_game",
-    "solve_cross_family_game",
-    "CrossGameResult",
-    "run_multi_seed_sweep",
-    "aggregate_metric",
-    "AggregatedSweep",
     "PureSweepResult",
     "MixedStrategyResult",
     "Table1Row",
     "MixedEvalResult",
     "GridResult",
-    "results_to_json",
-    "results_from_json",
+    "EmpiricalGameResult",
+    "CrossGameResult",
+    "AggregatedSweep",
     "result_to_payload",
     "result_from_payload",
     "ascii_table",

@@ -9,13 +9,10 @@ Usage::
     python -m repro describe <study.json | name> [--set key=value ...]
     python -m repro report <result.json>
 
-    python -m repro figure1 [--n-samples N] [--seed S]
-    python -m repro table1  [--n-radii 2 3] [--seed S]
-    python -m repro empirical-game [--seed S]
-    python -m repro cross-game [--defenses SPEC...] [--attacks SPEC...]
-                               [--victim SPEC]
+    python -m repro {figure1 | table1 | empirical-game | cross-game}
+                    [--set key=value ...] [run options]
     python -m repro paper-table1
-    python -m repro proposition1 [--seed S]
+    python -m repro proposition1 [--set key=value ...]
     python -m repro repro-cache {info,prune} --cache-dir DIR
     python -m repro repro-cluster serve [--port P] [--jobs N]
     python -m repro serve --archive-dir DIR [--port P] [--workers N]
@@ -32,8 +29,13 @@ overrides — ``repro run figure1 --set fractions=0:0.2:9`` sweeps nine
 contamination rates; ``describe`` prints the expanded grid, exact round
 counts and predicted cache hits *without running anything*; ``report``
 re-renders an archived :class:`~repro.study.StudyResult` exactly as the
-live run printed it.  The named experiment commands (``figure1`` ...)
-are stable conveniences that build the equivalent study internally.
+live run printed it.  The named experiment commands (``figure1``,
+``table1``, ``empirical-game``, ``cross-game``) are aliases:
+``repro figure1 --set n_samples=300`` is ``repro run figure1 --set
+n_samples=300``, with the same options and the same output.
+``proposition1`` runs the figure1 study (``--set`` applies to it) and
+tests the measured game for a pure equilibrium; ``paper-table1`` runs
+Algorithm 1 on the paper-calibrated curves and takes no options.
 
 ``--set`` values parse as Python literals; ``a:b:n`` expands to ``n``
 evenly spaced values from ``a`` to ``b``; comma-separated values form
@@ -51,7 +53,7 @@ progress to stderr through the engine's ``evaluate_stream`` machinery
 (on by default on a terminal; ``--progress`` / ``--no-progress``
 force it).
 
-Spec strings (``cross-game``, study documents) read
+Spec strings (``--set defenses=...``, study documents) read
 ``kind[:percentile][:k=v,...]``, e.g. ``radius:0.1``,
 ``slab_filter:0.15``, ``knn_sanitizer::k=7``,
 ``label-flip::strategy=near_boundary``; victims read ``kind[:k=v,...]``
@@ -66,33 +68,6 @@ import os
 import sys
 
 import numpy as np
-
-
-def _parse_defense_arg(text: str):
-    from repro.engine import parse_defense_spec
-
-    try:
-        return parse_defense_spec(text)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-
-
-def _parse_attack_arg(text: str):
-    from repro.engine import parse_attack_spec
-
-    try:
-        return parse_attack_spec(text)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-
-
-def _parse_victim_arg(text: str | None):
-    from repro.engine import parse_victim_spec
-
-    try:
-        return parse_victim_spec(text)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _make_engine(args):
@@ -177,23 +152,6 @@ def _print_engine_stats(engine) -> None:
 
     print()
     print(format_engine_stats(engine))
-
-
-def _context_spec(args):
-    from repro.study import ContextSpec
-
-    return ContextSpec(name="spambase", seed=args.seed,
-                       n_samples=args.n_samples)
-
-
-def _run_named_study(args, spec, label):
-    """Run a CLI command's study and return its result."""
-    from repro.study import run_study
-
-    engine = _make_engine(args)
-    result = run_study(spec, engine=engine,
-                       progress=_progress_for(args, label))
-    return result, engine
 
 
 # -- the study surface -------------------------------------------------------
@@ -381,84 +339,6 @@ def cmd_trace(args) -> int:
                            metrics=not args.no_metrics))
     except FileNotFoundError as exc:
         raise SystemExit(str(exc))
-    return 0
-
-
-# -- the named experiment commands ------------------------------------------
-
-
-def cmd_figure1(args) -> int:
-    from repro.experiments.reporting import format_pure_sweep
-    from repro.experiments.results import results_to_json
-    from repro.study import studies
-
-    spec = studies.figure1(context=_context_spec(args),
-                           poison_fraction=args.poison_fraction,
-                           n_repeats=args.repeats,
-                           victim=_parse_victim_arg(args.victim))
-    result, engine = _run_named_study(args, spec, "figure1")
-    sweep = result.payload_object()
-    print(format_pure_sweep(sweep))
-    _print_engine_stats(engine)
-    if args.json:
-        results_to_json(sweep, args.json)
-        print(f"\nresult written to {args.json}")
-    return 0
-
-
-def cmd_table1(args) -> int:
-    from repro.experiments.reporting import format_table1
-    from repro.experiments.results import results_to_json
-    from repro.study import studies
-
-    spec = studies.table1(context=_context_spec(args),
-                          n_radii=tuple(args.n_radii),
-                          poison_fraction=args.poison_fraction,
-                          n_repeats=args.repeats,
-                          victim=_parse_victim_arg(args.victim))
-    result, engine = _run_named_study(args, spec, "table1")
-    rows = result.payload_object()["rows"]
-    print(format_table1(rows))
-    _print_engine_stats(engine)
-    if args.json:
-        results_to_json(rows[0], args.json)
-        print(f"\nfirst row written to {args.json}")
-    return 0
-
-
-def cmd_empirical_game(args) -> int:
-    from repro.experiments.reporting import format_empirical_game
-    from repro.study import studies
-
-    spec = studies.empirical_game(context=_context_spec(args),
-                                  poison_fraction=args.poison_fraction,
-                                  n_repeats=args.repeats,
-                                  victim=_parse_victim_arg(args.victim))
-    result, engine = _run_named_study(args, spec, "empirical-game")
-    print(format_empirical_game(result.payload_object()))
-    _print_engine_stats(engine)
-    return 0
-
-
-def cmd_cross_game(args) -> int:
-    from repro.experiments.reporting import format_cross_game
-    from repro.experiments.results import results_to_json
-    from repro.study import studies
-
-    defenses = [_parse_defense_arg(d) for d in args.defenses]
-    attacks = [_parse_attack_arg(a) for a in args.attacks]
-    spec = studies.cross_game(context=_context_spec(args),
-                              defenses=defenses, attacks=attacks,
-                              poison_fraction=args.poison_fraction,
-                              n_repeats=args.repeats,
-                              victim=_parse_victim_arg(args.victim))
-    result, engine = _run_named_study(args, spec, "cross-game")
-    cross = result.payload_object()
-    print(format_cross_game(cross))
-    _print_engine_stats(engine)
-    if args.json:
-        results_to_json(cross, args.json)
-        print(f"\nresult written to {args.json}")
     return 0
 
 
@@ -745,13 +625,17 @@ def cmd_proposition1(args) -> int:
         proposition1_certificate
     from repro.core.game import PoisoningGame
     from repro.core.payoff_estimation import estimate_payoff_curves
-    from repro.study import studies
+    from repro.study import run_study
 
-    spec = studies.figure1(context=_context_spec(args),
-                           poison_fraction=args.poison_fraction,
-                           n_repeats=args.repeats,
-                           victim=_parse_victim_arg(args.victim))
-    result, engine = _run_named_study(args, spec, "proposition1")
+    spec = _study_from_args(args)
+    if len(spec.grid.fractions) != 1:
+        raise SystemExit("proposition1 needs one poison fraction")
+    engine = _study_engine(args, spec)
+    try:
+        result = run_study(spec, engine=engine,
+                           progress=_progress_for(args, "proposition1"))
+    except ValueError as exc:
+        raise SystemExit(f"cannot run study: {exc}") from None
     sweep = result.payload_object()
     curves = estimate_payoff_curves(sweep.percentiles, sweep.acc_clean,
                                     sweep.acc_attacked, sweep.n_poison)
@@ -765,14 +649,14 @@ def cmd_proposition1(args) -> int:
     return 0
 
 
+# The named experiment commands: each is ``repro run <its name>``.
+_RUN_ALIASES = ("figure1", "table1", "empirical-game", "cross-game")
+
 _COMMANDS = {
     "run": cmd_run,
     "describe": cmd_describe,
     "report": cmd_report,
-    "figure1": cmd_figure1,
-    "table1": cmd_table1,
-    "empirical-game": cmd_empirical_game,
-    "cross-game": cmd_cross_game,
+    **{alias: cmd_run for alias in _RUN_ALIASES},
     "paper-table1": cmd_paper_table1,
     "proposition1": cmd_proposition1,
     "repro-cache": cmd_repro_cache,
@@ -820,15 +704,44 @@ def _add_engine_args(p) -> None:
                         "(also via REPRO_TELEMETRY_DIR)")
 
 
-def _add_study_args(p) -> None:
-    p.add_argument("study", type=str,
-                   help="a study JSON document, or a named study: "
-                        "figure1, table1, empirical-game, cross-game, "
-                        "multi-seed, mixed-eval, grid")
+def _add_study_args(p, name: str | None = None) -> None:
+    """The study to run: the positional study argument, or ``name``
+    fixed by an alias command; plus its ``--set`` overrides."""
+    if name is None:
+        p.add_argument("study", type=str,
+                       help="a study JSON document, or a named study: "
+                            "figure1, table1, empirical-game, cross-game, "
+                            "multi-seed, mixed-eval, grid")
+    else:
+        p.set_defaults(study=name)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a builder argument of a named study "
                         "(e.g. --set seed=3 --set fractions=0:0.2:9); "
                         "repeatable")
+
+
+def _add_run_args(p) -> None:
+    p.add_argument("--out", type=str, default=None,
+                   help="archive the StudyResult JSON to this path")
+    p.add_argument("--archive-dir", type=str, default=None,
+                   help="study archive: skip the run when this "
+                        "study's fingerprint is already archived "
+                        "here, else write the result here")
+    p.add_argument("--force", action="store_true",
+                   help="re-run and overwrite an archived study")
+    p.add_argument("--resume", action="store_true",
+                   help="warm the engine cache from this study's "
+                        "checkpoint in --archive-dir, so rounds a "
+                        "killed run completed are not recomputed")
+    p.add_argument("--checkpoint-every", type=int, default=None,
+                   help="flush completed rounds to an atomic "
+                        "checkpoint beside the archive every N "
+                        "rounds (default 16, or "
+                        "REPRO_STUDY_CHECKPOINT_EVERY; 0 disables)")
+    p.add_argument("--expect-cached", action="store_true",
+                   help="fail unless every round was served from "
+                        "cache (CI determinism gate)")
+    _add_engine_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -839,28 +752,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        if name == "run":
-            _add_study_args(p)
-            p.add_argument("--out", type=str, default=None,
-                           help="archive the StudyResult JSON to this path")
-            p.add_argument("--archive-dir", type=str, default=None,
-                           help="study archive: skip the run when this "
-                                "study's fingerprint is already archived "
-                                "here, else write the result here")
-            p.add_argument("--force", action="store_true",
-                           help="re-run and overwrite an archived study")
-            p.add_argument("--resume", action="store_true",
-                           help="warm the engine cache from this study's "
-                                "checkpoint in --archive-dir, so rounds a "
-                                "killed run completed are not recomputed")
-            p.add_argument("--checkpoint-every", type=int, default=None,
-                           help="flush completed rounds to an atomic "
-                                "checkpoint beside the archive every N "
-                                "rounds (default 16, or "
-                                "REPRO_STUDY_CHECKPOINT_EVERY; 0 disables)")
-            p.add_argument("--expect-cached", action="store_true",
-                           help="fail unless every round was served from "
-                                "cache (CI determinism gate)")
+        if name == "run" or name in _RUN_ALIASES:
+            _add_study_args(p, None if name == "run" else name)
+            _add_run_args(p)
+            continue
+        if name == "proposition1":
+            _add_study_args(p, "figure1")
             _add_engine_args(p)
             continue
         if name == "describe":
@@ -1005,34 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="LRU cap for the shard cache's in-memory "
                                 "tier (defaults to "
                                 "REPRO_SHARD_CACHE_MAX_ENTRIES)")
-            continue
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--n-samples", type=int, default=None,
-                       help="subsample the dataset (default: full 4601)")
-        p.add_argument("--poison-fraction", type=float, default=0.2)
-        p.add_argument("--repeats", type=int, default=1)
-        p.add_argument("--json", type=str, default=None,
-                       help="archive the structured result to this path")
-        _add_engine_args(p)
-        if name != "paper-table1":  # runs no rounds: nothing to re-victim
-            p.add_argument("--victim", type=str, default=None,
-                           help="victim spec kind[:k=v,...], e.g. logistic "
-                                "or svm:epochs=60 (default: the context's SVM)")
-        if name == "table1":
-            p.add_argument("--n-radii", type=int, nargs="+", default=[2, 3])
-        if name == "cross-game":
-            p.add_argument("--defenses", type=str, nargs="+",
-                           default=["radius:0.1", "slab_filter:0.1",
-                                    "loss_filter:0.1"],
-                           help="defender strategy set: defense specs "
-                                "kind[:percentile][:k=v,...] (use 'none' "
-                                "for the undefended baseline)")
-            p.add_argument("--attacks", type=str, nargs="+",
-                           default=["boundary:0.05", "label-flip",
-                                    "random-noise:0.05"],
-                           help="attacker strategy set: attack specs "
-                                "kind[:percentile][:k=v,...] (use 'clean' "
-                                "for the no-attack baseline)")
     return parser
 
 

@@ -182,7 +182,7 @@ def format_telemetry_summary(summary: dict) -> str:
 
 
 def format_cross_game(result) -> str:
-    """A :class:`~repro.experiments.empirical_game.CrossGameResult` as
+    """A :class:`~repro.experiments.results.CrossGameResult` as
     the accuracy matrix plus the equilibrium mixes."""
     matrix = np.asarray(result.accuracy_matrix, dtype=float)
     rows = [
@@ -215,7 +215,7 @@ def format_cross_game(result) -> str:
 
 
 def format_empirical_game(result) -> str:
-    """An :class:`~repro.experiments.empirical_game.EmpiricalGameResult`
+    """An :class:`~repro.experiments.results.EmpiricalGameResult`
     as the equilibrium defence table plus the game summary lines."""
     rows = [(f"{p:.1%}", f"{q:.1%}")
             for p, q in zip(result.percentiles, result.defender_mix)]
@@ -249,7 +249,7 @@ def format_mixed_eval(result) -> str:
 
 
 def format_aggregated_sweep(agg) -> str:
-    """An :class:`~repro.experiments.multi_seed.AggregatedSweep` as a
+    """An :class:`~repro.experiments.results.AggregatedSweep` as a
     mean ± std table over the percentile grid."""
     rows = [
         (f"{float(p):.1%}", f"{float(cm):.4f} ± {float(cs):.4f}",

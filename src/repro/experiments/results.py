@@ -1,24 +1,18 @@
 """Serialisable experiment result records.
 
-Every harness returns one of these dataclasses; they round-trip through
-JSON so benchmark runs can archive their numbers next to the paper's
-(EXPERIMENTS.md is generated from them).
-
-The registry behind :func:`results_from_json` covers *every* result
-type the drivers produce — the three PR-0 records defined here plus
-:class:`~repro.experiments.empirical_game.EmpiricalGameResult`,
-:class:`~repro.experiments.empirical_game.CrossGameResult` and
-:class:`~repro.experiments.multi_seed.AggregatedSweep` (whose ndarray
-and nested fields use a custom codec).  The study layer's
-:class:`~repro.study.result.StudyResult` embeds results through the
-same codec (:func:`result_to_payload` / :func:`result_from_payload`),
-so an archived study renders with exactly the reporting the live run
-used.
+Every study kind's solved payload is one of these dataclasses:
+:class:`PureSweepResult` (Figure 1), :class:`MixedStrategyResult` rows
+(Table 1), :class:`MixedEvalResult`, :class:`EmpiricalGameResult`,
+:class:`CrossGameResult`, :class:`AggregatedSweep` (multi-seed) and
+:class:`GridResult`.  :func:`result_to_payload` /
+:func:`result_from_payload` are their one codec: a ``{"type": class
+name, "data": ...}`` document that :class:`~repro.study.result.
+StudyResult` embeds, so an archived study renders with exactly the
+reporting the live run used.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,8 +23,9 @@ __all__ = [
     "Table1Row",
     "MixedEvalResult",
     "GridResult",
-    "results_to_json",
-    "results_from_json",
+    "EmpiricalGameResult",
+    "CrossGameResult",
+    "AggregatedSweep",
     "result_to_payload",
     "result_from_payload",
 ]
@@ -129,9 +124,10 @@ class Table1Row:
 class MixedEvalResult:
     """One mixed defence evaluated under the optimal mixed attack.
 
-    The record form of the historical ``evaluate_mixed_defense`` tuple
-    ``(expected_accuracy, dispersion, matrix)``, plus the strategy it
-    evaluated — what the ``mixed_eval`` study kind archives.
+    The record form of the ``(expected_accuracy, dispersion, matrix)``
+    that ``repro.study.drivers.mixed_defense_evaluation`` returns, plus
+    the strategy it evaluated — what the ``mixed_eval`` study kind
+    archives.
     """
 
     percentiles: list
@@ -161,14 +157,128 @@ class GridResult:
     dataset_name: str = ""
 
 
-def results_to_json(result, path: str | None = None) -> str:
-    """Serialise a result dataclass (with its type tag) to JSON."""
-    payload = result_to_payload(result)
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    return text
+@dataclass
+class EmpiricalGameResult:
+    """Solution of the measured poisoning game on a percentile grid.
+
+    Accuracy convention: entries of ``accuracy_matrix`` are test
+    accuracies; the attacker minimises accuracy, the defender maximises
+    it.  (Internally the LP solves the zero-sum game with the attacker
+    as the maximising row player on ``1 - accuracy``.)
+
+    Attributes
+    ----------
+    percentiles:
+        The shared strategy grid.
+    accuracy_matrix:
+        ``A[i, j]`` — measured accuracy when the defender filters at
+        ``percentiles[i]`` and the attacker places at ``percentiles[j]``.
+    defender_mix, attacker_mix:
+        Equilibrium strategies of the measured game.
+    game_value_accuracy:
+        Expected accuracy at the equilibrium.
+    best_pure_accuracy, best_pure_percentile:
+        The best *pure* defence's guaranteed accuracy
+        ``max_i min_j A[i, j]`` and its percentile.
+    mixed_advantage:
+        ``game_value_accuracy - best_pure_accuracy`` (>= 0 always;
+        > 0 iff no saddle point).
+    has_saddle_point:
+        Whether a pure equilibrium exists in the measured game.
+    """
+
+    percentiles: list
+    accuracy_matrix: list
+    defender_mix: list
+    attacker_mix: list
+    game_value_accuracy: float
+    best_pure_accuracy: float
+    best_pure_percentile: float
+    mixed_advantage: float
+    has_saddle_point: bool
+    n_repeats: int = 1
+    defender_support: list = field(default_factory=list)
+
+    def support(self, threshold: float = 0.01) -> list:
+        """(percentile, probability) pairs with probability above threshold."""
+        return [
+            (float(p), float(q))
+            for p, q in zip(self.percentiles, self.defender_mix)
+            if q > threshold
+        ]
+
+
+@dataclass
+class CrossGameResult:
+    """Solution of a measured game whose strategies span *families*.
+
+    The defender's pure strategies are arbitrary
+    :class:`~repro.engine.DefenseSpec`\\ s (mixing defence kinds, not
+    just radius percentiles) and the attacker's are arbitrary
+    :class:`~repro.engine.AttackSpec`\\ s.  Conventions match
+    :class:`EmpiricalGameResult`: entries of ``accuracy_matrix[i][j]``
+    are test accuracies for defence ``i`` against attack ``j``; the
+    attacker minimises, the defender maximises.
+    """
+
+    defense_labels: list
+    attack_labels: list
+    accuracy_matrix: list
+    defender_mix: list
+    attacker_mix: list
+    game_value_accuracy: float
+    best_pure_accuracy: float
+    best_pure_defense: str
+    mixed_advantage: float
+    has_saddle_point: bool
+    victim: str | None = None
+    n_repeats: int = 1
+
+    def support(self, threshold: float = 0.01) -> list:
+        """(defence label, probability) pairs above ``threshold``."""
+        return [
+            (str(label), float(q))
+            for label, q in zip(self.defense_labels, self.defender_mix)
+            if q > threshold
+        ]
+
+
+@dataclass
+class AggregatedSweep:
+    """Mean ± std of a pure-strategy sweep across seeds.
+
+    ``acc_clean_mean[i]``/``acc_clean_std[i]`` aggregate the clean
+    accuracy at ``percentiles[i]`` over the seeds; likewise for the
+    attacked curve.  ``per_seed`` retains the individual results.
+    """
+
+    percentiles: np.ndarray
+    acc_clean_mean: np.ndarray
+    acc_clean_std: np.ndarray
+    acc_attacked_mean: np.ndarray
+    acc_attacked_std: np.ndarray
+    n_seeds: int
+    per_seed: list
+
+    @property
+    def best_pure(self) -> tuple[float, float]:
+        """(percentile, mean accuracy) of the best average pure defence."""
+        idx = int(np.argmax(self.acc_attacked_mean))
+        return float(self.percentiles[idx]), float(self.acc_attacked_mean[idx])
+
+    def as_sweep_result(self, dataset_name: str = "aggregated") -> PureSweepResult:
+        """Collapse to a :class:`PureSweepResult` (means), e.g. for curve
+        estimation on the aggregated measurement."""
+        first = self.per_seed[0]
+        return PureSweepResult(
+            percentiles=np.asarray(self.percentiles).tolist(),
+            acc_clean=np.asarray(self.acc_clean_mean).tolist(),
+            acc_attacked=np.asarray(self.acc_attacked_mean).tolist(),
+            n_poison=first.n_poison,
+            poison_fraction=first.poison_fraction,
+            dataset_name=dataset_name,
+            n_repeats=self.n_seeds * first.n_repeats,
+        )
 
 
 def _aggregated_to_data(agg) -> dict:
@@ -184,8 +294,6 @@ def _aggregated_to_data(agg) -> dict:
 
 
 def _aggregated_from_data(data: dict):
-    from repro.experiments.multi_seed import AggregatedSweep
-
     return AggregatedSweep(
         percentiles=np.asarray(data["percentiles"], dtype=float),
         acc_clean_mean=np.asarray(data["acc_clean_mean"], dtype=float),
@@ -197,24 +305,20 @@ def _aggregated_from_data(data: dict):
     )
 
 
-def _result_codecs() -> dict:
-    """Type name -> (encode, decode); imported lazily to avoid cycles."""
-    from repro.experiments.empirical_game import (CrossGameResult,
-                                                  EmpiricalGameResult)
-    from repro.experiments.multi_seed import AggregatedSweep
+def _plain_codec(cls):
+    return (lambda r: _listify(asdict(r)), lambda d: cls(**d))
 
-    def plain(cls):
-        return (lambda r: _listify(asdict(r)), lambda d: cls(**d))
 
-    codecs = {
-        cls.__name__: plain(cls)
-        for cls in (PureSweepResult, MixedStrategyResult, Table1Row,
-                    MixedEvalResult, GridResult, EmpiricalGameResult,
-                    CrossGameResult)
-    }
-    codecs[AggregatedSweep.__name__] = (_aggregated_to_data,
-                                        _aggregated_from_data)
-    return codecs
+# Type name -> (encode, decode).  Payloads are tagged by class name, so
+# a record keeps loading from old archives wherever its class lives.
+_CODECS = {
+    cls.__name__: _plain_codec(cls)
+    for cls in (PureSweepResult, MixedStrategyResult, Table1Row,
+                MixedEvalResult, GridResult, EmpiricalGameResult,
+                CrossGameResult)
+}
+_CODECS[AggregatedSweep.__name__] = (_aggregated_to_data,
+                                     _aggregated_from_data)
 
 
 def result_to_payload(result) -> dict:
@@ -225,26 +329,18 @@ def result_to_payload(result) -> dict:
     types load back through :func:`result_from_payload`).
     """
     name = type(result).__name__
-    codecs = _result_codecs()
-    if name not in codecs:
+    if name not in _CODECS:
         return {"type": name, "data": _listify(asdict(result))}
-    encode, _ = codecs[name]
+    encode, _ = _CODECS[name]
     return {"type": name, "data": encode(result)}
 
 
 def result_from_payload(payload: dict):
     """Inverse of :func:`result_to_payload`."""
-    codecs = _result_codecs()
     name = payload.get("type")
-    if name not in codecs:
+    if name not in _CODECS:
         raise ValueError(f"unknown result type {name!r}; registered: "
-                         f"{sorted(codecs)}")
-    _, decode = codecs[name]
+                         f"{sorted(_CODECS)}")
+    _, decode = _CODECS[name]
     return decode(payload["data"])
 
-
-def results_from_json(text_or_path: str):
-    """Inverse of :func:`results_to_json` (accepts a path or raw JSON)."""
-    from repro.utils.serialization import read_json_document
-
-    return result_from_payload(read_json_document(text_or_path))

@@ -1,20 +1,18 @@
 """General two-player zero-sum game substrate.
 
-Provides finite matrix games with several independent solvers — an
-exact minimax LP, fictitious play, regret matching and support
-enumeration — plus a discretisation bridge for continuous games.
+Provides finite matrix games, the exact minimax LP that solves every
+measured game (``empirical_game`` and ``cross_game`` studies),
+best-response dynamics with cycle detection, a discretisation bridge
+for continuous games and the double-oracle algorithm.
 
 The poisoning game in :mod:`repro.core` is an infinite (continuous)
-game; this subpackage exists so the core results can be *cross-checked*
-against exact solutions of fine discretisations, and so the library is
-useful as a standalone game-theory toolkit.
+game; the discretisation and double oracle exist so the core results
+can be *cross-checked* against exact solutions of fine
+discretisations.
 """
 
 from repro.gametheory.matrix_game import MatrixGame
 from repro.gametheory.lp_solver import solve_zero_sum_lp, LPSolution
-from repro.gametheory.fictitious_play import fictitious_play, FictitiousPlayResult
-from repro.gametheory.regret_matching import regret_matching, RegretMatchingResult
-from repro.gametheory.support_enumeration import support_enumeration
 from repro.gametheory.best_response_dynamics import (
     best_response_dynamics,
     BestResponseTrace,
@@ -27,11 +25,6 @@ __all__ = [
     "MatrixGame",
     "solve_zero_sum_lp",
     "LPSolution",
-    "fictitious_play",
-    "FictitiousPlayResult",
-    "regret_matching",
-    "RegretMatchingResult",
-    "support_enumeration",
     "best_response_dynamics",
     "BestResponseTrace",
     "detect_cycle",

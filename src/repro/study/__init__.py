@@ -17,10 +17,12 @@ addressable by its study fingerprint (``archive_dir=`` turns that into
 skip-if-already-done).  ``describe_study`` dry-runs the spec: expanded
 grid, exact round counts, predicted cache hits.
 
-The historical driver functions (``run_pure_strategy_sweep`` and
-friends) survive as deprecation shims over this package's
-:mod:`~repro.study.drivers`; their outputs and engine cache keys are
-bit-identical.
+The command line runs the same specs: ``repro run figure1 --set
+n_samples=300`` builds ``studies.figure1(...)`` and submits it through
+``run_study``, and ``repro figure1`` is an alias.  The experiment
+implementations live in :mod:`~repro.study.drivers`; a live context can
+stand in for a :class:`ContextSpec` with ``run_study(spec,
+context=ctx)``.
 """
 
 from repro.study import builders as studies

@@ -1,23 +1,22 @@
 """StudySpec builders — one per experiment family.
 
-Each builder is the declarative face of one historical driver:
-
-==================  =========================================
-builder             historical driver
-==================  =========================================
-:func:`figure1`     ``run_pure_strategy_sweep``
-:func:`mixed_eval`  ``evaluate_mixed_defense``
-:func:`table1`      ``run_pure_strategy_sweep`` + ``run_table1_experiment``
-:func:`empirical_game`  ``solve_empirical_game``
-:func:`cross_game`  ``solve_cross_family_game``
-:func:`multi_seed`  ``run_multi_seed_sweep``
-:func:`grid`        (new) the raw scenario-product study
-==================  =========================================
+==========================  ==============================================
+builder                     study
+==========================  ==============================================
+:func:`figure1`             the pure-strategy sweep behind Figure 1
+:func:`mixed_eval`          one mixed defence under the optimal attack
+:func:`table1`              the sweep, Algorithm 1 and its evaluation
+:func:`empirical_game`      the measured game on a percentile grid
+:func:`cross_game`          the measured game over defence/attack families
+:func:`multi_seed`          the sweep aggregated over seeded contexts
+:func:`grid`                the raw scenario product, nothing solved
+==========================  ==============================================
 
 Builders only *construct* specs — no context is loaded, no round runs.
-Submit the result to :func:`repro.study.run_study`; parity tests
-enforce that each builder's study reproduces its historical driver bit
-for bit (same outputs, same engine cache keys).
+Submit the result to :func:`repro.study.run_study`, or run a builder by
+name from the command line (``repro run figure1 --set n_samples=300``;
+``repro figure1`` is an alias).  A builder's defaults are part of its
+studies' fingerprints, so they never change.
 
 ``context`` accepts a :class:`~repro.study.spec.ContextSpec`, a maker
 name string (``"spambase"``/``"synthetic"``) or ``None`` for specs that
@@ -76,7 +75,7 @@ def figure1(
 
     ``fractions`` may name several contamination rates — the study then
     runs one sweep per rate (their clean rounds share cache entries);
-    with the default single rate the payload is exactly the historical
+    with the default single rate the payload is one
     :class:`~repro.experiments.results.PureSweepResult`.
     """
     from repro.study.drivers import DEFAULT_SWEEP_PERCENTILES
@@ -104,7 +103,7 @@ def mixed_eval(
     engine=None,
 ) -> StudySpec:
     """Evaluate one mixed defence (support + probabilities) under the
-    optimal mixed attack — the declarative ``evaluate_mixed_defense``."""
+    optimal mixed attack."""
     percentiles = tuple(float(p) for p in _axis(percentiles))
     probabilities = tuple(float(q) for q in _axis(probabilities))
     if len(percentiles) != len(probabilities):
@@ -172,11 +171,17 @@ def empirical_game(
                      grid=grid_, engine=_engine(engine))
 
 
+# The strategy sets of a bare ``repro cross-game``: one defence per
+# family at a 10% strength against three attack families.
+DEFAULT_CROSS_DEFENSES = ("radius:0.1", "slab_filter:0.1", "loss_filter:0.1")
+DEFAULT_CROSS_ATTACKS = ("boundary:0.05", "label-flip", "random-noise:0.05")
+
+
 def cross_game(
     *,
     context="spambase",
-    defenses,
-    attacks,
+    defenses=DEFAULT_CROSS_DEFENSES,
+    attacks=DEFAULT_CROSS_ATTACKS,
     poison_fraction: float = 0.2,
     n_repeats: int = 1,
     victim=None,
@@ -186,7 +191,9 @@ def cross_game(
 
     ``defenses``/``attacks`` entries are spec objects, spec strings
     (``"radius:0.1"``, ``"label-flip"``) or ``None``/``"none"``/
-    ``"clean"`` for the baselines.
+    ``"clean"`` for the baselines.  The defaults pit radius, slab and
+    loss filtering against boundary, label-flip and random-noise
+    attacks.
     """
     defenses = _axis(defenses)
     attacks = _axis(attacks)
@@ -214,7 +221,7 @@ def multi_seed(
     The study's :class:`~repro.study.spec.ContextSpec` is a template:
     per seed ``k`` its base seed is replaced by
     ``derive_seed(base_seed, "multi-seed", k)`` and a fresh context is
-    built, exactly as the historical driver did.
+    built.
     """
     from repro.study.drivers import DEFAULT_SWEEP_PERCENTILES
 

@@ -3,18 +3,17 @@
 The implementations of the repository's experiments live here: the
 Figure-1 sweep, the mixed-defence evaluation, Table 1, the empirical
 and cross-family games, multi-seed aggregation and the raw scenario
-grid.  They are the former driver bodies of
-:mod:`repro.experiments.payoff_sweep`, :mod:`~repro.experiments.
-empirical_game` and :mod:`~repro.experiments.multi_seed`, moved intact
-— the legacy functions remain as deprecation shims delegating here, so
-results (and the engine cache keys behind them) are bit-identical to
-every release since PR 0.
+grid.  Each study kind's runner in :mod:`repro.study.runner` calls one
+of them; they are the only code that turns a study into engine
+batches.
 
 Each experiment's round construction is factored into a ``*_rounds``
 helper that returns the exact :class:`~repro.engine.RoundSpec` batch
 the implementation submits.  ``repro.study.runner.describe_study``
 expands the same helpers, which is what makes its dry-run round and
-cache-hit counts *exact* rather than estimates.
+cache-hit counts *exact* rather than estimates.  The helpers' seeds
+and layouts are the round identities behind every existing cache and
+archive, so they never change.
 """
 
 from __future__ import annotations
@@ -25,11 +24,13 @@ import numpy as np
 
 from repro.attacks.base import attack_budget
 from repro.core.algorithm1 import compute_optimal_defense
-from repro.core.game import PayoffCurves
 from repro.core.mixed_strategy import MixedDefense
 from repro.core.payoff_estimation import estimate_payoff_curves
 from repro.engine import (AttackSpec, DefenseSpec, EvaluationEngine,
                           RoundSpec, VictimSpec, resolve_engine)
+from repro.experiments.results import (AggregatedSweep, CrossGameResult,
+                                       EmpiricalGameResult, GridResult,
+                                       MixedStrategyResult, PureSweepResult)
 from repro.gametheory.lp_solver import solve_zero_sum_lp
 from repro.gametheory.matrix_game import MatrixGame
 from repro.utils.rng import derive_seed
@@ -47,6 +48,7 @@ __all__ = [
     "support_accuracy_matrix",
     "mixed_defense_evaluation",
     "table1_rows",
+    "solve_accuracy_game",
     "empirical_game_matrix",
     "empirical_game_solve",
     "cross_game_matrix",
@@ -193,8 +195,6 @@ def pure_strategy_sweep(
     never consult the contamination rate, so their cache entries are
     shared by sweeps at any ``poison_fraction``.
     """
-    from repro.experiments.results import PureSweepResult
-
     check_fraction(poison_fraction, name="poison_fraction", inclusive_high=False)
     check_positive_int(n_repeats, name="n_repeats")
     if percentiles is None:
@@ -302,7 +302,6 @@ def table1_rows(
     n_radii_values=(2, 3),
     poison_fraction: float = 0.2,
     n_repeats: int = 1,
-    curves: PayoffCurves | None = None,
     algorithm_kwargs: dict | None = None,
     engine: EvaluationEngine | None = None,
     victim: VictimSpec | None = None,
@@ -310,18 +309,15 @@ def table1_rows(
 ) -> list:
     """Table 1: Algorithm 1's mixed defence for each support size.
 
-    ``curves`` may be supplied to reuse a fit; otherwise they are
-    estimated from ``sweep`` exactly as the paper does.  ``engine``
-    is threaded into every mixed-defence evaluation, so an equal-seed
-    rerun of the whole experiment is served from the engine's cache.
+    The payoff curves are estimated from ``sweep`` exactly as the paper
+    does.  ``engine`` is threaded into every mixed-defence evaluation,
+    so an equal-seed rerun of the whole experiment is served from the
+    engine's cache.
     """
-    from repro.experiments.results import MixedStrategyResult
-
     engine = resolve_engine(engine)
-    if curves is None:
-        curves = estimate_payoff_curves(
-            sweep.percentiles, sweep.acc_clean, sweep.acc_attacked, sweep.n_poison
-        )
+    curves = estimate_payoff_curves(
+        sweep.percentiles, sweep.acc_clean, sweep.acc_attacked, sweep.n_poison
+    )
     best_p, best_acc = sweep.best_pure
     results = []
     for n_radii in n_radii_values:
@@ -356,6 +352,45 @@ def table1_rows(
 # -- the empirical and cross-family games -----------------------------------
 
 
+def solve_accuracy_game(accuracy_matrix, defense_labels,
+                        attack_labels) -> dict:
+    """Solve the measured zero-sum game ``A[defence i, attack j]`` exactly.
+
+    Entries are test accuracies: the defender (rows of ``A``) maximises
+    them, the attacker (columns) minimises.  Returns the fields
+    :class:`~repro.experiments.results.EmpiricalGameResult` and
+    :class:`~repro.experiments.results.CrossGameResult` share, with the
+    label of the best pure defence (highest worst-case accuracy) under
+    ``"best_pure"``.
+    """
+    accuracy_matrix = np.asarray(accuracy_matrix, dtype=float)
+    if accuracy_matrix.shape != (len(defense_labels), len(attack_labels)):
+        raise ValueError(
+            f"accuracy matrix shape {accuracy_matrix.shape} does not match "
+            f"{len(defense_labels)} defenses x {len(attack_labels)} attacks"
+        )
+    # Attacker = maximising row player on damage = 1 - accuracy, so the
+    # defender (columns) minimises damage i.e. maximises accuracy.
+    damage = 1.0 - accuracy_matrix.T  # rows: attacker, cols: defender
+    game = MatrixGame(damage, row_labels=list(attack_labels),
+                      col_labels=list(defense_labels))
+    solution = solve_zero_sum_lp(game)
+
+    worst_case_acc = accuracy_matrix.min(axis=1)
+    best_i = int(np.argmax(worst_case_acc))
+    value_acc = 1.0 - solution.value
+    return {
+        "accuracy_matrix": accuracy_matrix.tolist(),
+        "defender_mix": solution.col_strategy.tolist(),
+        "attacker_mix": solution.row_strategy.tolist(),
+        "game_value_accuracy": float(value_acc),
+        "best_pure_accuracy": float(worst_case_acc[best_i]),
+        "best_pure": defense_labels[best_i],
+        "mixed_advantage": float(value_acc - worst_case_acc[best_i]),
+        "has_saddle_point": game.has_pure_equilibrium(),
+    }
+
+
 def empirical_game_matrix(
     ctx,
     percentiles,
@@ -385,61 +420,35 @@ def empirical_game_solve(
     percentiles=None,
     poison_fraction: float = 0.2,
     n_repeats: int = 1,
-    accuracy_matrix: np.ndarray | None = None,
     engine: EvaluationEngine | None = None,
     victim: VictimSpec | None = None,
     defense_kind: str = "radius",
     defense_params=(),
     progress=None,
-):
-    """Measure (or accept) the accuracy matrix and solve it exactly."""
-    from repro.experiments.empirical_game import EmpiricalGameResult
-
+) -> EmpiricalGameResult:
+    """Measure the accuracy matrix on a percentile grid and solve it."""
     if percentiles is None:
         percentiles = np.array(DEFAULT_GAME_PERCENTILES)
     percentiles = np.asarray(percentiles, dtype=float)
-    if accuracy_matrix is None:
-        accuracy_matrix = empirical_game_matrix(
-            ctx, percentiles, poison_fraction=poison_fraction,
-            n_repeats=n_repeats, engine=engine, victim=victim,
-            defense_kind=defense_kind, defense_params=defense_params,
-            progress=progress,
-        )
-    accuracy_matrix = np.asarray(accuracy_matrix, dtype=float)
-    if accuracy_matrix.shape != (percentiles.size, percentiles.size):
-        raise ValueError(
-            f"accuracy matrix shape {accuracy_matrix.shape} does not match "
-            f"{percentiles.size} percentiles"
-        )
-
-    # Attacker = maximising row player on damage = 1 - accuracy, so the
-    # defender (columns) minimises damage i.e. maximises accuracy.
-    damage = 1.0 - accuracy_matrix.T  # rows: attacker, cols: defender
-    game = MatrixGame(damage, row_labels=percentiles.tolist(),
-                      col_labels=percentiles.tolist())
-    solution = solve_zero_sum_lp(game)
-
-    # Best pure defence: the filter with the highest worst-case accuracy.
-    worst_case_acc = accuracy_matrix.min(axis=1)
-    best_i = int(np.argmax(worst_case_acc))
-    value_acc = 1.0 - solution.value
-
+    matrix = empirical_game_matrix(
+        ctx, percentiles, poison_fraction=poison_fraction,
+        n_repeats=n_repeats, engine=engine, victim=victim,
+        defense_kind=defense_kind, defense_params=defense_params,
+        progress=progress,
+    )
+    labels = percentiles.tolist()
+    solved = solve_accuracy_game(matrix, labels, labels)
+    best_p = float(solved.pop("best_pure"))
     return EmpiricalGameResult(
-        percentiles=percentiles.tolist(),
-        accuracy_matrix=accuracy_matrix.tolist(),
-        defender_mix=solution.col_strategy.tolist(),
-        attacker_mix=solution.row_strategy.tolist(),
-        game_value_accuracy=float(value_acc),
-        best_pure_accuracy=float(worst_case_acc[best_i]),
-        best_pure_percentile=float(percentiles[best_i]),
-        mixed_advantage=float(value_acc - worst_case_acc[best_i]),
-        has_saddle_point=game.has_pure_equilibrium(),
+        percentiles=labels,
+        best_pure_percentile=best_p,
         n_repeats=n_repeats,
         defender_support=[
             (float(p), float(q))
-            for p, q in zip(percentiles, solution.col_strategy)
+            for p, q in zip(percentiles, solved["defender_mix"])
             if q > 0.01
         ],
+        **solved,
     )
 
 
@@ -483,53 +492,26 @@ def cross_game_solve(
     poison_fraction: float = 0.2,
     n_repeats: int = 1,
     victim: VictimSpec | None = None,
-    accuracy_matrix: np.ndarray | None = None,
     engine: EvaluationEngine | None = None,
     progress=None,
-):
-    """Measure (or accept) a cross-family accuracy matrix and solve it."""
-    from repro.experiments.empirical_game import CrossGameResult
-
+) -> CrossGameResult:
+    """Measure a cross-family accuracy matrix and solve it."""
     defenses = list(defenses)
     attacks = list(attacks)
-    if accuracy_matrix is None:
-        accuracy_matrix = cross_game_matrix(
-            ctx, defenses, attacks, poison_fraction=poison_fraction,
-            n_repeats=n_repeats, victim=victim, engine=engine,
-            progress=progress,
-        )
-    accuracy_matrix = np.asarray(accuracy_matrix, dtype=float)
-    if accuracy_matrix.shape != (len(defenses), len(attacks)):
-        raise ValueError(
-            f"accuracy matrix shape {accuracy_matrix.shape} does not match "
-            f"{len(defenses)} defenses x {len(attacks)} attacks"
-        )
+    matrix = cross_game_matrix(
+        ctx, defenses, attacks, poison_fraction=poison_fraction,
+        n_repeats=n_repeats, victim=victim, engine=engine, progress=progress,
+    )
     defense_labels = ["none" if d is None else d.describe() for d in defenses]
     attack_labels = ["clean" if a is None else a.describe() for a in attacks]
-
-    # Attacker = maximising row player on damage = 1 - accuracy.
-    damage = 1.0 - accuracy_matrix.T
-    game = MatrixGame(damage, row_labels=attack_labels,
-                      col_labels=defense_labels)
-    solution = solve_zero_sum_lp(game)
-
-    worst_case_acc = accuracy_matrix.min(axis=1)
-    best_i = int(np.argmax(worst_case_acc))
-    value_acc = 1.0 - solution.value
-
+    solved = solve_accuracy_game(matrix, defense_labels, attack_labels)
     return CrossGameResult(
         defense_labels=defense_labels,
         attack_labels=attack_labels,
-        accuracy_matrix=accuracy_matrix.tolist(),
-        defender_mix=solution.col_strategy.tolist(),
-        attacker_mix=solution.row_strategy.tolist(),
-        game_value_accuracy=float(value_acc),
-        best_pure_accuracy=float(worst_case_acc[best_i]),
-        best_pure_defense=defense_labels[best_i],
-        mixed_advantage=float(value_acc - worst_case_acc[best_i]),
-        has_saddle_point=game.has_pure_equilibrium(),
+        best_pure_defense=solved.pop("best_pure"),
         victim=None if victim is None else victim.describe(),
         n_repeats=n_repeats,
+        **solved,
     )
 
 
@@ -538,31 +520,27 @@ def cross_game_solve(
 
 def multi_seed_sweep(
     *,
+    context_factory,
     n_seeds: int = 5,
     base_seed: int = 0,
-    context_factory=None,
     percentiles=None,
     poison_fraction: float = 0.2,
     n_repeats: int = 1,
     engine: EvaluationEngine | None = None,
     progress=None,
-):
+) -> AggregatedSweep:
     """Run the Figure-1 sweep across ``n_seeds`` independent contexts.
 
-    Each seed gets a fresh context (fresh surrogate draw, fresh split)
-    so the aggregation covers *all* sources of variation, not just SGD
-    noise.  All per-seed sweeps share ``engine`` — distinct contexts
-    never collide in its cache (keys carry the context fingerprint),
-    but each sweep still gains the backend's parallelism and a full
-    rerun of the aggregation is served from cache.
+    ``context_factory(seed)`` builds the context for each derived seed
+    (a fresh surrogate draw, a fresh split), so the aggregation covers
+    *all* sources of variation, not just SGD noise.  All per-seed
+    sweeps share ``engine`` — distinct contexts never collide in its
+    cache (keys carry the context fingerprint), but each sweep still
+    gains the backend's parallelism and a full rerun of the aggregation
+    is served from cache.
     """
-    from repro.experiments.multi_seed import AggregatedSweep
-    from repro.experiments.runner import make_spambase_context
-
     check_positive_int(n_seeds, name="n_seeds")
     engine = resolve_engine(engine)
-    if context_factory is None:
-        context_factory = lambda seed: make_spambase_context(seed=seed)
 
     sweeps = []
     for k in range(n_seeds):
@@ -609,8 +587,6 @@ def grid_study(
     measured accuracy tensor over arbitrary spec axes — the shape any
     downstream analysis (games, regressions, dashboards) can consume.
     """
-    from repro.experiments.results import GridResult
-
     defenses = list(defenses)
     attacks = list(attacks)
     victims = list(victims) or [None]

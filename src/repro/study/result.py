@@ -4,7 +4,7 @@ Whatever the study kind, :func:`repro.study.run_study` returns the same
 record: the spec document it ran, provenance stamps (study fingerprint,
 context fingerprint(s), engine cache schema version, backend and batch
 telemetry), every scenario's outcome under its engine cache key, and
-the solved payload (the historical result dataclass, embedded through
+the solved payload (the kind's result dataclass, embedded through
 :func:`repro.experiments.results.result_to_payload`).
 
 Three properties the stamps buy:

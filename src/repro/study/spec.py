@@ -396,7 +396,7 @@ class StudySpec:
 
     ``kind`` names the experiment family (see :data:`STUDY_KINDS`);
     ``context`` may be ``None`` for specs that are only ever run with a
-    caller-supplied live context (the deprecation shims do this —
+    caller-supplied live context (``run_study(spec, context=ctx)`` —
     such specs fingerprint against the live context's content hash);
     ``solver`` holds kind-specific solver configuration as canonical
     params (e.g. ``n_radii`` for ``table1``, ``n_seeds``/``base_seed``

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG handling, validation, logging.
+"""Shared utilities: deterministic RNG handling, validation, JSON I/O.
 
 These helpers are deliberately small and dependency-free so that every
 other subpackage can rely on them without import cycles.

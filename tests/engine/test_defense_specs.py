@@ -337,12 +337,13 @@ class TestCrossFamilyGame:
     ]
 
     def test_game_runs_and_solves(self, ctx):
-        from repro.experiments.empirical_game import solve_cross_family_game
+        from repro.study import run_study, studies
 
-        result = solve_cross_family_game(
-            ctx, self.DEFENSES, self.ATTACKS, n_repeats=1,
-            engine=EvaluationEngine("serial", cache=False),
-        )
+        result = run_study(
+            studies.cross_game(context=None, defenses=self.DEFENSES,
+                               attacks=self.ATTACKS, n_repeats=1),
+            context=ctx, engine=EvaluationEngine("serial", cache=False),
+        ).payload_object()
         matrix = np.asarray(result.accuracy_matrix)
         assert matrix.shape == (3, 3)
         assert np.all((matrix >= 0.0) & (matrix <= 1.0))
@@ -351,20 +352,20 @@ class TestCrossFamilyGame:
         assert len({result.best_pure_defense} | set(result.defense_labels)) == 3
 
     def test_serial_process_identical(self, ctx):
-        from repro.experiments.empirical_game import build_cross_family_game
+        from repro.study.drivers import cross_game_matrix
 
-        serial = build_cross_family_game(
+        serial = cross_game_matrix(
             ctx, self.DEFENSES, self.ATTACKS,
             engine=EvaluationEngine("serial", cache=False))
-        process = build_cross_family_game(
+        process = cross_game_matrix(
             ctx, self.DEFENSES, self.ATTACKS,
             engine=EvaluationEngine("process", jobs=2, cache=False))
         assert np.array_equal(serial, process)
 
     def test_bad_inputs_rejected(self, ctx):
-        from repro.experiments.empirical_game import build_cross_family_game
+        from repro.study.drivers import cross_game_matrix
 
         with pytest.raises(ValueError, match="non-empty"):
-            build_cross_family_game(ctx, [], self.ATTACKS)
+            cross_game_matrix(ctx, [], self.ATTACKS)
         with pytest.raises(TypeError, match="DefenseSpec"):
-            build_cross_family_game(ctx, ["radius"], self.ATTACKS)
+            cross_game_matrix(ctx, ["radius"], self.ATTACKS)

@@ -16,12 +16,9 @@ from repro.engine import (
     resolve_engine,
     set_default_engine,
 )
-from repro.experiments.payoff_sweep import (
-    evaluate_mixed_defense,
-    run_pure_strategy_sweep,
-)
 from repro.experiments.runner import make_synthetic_context
 from repro.ml.ridge import RidgeClassifier
+from repro.study import run_study, studies
 
 
 @pytest.fixture(scope="module")
@@ -104,16 +101,20 @@ class TestCaching:
 class TestDriverCacheReuse:
     """Locks in the clean-baseline dedup across experiment drivers."""
 
-    PERCENTILES = np.array([0.0, 0.1, 0.3])
+    PERCENTILES = (0.0, 0.1, 0.3)
+
+    def sweep(self, ctx, engine, poison_fraction):
+        return run_study(
+            studies.figure1(context=None, percentiles=self.PERCENTILES,
+                            poison_fraction=poison_fraction, n_repeats=2),
+            context=ctx, engine=engine).payload_object()
 
     def test_sweep_rerun_is_fully_cached(self, ctx):
         engine = EvaluationEngine("serial")
-        kwargs = dict(percentiles=self.PERCENTILES, poison_fraction=0.2,
-                      n_repeats=2, engine=engine)
-        first = run_pure_strategy_sweep(ctx, **kwargs)
+        first = self.sweep(ctx, engine, 0.2)
         computed = engine.rounds_computed
-        assert computed == 2 * 2 * self.PERCENTILES.size  # clean + attacked
-        second = run_pure_strategy_sweep(ctx, **kwargs)
+        assert computed == 2 * 2 * len(self.PERCENTILES)  # clean + attacked
+        second = self.sweep(ctx, engine, 0.2)
         assert engine.rounds_computed == computed
         assert engine.cache.stats.hits == computed
         assert second.acc_clean == first.acc_clean
@@ -121,30 +122,25 @@ class TestDriverCacheReuse:
 
     def test_clean_baselines_shared_across_poison_fractions(self, ctx):
         engine = EvaluationEngine("serial")
-        run_pure_strategy_sweep(ctx, percentiles=self.PERCENTILES,
-                                poison_fraction=0.2, n_repeats=2, engine=engine)
+        self.sweep(ctx, engine, 0.2)
         hits_before = engine.cache.stats.hits
-        sweep = run_pure_strategy_sweep(ctx, percentiles=self.PERCENTILES,
-                                        poison_fraction=0.3, n_repeats=2,
-                                        engine=engine)
+        sweep = self.sweep(ctx, engine, 0.3)
         # Every clean cell (percentile x repeat) is identical work at any
         # contamination rate and must be a cache hit; only the attacked
         # cells are new.
-        n_clean_cells = 2 * self.PERCENTILES.size
+        n_clean_cells = 2 * len(self.PERCENTILES)
         assert engine.cache.stats.hits - hits_before == n_clean_cells
         assert sweep.poison_fraction == 0.3
 
     def test_mixed_defense_rerun_is_fully_cached(self, ctx):
-        from repro.core.mixed_strategy import MixedDefense
-
-        defense = MixedDefense(percentiles=np.array([0.05, 0.2]),
-                               probabilities=np.array([0.6, 0.4]))
+        spec = studies.mixed_eval(context=None, percentiles=(0.05, 0.2),
+                                  probabilities=(0.6, 0.4), n_repeats=1)
         engine = EvaluationEngine("serial")
-        first = evaluate_mixed_defense(ctx, defense, n_repeats=1, engine=engine)
+        first = run_study(spec, context=ctx, engine=engine).payload_object()
         computed = engine.rounds_computed
-        second = evaluate_mixed_defense(ctx, defense, n_repeats=1, engine=engine)
+        second = run_study(spec, context=ctx, engine=engine).payload_object()
         assert engine.rounds_computed == computed
-        assert np.array_equal(first[2], second[2])
+        assert np.array_equal(first.accuracy_matrix, second.accuracy_matrix)
 
 
 class TestLabelFlipSpec:

@@ -105,17 +105,21 @@ class TestCliSharesTheGrammar:
     """The CLI wrappers translate ValueError -> SystemExit, nothing else."""
 
     def test_wrappers_delegate(self):
-        from repro.experiments.cli import (_parse_attack_arg,
-                                           _parse_defense_arg,
-                                           _parse_victim_arg)
+        from repro.experiments.cli import _study_from_args, build_parser
 
-        assert _parse_defense_arg("radius:0.1") == \
-            parse_defense_spec("radius:0.1")
-        assert _parse_attack_arg("boundary:0.05") == \
-            parse_attack_spec("boundary:0.05")
-        assert _parse_victim_arg("logistic") == parse_victim_spec("logistic")
+        def grid(*sets):
+            argv = ["cross-game"]
+            for item in sets:
+                argv += ["--set", item]
+            return _study_from_args(build_parser().parse_args(argv)).grid
+
+        g = grid("defenses=radius:0.1", "attacks=boundary:0.05",
+                 "victim=logistic")
+        assert g.defenses == (parse_defense_spec("radius:0.1"),)
+        assert g.attacks == (parse_attack_spec("boundary:0.05"),)
+        assert g.victims == (parse_victim_spec("logistic"),)
         with pytest.raises(SystemExit, match="unknown defense kind"):
-            _parse_defense_arg("fortress:0.1")
+            grid("defenses=fortress:0.1")
 
     def test_study_loader_shares_the_grammar(self):
         from repro.study import ScenarioGrid

@@ -3,24 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.experiments.multi_seed import (
-    AggregatedSweep,
-    aggregate_metric,
-    run_multi_seed_sweep,
-)
-from repro.experiments.runner import make_synthetic_context
+from repro.study import ContextSpec, run_study, studies
 
 
 @pytest.fixture(scope="module")
 def aggregated():
-    return run_multi_seed_sweep(
+    return run_study(studies.multi_seed(
+        context=ContextSpec(name="synthetic", n_samples=260,
+                            params={"n_features": 4}),
         n_seeds=3,
-        context_factory=lambda seed: make_synthetic_context(
-            seed=seed, n_samples=260, n_features=4
-        ),
-        percentiles=np.array([0.0, 0.1, 0.3]),
+        percentiles=(0.0, 0.1, 0.3),
         poison_fraction=0.25,
-    )
+    )).payload_object()
 
 
 class TestRunMultiSeedSweep:
@@ -49,21 +43,3 @@ class TestRunMultiSeedSweep:
         assert sweep.dataset_name == "agg-test"
         np.testing.assert_allclose(sweep.acc_clean, aggregated.acc_clean_mean)
         assert sweep.n_repeats == 3
-
-
-class TestAggregateMetric:
-    def test_constant_function(self):
-        out = aggregate_metric(lambda seed: 2.5, n_seeds=4)
-        assert out["mean"] == 2.5
-        assert out["std"] == 0.0
-        assert out["min"] == out["max"] == 2.5
-
-    def test_seed_dependent_function(self):
-        out = aggregate_metric(lambda seed: float(seed % 7), n_seeds=5)
-        assert len(out["values"]) == 5
-        assert out["min"] <= out["mean"] <= out["max"]
-
-    def test_deterministic(self):
-        a = aggregate_metric(lambda seed: float(seed % 100), n_seeds=3, base_seed=1)
-        b = aggregate_metric(lambda seed: float(seed % 100), n_seeds=3, base_seed=1)
-        assert a["values"] == b["values"]

@@ -1,16 +1,20 @@
-"""results_from_json covers every result type the drivers produce."""
+"""The payload codec covers every result type the studies produce."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.experiments.empirical_game import (CrossGameResult,
-                                              EmpiricalGameResult)
-from repro.experiments.multi_seed import AggregatedSweep
-from repro.experiments.results import (GridResult, MixedEvalResult,
-                                       PureSweepResult, results_from_json,
-                                       results_to_json)
+from repro.experiments.results import (AggregatedSweep, CrossGameResult,
+                                       EmpiricalGameResult, GridResult,
+                                       MixedEvalResult, PureSweepResult,
+                                       result_from_payload, result_to_payload)
+
+
+def round_trip(result):
+    """Through the payload codec and a JSON text, as archives store it."""
+    return result_from_payload(json.loads(json.dumps(
+        result_to_payload(result))))
 
 
 def sweep(seed=0):
@@ -30,20 +34,18 @@ class TestEmpiricalGameRoundTrip:
             has_saddle_point=False, n_repeats=2,
             defender_support=[(0.1, 0.6)])
 
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "eg.json")
-        results_to_json(self.result(), path)
-        restored = results_from_json(path)
+    def test_round_trip(self):
+        restored = round_trip(self.result())
         assert isinstance(restored, EmpiricalGameResult)
         assert restored.game_value_accuracy == 0.64
         assert restored.support() == [(0.0, 0.4), (0.1, 0.6)]
         # Stable under a second pass (tuples normalise to lists once).
-        assert results_to_json(restored) == \
-            results_to_json(results_from_json(results_to_json(restored)))
+        assert result_to_payload(restored) == \
+            result_to_payload(round_trip(restored))
 
 
 class TestCrossGameRoundTrip:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         result = CrossGameResult(
             defense_labels=["radius@10.0%", "none"],
             attack_labels=["boundary@5.0%", "clean"],
@@ -52,10 +54,7 @@ class TestCrossGameRoundTrip:
             game_value_accuracy=0.6, best_pure_accuracy=0.6,
             best_pure_defense="radius@10.0%", mixed_advantage=0.0,
             has_saddle_point=True, victim="logistic", n_repeats=1)
-        path = str(tmp_path / "cg.json")
-        results_to_json(result, path)
-        restored = results_from_json(path)
-        assert restored == result
+        assert round_trip(result) == result
 
 
 class TestAggregatedSweepRoundTrip:
@@ -67,7 +66,7 @@ class TestAggregatedSweepRoundTrip:
             acc_attacked_mean=np.array([0.6, 0.7]),
             acc_attacked_std=np.array([0.05, 0.03]),
             n_seeds=2, per_seed=[sweep(0), sweep(1)])
-        restored = results_from_json(results_to_json(agg))
+        restored = round_trip(agg)
         assert isinstance(restored, AggregatedSweep)
         np.testing.assert_array_equal(restored.percentiles, agg.percentiles)
         np.testing.assert_array_equal(restored.acc_attacked_std,
@@ -85,19 +84,19 @@ class TestNewRecordTypes:
             expected_accuracy=0.7, dispersion=0.1,
             accuracy_matrix=[[0.6, 0.7], [0.8, 0.75]],
             poison_fraction=0.25, n_repeats=1)
-        assert results_from_json(results_to_json(mixed)) == mixed
+        assert round_trip(mixed) == mixed
 
         grid = GridResult(
             defense_labels=["radius@10.0%"], attack_labels=["clean"],
             victim_labels=["context"], fractions=[0.2],
             accuracy=[[[[0.9]]]], n_repeats=1, dataset_name="test")
-        assert results_from_json(results_to_json(grid)) == grid
+        assert round_trip(grid) == grid
 
 
 class TestUnknownTypes:
     def test_unknown_type_rejected_on_load(self):
         with pytest.raises(ValueError, match="unknown result type"):
-            results_from_json(json.dumps({"type": "Mystery", "data": {}}))
+            result_from_payload({"type": "Mystery", "data": {}})
 
     def test_unregistered_dataclass_still_dumps(self):
         from dataclasses import dataclass
@@ -106,5 +105,5 @@ class TestUnknownTypes:
         class Oddball:
             x: int
 
-        text = results_to_json(Oddball(3))
-        assert json.loads(text) == {"type": "Oddball", "data": {"x": 3}}
+        assert result_to_payload(Oddball(3)) == \
+            {"type": "Oddball", "data": {"x": 3}}

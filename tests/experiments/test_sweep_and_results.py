@@ -1,16 +1,8 @@
-"""Tests for the sweep harnesses, result records and reporting."""
-
-import json
+"""Tests for the sweep studies, result records and reporting."""
 
 import numpy as np
 import pytest
 
-from repro.core.mixed_strategy import MixedDefense
-from repro.experiments.payoff_sweep import (
-    evaluate_mixed_defense,
-    run_pure_strategy_sweep,
-    run_table1_experiment,
-)
 from repro.experiments.reporting import (
     ascii_series,
     ascii_table,
@@ -20,18 +12,32 @@ from repro.experiments.reporting import (
 from repro.experiments.results import (
     MixedStrategyResult,
     PureSweepResult,
-    results_from_json,
-    results_to_json,
+    result_from_payload,
+    result_to_payload,
 )
+from repro.study import run_study, studies, study_result_from_json
+
+PERCENTILES = (0.0, 0.05, 0.1, 0.2, 0.3)
 
 
 @pytest.fixture(scope="module")
-def sweep(tiny_context):
-    return run_pure_strategy_sweep(
-        tiny_context,
-        percentiles=np.array([0.0, 0.05, 0.1, 0.2, 0.3]),
-        poison_fraction=0.25,
-    )
+def sweep_study(tiny_context):
+    return run_study(
+        studies.figure1(context=None, percentiles=PERCENTILES,
+                        poison_fraction=0.25),
+        context=tiny_context)
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_study):
+    return sweep_study.payload_object()
+
+
+def mixed_eval(tiny_context):
+    return run_study(
+        studies.mixed_eval(context=None, percentiles=(0.05, 0.2),
+                           probabilities=(0.5, 0.5), poison_fraction=0.25),
+        context=tiny_context).payload_object()
 
 
 class TestPureSweep:
@@ -51,34 +57,31 @@ class TestPureSweep:
 
     def test_requires_valid_fraction(self, tiny_context):
         with pytest.raises(ValueError):
-            run_pure_strategy_sweep(tiny_context, poison_fraction=1.0)
+            run_study(studies.figure1(context=None, poison_fraction=1.0),
+                      context=tiny_context)
 
 
 class TestMixedDefenseEvaluation:
     def test_matrix_shape_and_bounds(self, tiny_context):
-        defense = MixedDefense(percentiles=np.array([0.05, 0.2]),
-                               probabilities=np.array([0.5, 0.5]))
-        acc, std, matrix = evaluate_mixed_defense(tiny_context, defense,
-                                                  poison_fraction=0.25)
+        result = mixed_eval(tiny_context)
+        matrix = np.asarray(result.accuracy_matrix)
         assert matrix.shape == (2, 2)
-        assert 0.0 <= acc <= 1.0
-        assert std >= 0.0
+        assert 0.0 <= result.expected_accuracy <= 1.0
+        assert result.dispersion >= 0.0
 
     def test_filtered_attack_scores_higher(self, tiny_context):
-        defense = MixedDefense(percentiles=np.array([0.05, 0.2]),
-                               probabilities=np.array([0.5, 0.5]))
-        _, _, matrix = evaluate_mixed_defense(tiny_context, defense,
-                                              poison_fraction=0.25)
+        matrix = np.asarray(mixed_eval(tiny_context).accuracy_matrix)
         # strong filter (row 1) vs shallow attack (col 0): poison removed,
         # accuracy above the surviving case (row 0, col 1)
         assert matrix[1, 0] > matrix[0, 1]
 
 
 class TestTable1Experiment:
-    def test_rows_produced(self, tiny_context, sweep):
-        results = run_table1_experiment(tiny_context, sweep,
-                                        n_radii_values=(2,),
-                                        poison_fraction=0.25)
+    def test_rows_produced(self, tiny_context):
+        results = run_study(
+            studies.table1(context=None, percentiles=PERCENTILES,
+                           n_radii=(2,), poison_fraction=0.25),
+            context=tiny_context).payload_object()["rows"]
         assert len(results) == 1
         row = results[0]
         assert row.n_radii == 2
@@ -90,21 +93,20 @@ class TestTable1Experiment:
 
 class TestResultsSerialisation:
     def test_roundtrip_sweep(self, sweep):
-        text = results_to_json(sweep)
-        restored = results_from_json(text)
+        restored = result_from_payload(result_to_payload(sweep))
         assert isinstance(restored, PureSweepResult)
         assert restored.percentiles == sweep.percentiles
         assert restored.acc_attacked == sweep.acc_attacked
 
-    def test_roundtrip_via_file(self, sweep, tmp_path):
+    def test_roundtrip_via_file(self, sweep_study, sweep, tmp_path):
         path = str(tmp_path / "result.json")
-        results_to_json(sweep, path)
-        restored = results_from_json(path)
+        sweep_study.to_json(path)
+        restored = study_result_from_json(path).payload_object()
         assert restored.dataset_name == sweep.dataset_name
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown result type"):
-            results_from_json(json.dumps({"type": "Bogus", "data": {}}))
+            result_from_payload({"type": "Bogus", "data": {}})
 
     def test_mixed_result_roundtrip(self):
         row = MixedStrategyResult(
@@ -112,7 +114,7 @@ class TestResultsSerialisation:
             accuracy=0.85, accuracy_std=0.01, expected_loss=0.1,
             best_pure_accuracy=0.84, best_pure_percentile=0.15,
         )
-        restored = results_from_json(results_to_json(row))
+        restored = result_from_payload(result_to_payload(row))
         assert restored.percentiles == [0.1, 0.2]
 
 

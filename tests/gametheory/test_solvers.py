@@ -1,17 +1,14 @@
-"""Cross-validated tests for the three game solvers.
+"""Tests for the exact zero-sum LP solver.
 
-The LP is exact; fictitious play and regret matching must converge to
-the same values.  Classic games with known solutions anchor the tests.
+Classic games with known solutions anchor the tests; the LP solves
+every measured game the studies build.
 """
 
 import numpy as np
 import pytest
 
-from repro.gametheory.fictitious_play import fictitious_play
 from repro.gametheory.lp_solver import solve_zero_sum_lp
 from repro.gametheory.matrix_game import MatrixGame
-from repro.gametheory.regret_matching import regret_matching
-from repro.gametheory.support_enumeration import support_enumeration
 
 MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -55,71 +52,3 @@ class TestLPSolver:
         sol = solve_zero_sum_lp(A)
         game = MatrixGame(A)
         assert game.exploitability(sol.row_strategy, sol.col_strategy) < 1e-7
-
-
-class TestFictitiousPlay:
-    def test_pennies_converges(self):
-        res = fictitious_play(MATCHING_PENNIES, iterations=4000, seed=0)
-        np.testing.assert_allclose(res.row_strategy, [0.5, 0.5], atol=0.05)
-        assert res.value_bounds[0] <= 0.05 and res.value_bounds[1] >= -0.05
-
-    def test_value_matches_lp(self):
-        res = fictitious_play(ASYM, iterations=8000, seed=0)
-        assert res.value_estimate == pytest.approx(ASYM_VALUE, abs=0.1)
-
-    def test_exploitability_trace_recorded(self):
-        res = fictitious_play(RPS, iterations=1000, seed=0, trace_every=100)
-        assert len(res.exploitability_trace) >= 8
-
-    def test_deterministic_given_seed(self):
-        a = fictitious_play(RPS, iterations=500, seed=4)
-        b = fictitious_play(RPS, iterations=500, seed=4)
-        np.testing.assert_array_equal(a.row_strategy, b.row_strategy)
-
-
-class TestRegretMatching:
-    def test_pennies(self):
-        res = regret_matching(MATCHING_PENNIES, iterations=5000)
-        np.testing.assert_allclose(res.row_strategy, [0.5, 0.5], atol=0.03)
-        assert res.final_exploitability < 0.05
-
-    def test_rps(self):
-        res = regret_matching(RPS, iterations=5000)
-        np.testing.assert_allclose(res.row_strategy, 1 / 3, atol=0.05)
-
-    def test_matches_lp_value_on_random_game(self):
-        rng = np.random.default_rng(7)
-        A = rng.normal(size=(5, 5))
-        lp = solve_zero_sum_lp(A)
-        rm = regret_matching(A, iterations=30_000)
-        game = MatrixGame(A)
-        rm_value = game.value(rm.row_strategy, rm.col_strategy)
-        assert rm_value == pytest.approx(lp.value, abs=0.05)
-
-
-class TestSupportEnumeration:
-    def test_pennies_equilibrium_found(self):
-        equilibria = support_enumeration(MATCHING_PENNIES)
-        assert any(
-            np.allclose(p, [0.5, 0.5]) and np.allclose(q, [0.5, 0.5])
-            for p, q, _ in equilibria
-        )
-
-    def test_saddle_found_as_pure(self):
-        A = np.array([[5.0, 2.0], [1.0, 0.0]])
-        equilibria = support_enumeration(A)
-        assert any(np.allclose(p, [1, 0]) and np.allclose(q, [0, 1])
-                   for p, q, _ in equilibria)
-
-    def test_values_agree_with_lp(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(3, 3))
-        lp = solve_zero_sum_lp(A)
-        equilibria = support_enumeration(A)
-        assert equilibria, "at least one NE must exist"
-        for _, _, v in equilibria:
-            assert v == pytest.approx(lp.value, abs=1e-6)
-
-    def test_max_support_caps_search(self):
-        equilibria = support_enumeration(RPS, max_support=2)
-        assert equilibria == []  # RPS needs full support

@@ -5,7 +5,6 @@ scale: dataset -> sweep (Figure 1) -> curve estimation -> Algorithm 1
 (Table 1) -> empirical evaluation -> equilibrium checks.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.algorithm1 import compute_optimal_defense
@@ -14,9 +13,8 @@ from repro.core.equilibrium import cross_check_with_lp
 from repro.core.game import PoisoningGame
 from repro.core.mixed_strategy import equalization_residual
 from repro.core.payoff_estimation import estimate_payoff_curves
-from repro.experiments.empirical_game import solve_empirical_game
-from repro.experiments.payoff_sweep import run_pure_strategy_sweep
 from repro.experiments.runner import make_spambase_context
+from repro.study import run_study, studies
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +27,11 @@ def ctx():
 
 @pytest.fixture(scope="module")
 def sweep(ctx):
-    return run_pure_strategy_sweep(
-        ctx,
-        percentiles=np.array([0.0, 0.02, 0.05, 0.1, 0.15, 0.25, 0.4]),
-        poison_fraction=0.2,
-    )
+    return run_study(
+        studies.figure1(context=None,
+                        percentiles=(0.0, 0.02, 0.05, 0.1, 0.15, 0.25, 0.4),
+                        poison_fraction=0.2),
+        context=ctx).payload_object()
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +89,11 @@ class TestAlgorithm1OnMeasuredCurves:
 
 class TestEmpiricalGame:
     def test_no_saddle_and_mixed_advantage(self, ctx):
-        res = solve_empirical_game(
-            ctx, percentiles=np.array([0.0, 0.05, 0.15, 0.3]),
-            poison_fraction=0.2, n_repeats=1,
-        )
+        res = run_study(
+            studies.empirical_game(context=None,
+                                   percentiles=(0.0, 0.05, 0.15, 0.3),
+                                   poison_fraction=0.2, n_repeats=1),
+            context=ctx).payload_object()
         # The measured game reproduces the paper's two headline claims:
         # no pure equilibrium, and the mixed defence (weakly) beats the
         # best pure one.

@@ -1,10 +1,12 @@
-"""Every legacy driver == its StudySpec equivalent, bit for bit.
+"""Every builder's study == its driver call, bit for bit.
 
-The acceptance bar of the study redesign: each deprecated driver call
-(a) emits exactly one DeprecationWarning and (b) returns results
-bit-identical to ``run_study`` on the builder-equivalent spec — across
-serial/process backends and warm/cold cache states — and the two paths
-populate the engine cache under exactly the same keys.
+``run_study`` dispatches each study kind to one implementation in
+:mod:`repro.study.drivers`.  Each test calls that driver directly on
+the live context and checks that ``run_study`` on the builder's spec
+returns bit-identical results — across serial/process backends and
+warm/cold cache states — and that the two paths populate the engine
+cache under exactly the same keys.  (``test_identity_golden.py`` pins
+the keys themselves.)
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine import EvaluationEngine
-from repro.study import run_study, studies
+from repro.study import drivers, run_study, studies
 
 PERCENTILES = (0.0, 0.1, 0.3)
 FRACTION = 0.25
@@ -36,49 +38,41 @@ def make_engine(backend):
 
 
 class TestFigure1Parity:
-    def test_shim_warns_once_and_matches(self, ctx_spec, study_ctx, backend):
-        from repro.experiments import run_pure_strategy_sweep
-
-        legacy_engine = make_engine(backend)
-        with pytest.warns(DeprecationWarning, match="figure1") as record:
-            legacy = run_pure_strategy_sweep(
-                study_ctx, percentiles=np.array(PERCENTILES),
-                poison_fraction=FRACTION, engine=legacy_engine)
-        assert len([w for w in record
-                    if w.category is DeprecationWarning]) == 1
+    def test_driver_matches_study(self, ctx_spec, study_ctx, backend):
+        direct_engine = make_engine(backend)
+        direct = drivers.pure_strategy_sweep(
+            study_ctx, percentiles=np.array(PERCENTILES),
+            poison_fraction=FRACTION, engine=direct_engine)
 
         study_engine = make_engine(backend)
         result = run_study(
             studies.figure1(context=ctx_spec, percentiles=PERCENTILES,
                             poison_fraction=FRACTION),
             engine=study_engine)
-        assert result.payload_object() == legacy
+        assert result.payload_object() == direct
 
         # Same rounds entered both caches under the same keys — and a
         # warm re-run of either path computes nothing.
-        assert sorted(legacy_engine.cache._memory) == \
+        assert sorted(direct_engine.cache._memory) == \
             sorted(study_engine.cache._memory)
         rerun = run_study(
             studies.figure1(context=ctx_spec, percentiles=PERCENTILES,
                             poison_fraction=FRACTION),
-            engine=legacy_engine)  # warm cache from the *legacy* run
+            engine=direct_engine)  # warm cache from the *driver* run
         assert rerun.rounds_computed == 0
-        assert rerun.payload_object() == legacy
+        assert rerun.payload_object() == direct
 
 
 class TestMixedEvalParity:
-    def test_shim_matches_study(self, ctx_spec, study_ctx):
+    def test_driver_matches_study(self, ctx_spec, study_ctx):
         from repro.core.mixed_strategy import MixedDefense
-        from repro.experiments import evaluate_mixed_defense
 
         support = (0.05, 0.2)
         probs = (0.5, 0.5)
         engine = make_engine("serial")
-        with pytest.warns(DeprecationWarning, match="mixed_eval"):
-            acc, disp, matrix = evaluate_mixed_defense(
-                study_ctx,
-                MixedDefense(np.array(support), np.array(probs)),
-                poison_fraction=FRACTION, engine=engine)
+        acc, disp, matrix = drivers.mixed_defense_evaluation(
+            study_ctx, MixedDefense(np.array(support), np.array(probs)),
+            poison_fraction=FRACTION, engine=engine)
 
         result = run_study(
             studies.mixed_eval(context=ctx_spec, percentiles=support,
@@ -92,21 +86,14 @@ class TestMixedEvalParity:
 
 
 class TestTable1Parity:
-    def test_shim_matches_study(self, ctx_spec, study_ctx, backend):
-        from repro.experiments import (run_pure_strategy_sweep,
-                                       run_table1_experiment)
-
-        legacy_engine = make_engine(backend)
-        with pytest.warns(DeprecationWarning):
-            sweep = run_pure_strategy_sweep(
-                study_ctx, percentiles=np.array(PERCENTILES),
-                poison_fraction=FRACTION, engine=legacy_engine)
-        with pytest.warns(DeprecationWarning, match="table1") as record:
-            rows = run_table1_experiment(
-                study_ctx, sweep, n_radii_values=(2,),
-                poison_fraction=FRACTION, engine=legacy_engine)
-        assert len([w for w in record
-                    if w.category is DeprecationWarning]) == 1
+    def test_driver_matches_study(self, ctx_spec, study_ctx, backend):
+        direct_engine = make_engine(backend)
+        sweep = drivers.pure_strategy_sweep(
+            study_ctx, percentiles=np.array(PERCENTILES),
+            poison_fraction=FRACTION, engine=direct_engine)
+        rows = drivers.table1_rows(
+            study_ctx, sweep, n_radii_values=(2,),
+            poison_fraction=FRACTION, engine=direct_engine)
 
         result = run_study(
             studies.table1(context=ctx_spec, percentiles=PERCENTILES,
@@ -120,13 +107,10 @@ class TestTable1Parity:
 
 
 class TestEmpiricalGameParity:
-    def test_shim_matches_study(self, ctx_spec, study_ctx, backend):
-        from repro.experiments import solve_empirical_game
-
-        with pytest.warns(DeprecationWarning, match="empirical_game"):
-            legacy = solve_empirical_game(
-                study_ctx, percentiles=np.array(PERCENTILES),
-                poison_fraction=FRACTION, engine=make_engine(backend))
+    def test_driver_matches_study(self, ctx_spec, study_ctx, backend):
+        direct = drivers.empirical_game_solve(
+            study_ctx, percentiles=np.array(PERCENTILES),
+            poison_fraction=FRACTION, engine=make_engine(backend))
 
         result = run_study(
             studies.empirical_game(context=ctx_spec,
@@ -138,46 +122,40 @@ class TestEmpiricalGameParity:
         from repro.experiments.results import result_to_payload
 
         assert result_to_payload(result.payload_object()) == \
-            result_to_payload(legacy)
+            result_to_payload(direct)
 
 
 class TestCrossGameParity:
     DEFENSES = ("radius:0.1", "slab_filter:0.1", "none")
     ATTACKS = ("boundary:0.05", "label-flip", "clean")
 
-    def test_shim_matches_study(self, ctx_spec, study_ctx):
+    def test_driver_matches_study(self, ctx_spec, study_ctx):
         from repro.engine import parse_attack_spec, parse_defense_spec
-        from repro.experiments import solve_cross_family_game
 
-        with pytest.warns(DeprecationWarning, match="cross_game"):
-            legacy = solve_cross_family_game(
-                study_ctx,
-                [parse_defense_spec(d) for d in self.DEFENSES],
-                [parse_attack_spec(a) for a in self.ATTACKS],
-                poison_fraction=FRACTION, engine=make_engine("serial"))
+        direct = drivers.cross_game_solve(
+            study_ctx,
+            [parse_defense_spec(d) for d in self.DEFENSES],
+            [parse_attack_spec(a) for a in self.ATTACKS],
+            poison_fraction=FRACTION, engine=make_engine("serial"))
 
         result = run_study(
             studies.cross_game(context=ctx_spec, defenses=self.DEFENSES,
                                attacks=self.ATTACKS,
                                poison_fraction=FRACTION),
             engine=make_engine("serial"))
-        assert result.payload_object() == legacy
+        assert result.payload_object() == direct
 
 
 class TestMultiSeedParity:
-    def test_shim_matches_study(self, ctx_spec):
-        from repro.experiments import run_multi_seed_sweep
+    def test_driver_matches_study(self, ctx_spec):
         from repro.experiments.runner import make_synthetic_context
 
-        with pytest.warns(DeprecationWarning, match="multi_seed") as record:
-            legacy = run_multi_seed_sweep(
-                n_seeds=2, base_seed=4,
-                context_factory=lambda seed: make_synthetic_context(
-                    seed=seed, n_samples=260, n_features=4),
-                percentiles=np.array([0.0, 0.2]),
-                poison_fraction=FRACTION, engine=make_engine("serial"))
-        assert len([w for w in record
-                    if w.category is DeprecationWarning]) == 1
+        direct = drivers.multi_seed_sweep(
+            n_seeds=2, base_seed=4,
+            context_factory=lambda seed: make_synthetic_context(
+                seed=seed, n_samples=260, n_features=4),
+            percentiles=np.array([0.0, 0.2]),
+            poison_fraction=FRACTION, engine=make_engine("serial"))
 
         result = run_study(
             studies.multi_seed(context=ctx_spec, n_seeds=2, base_seed=4,
@@ -186,40 +164,19 @@ class TestMultiSeedParity:
             engine=make_engine("serial"))
         agg = result.payload_object()
         np.testing.assert_array_equal(agg.acc_clean_mean,
-                                      legacy.acc_clean_mean)
+                                      direct.acc_clean_mean)
         np.testing.assert_array_equal(agg.acc_attacked_mean,
-                                      legacy.acc_attacked_mean)
+                                      direct.acc_attacked_mean)
         np.testing.assert_array_equal(agg.acc_attacked_std,
-                                      legacy.acc_attacked_std)
-        assert agg.per_seed == legacy.per_seed
+                                      direct.acc_attacked_std)
+        assert agg.per_seed == direct.per_seed
         assert len(result.context_fingerprints) == 2
-
-    def test_custom_context_factory_stays_supported(self):
-        from repro.experiments import run_multi_seed_sweep
-        from repro.experiments.runner import make_synthetic_context
-
-        calls = []
-
-        def factory(seed):
-            calls.append(seed)
-            return make_synthetic_context(seed=seed, n_samples=240,
-                                          n_features=3)
-
-        with pytest.warns(DeprecationWarning):
-            agg = run_multi_seed_sweep(
-                n_seeds=2, context_factory=factory,
-                percentiles=np.array([0.0, 0.2]),
-                engine=make_engine("serial"))
-        assert agg.n_seeds == 2
-        assert len(calls) == 2
 
 
 class TestDiskCacheParity:
-    def test_legacy_and_study_share_disk_entries(self, ctx_spec, study_ctx,
+    def test_driver_and_study_share_disk_entries(self, ctx_spec, study_ctx,
                                                  tmp_path):
-        """Cold study run -> warm *legacy* rerun from the same disk dir."""
-        from repro.experiments import run_pure_strategy_sweep
-
+        """Cold study run -> warm *driver* rerun from the same disk dir."""
         disk = str(tmp_path / "cache")
         study_engine = EvaluationEngine("serial", cache_dir=disk)
         result = run_study(
@@ -228,10 +185,9 @@ class TestDiskCacheParity:
             engine=study_engine)
         assert result.rounds_computed > 0
 
-        legacy_engine = EvaluationEngine("serial", cache_dir=disk)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_pure_strategy_sweep(
-                study_ctx, percentiles=np.array(PERCENTILES),
-                poison_fraction=FRACTION, engine=legacy_engine)
-        assert legacy_engine.rounds_computed == 0  # all served from disk
-        assert legacy == result.payload_object()
+        direct_engine = EvaluationEngine("serial", cache_dir=disk)
+        direct = drivers.pure_strategy_sweep(
+            study_ctx, percentiles=np.array(PERCENTILES),
+            poison_fraction=FRACTION, engine=direct_engine)
+        assert direct_engine.rounds_computed == 0  # all served from disk
+        assert direct == result.payload_object()

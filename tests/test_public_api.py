@@ -19,6 +19,11 @@ PACKAGES = [
     "repro.engine",
     "repro.experiments",
     "repro.utils",
+    "repro.study",
+    "repro.cluster",
+    "repro.service",
+    "repro.telemetry",
+    "repro.resilience",
 ]
 
 
