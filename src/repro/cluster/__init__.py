@@ -9,7 +9,8 @@ segment) and streams outcomes back as they land:
 * :mod:`repro.cluster.server` — the shard server
   (``python -m repro.cluster.server`` /
   ``repro-cluster serve`` in the experiments CLI);
-* :mod:`repro.cluster.scheduler` — adaptive chunking, retry, failover;
+* :mod:`repro.cluster.scheduler` — chunks dealt like the process
+  pool's, one fit window at most, with retry and failover;
 * :mod:`repro.cluster.backend` — the ``"cluster"``
   :class:`~repro.engine.EvaluationBackend` (autospawns localhost
   shards when none are configured).

@@ -16,10 +16,11 @@ Registered under ``"cluster"`` (``EvaluationEngine("cluster")``,
 * ``REPRO_CLUSTER_TIMEOUT`` (connect + handshake; chunk results are
   waited for on a blocking keepalive socket — see
   :class:`~repro.cluster.scheduler.ShardClient`) /
-  ``REPRO_CLUSTER_MIN_CHUNK`` / ``REPRO_CLUSTER_MAX_CHUNK`` /
-  ``REPRO_CLUSTER_TARGET_SECONDS`` — scheduler knobs.  All env knobs
-  are validated at parse time (an unparseable value raises naming the
-  variable) and clamped into documented sane ranges.
+  ``REPRO_CLUSTER_MAX_CHUNK`` (the most rounds one chunk holds;
+  default one fit window, see :mod:`repro.cluster.scheduler`) —
+  scheduler knobs.  All env knobs are validated at parse time (an
+  unparseable value raises naming the variable) and clamped into
+  documented sane ranges.
 * ``REPRO_CLUSTER_SECRET`` — shared handshake secret; when set, both
   ends prove possession via mutual HMAC digests and mismatches are
   refused by name (see :mod:`repro.cluster.protocol`).
@@ -69,8 +70,6 @@ import warnings
 
 from repro.cluster.scheduler import (
     DEFAULT_MAX_CHUNK,
-    DEFAULT_MIN_CHUNK,
-    DEFAULT_TARGET_SECONDS,
     DEFAULT_TIMEOUT,
     ClusterError,
     ClusterScheduler,
@@ -258,6 +257,9 @@ class ClusterBackend(EvaluationBackend):
     shards:
         ``host:port`` pairs / strings, or ``None`` to read
         ``REPRO_CLUSTER_SHARDS`` (and autospawn when that is unset).
+    timeout, max_chunk:
+        Scheduler knobs; ``None`` reads ``REPRO_CLUSTER_TIMEOUT`` /
+        ``REPRO_CLUSTER_MAX_CHUNK`` (see module docs).
     secret, retries, backoff, fallback:
         Resilience knobs; ``None`` reads ``REPRO_CLUSTER_SECRET`` /
         ``_RETRIES`` / ``_BACKOFF`` / ``_FALLBACK`` (see module docs).
@@ -270,9 +272,7 @@ class ClusterBackend(EvaluationBackend):
 
     def __init__(self, jobs: int | None = None, *, shards=None,
                  timeout: float | None = None,
-                 min_chunk: int | None = None,
                  max_chunk: int | None = None,
-                 target_seconds: float | None = None,
                  secret: str | None = None,
                  retries: int | None = None,
                  backoff: float | None = None,
@@ -287,20 +287,13 @@ class ClusterBackend(EvaluationBackend):
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         # Clamp ranges are operational guard-rails (a week-long timeout
-        # or a 0 min_chunk wedges the service, it doesn't mean anything).
+        # or a 0 max_chunk wedges the service, it doesn't mean anything).
         self.timeout = timeout if timeout is not None else \
             env_float("REPRO_CLUSTER_TIMEOUT", DEFAULT_TIMEOUT,
                       lo=0.01, hi=3600.0)
-        self.min_chunk = min_chunk if min_chunk is not None else \
-            env_int("REPRO_CLUSTER_MIN_CHUNK", DEFAULT_MIN_CHUNK,
-                    lo=1, hi=4096)
         self.max_chunk = max_chunk if max_chunk is not None else \
             env_int("REPRO_CLUSTER_MAX_CHUNK", DEFAULT_MAX_CHUNK,
                     lo=1, hi=8192)
-        self.max_chunk = max(self.max_chunk, self.min_chunk)
-        self.target_seconds = target_seconds if target_seconds is not None \
-            else env_float("REPRO_CLUSTER_TARGET_SECONDS",
-                           DEFAULT_TARGET_SECONDS, lo=0.01, hi=600.0)
         if secret is None:
             secret = os.environ.get("REPRO_CLUSTER_SECRET")
         self.secret = secret or None
@@ -411,9 +404,7 @@ class ClusterBackend(EvaluationBackend):
         fingerprint = ctx.fingerprint()
         schema = cache_schema_version()
         scheduler = ClusterScheduler(
-            clients, min_chunk=self.min_chunk,
-            max_chunk=self.max_chunk,
-            target_seconds=self.target_seconds,
+            clients, max_chunk=self.max_chunk,
             reconnect=lambda address: self._connect_one(
                 address, fingerprint, schema),
             retry_policy=self.retry_policy,

@@ -1,14 +1,17 @@
-"""Chunk scheduling across shards: adaptive sizing, retry, failover.
+"""Chunk scheduling across shards: dealt chunks, retry, failover.
 
 The scheduler turns "a batch of round specs" into "a stream of
 ``(index, outcome)`` pairs" using whatever shards survive:
 
-* **Adaptive chunking** — every shard starts with a small chunk and the
-  scheduler rescales it after each round trip towards a target chunk
-  duration, clamped to ``[min_chunk, max_chunk]`` and at most doubling
-  per step.  Fast shards stream big chunks; slow or busy shards
-  naturally receive less work (work stealing falls out of the shared
-  queue).
+* **Dealt chunks** — a batch is cut the way the process pool cuts
+  one: :func:`~repro.engine.backends.deal_chunks` deals its rounds
+  round-robin into ``shards * ceil(n / (shards * max_chunk))`` chunks,
+  never more than ``n``.  ``max_chunk`` defaults to one fit window, so
+  every chunk trains on its shard as one lockstep fit group from the
+  first round trip.  Shards take whole chunks from one shared queue,
+  so a batch of more than ``2 * shards * max_chunk`` rounds leaves at
+  least two chunks per shard, and a fast shard steals a slow one's
+  later chunks.
 * **Retry / failover** — a chunk travels as one request and lands as
   one reply, so a shard that dies mid-chunk leaves no partial state:
   the whole chunk is requeued for the surviving shards.  A dead
@@ -33,7 +36,7 @@ The scheduler turns "a batch of round specs" into "a stream of
   the backend from a pre-batch ``cache-query``), held rounds travel as
   *dedicated* chunks to the holding shard, which answers them straight
   from its disk tier; every other round flows through the shared
-  adaptive queue exactly as before.  Placement is a preference, never
+  queue exactly as before.  Placement is a preference, never
   a correctness constraint: an idle or surviving shard steals from a
   slow or dead owner's placed backlog (it merely recomputes what the
   owner would have served from cache), a requeued placed chunk goes
@@ -55,16 +58,16 @@ from collections import deque
 
 from repro import telemetry
 from repro.cluster import protocol
+from repro.engine.backends import _FIT_WINDOW, deal_chunks
 from repro.resilience import RetryPolicy, faults
 
 __all__ = ["ShardError", "ShardRejected", "ChunkExecutionError",
            "ClusterError", "ShardClient", "ClusterScheduler"]
 
-# Defaults; ClusterBackend exposes env/constructor overrides.
+# Defaults; ClusterBackend exposes env/constructor overrides.  A chunk
+# is at most one fit window, so each trains as one lockstep fit group.
 DEFAULT_TIMEOUT = 120.0
-DEFAULT_MIN_CHUNK = 1
-DEFAULT_MAX_CHUNK = 64
-DEFAULT_TARGET_SECONDS = 0.5
+DEFAULT_MAX_CHUNK = _FIT_WINDOW
 
 
 class ShardError(ConnectionError):
@@ -242,7 +245,7 @@ class ShardClient:
 
 
 class _ShardWorker(threading.Thread):
-    """Drives one shard: pull items, push chunks, adapt, requeue on death.
+    """Drives one shard: take whole chunks, push them, requeue on death.
 
     A transport failure mid-batch does not retire the worker when the
     scheduler has a ``reconnect`` factory: the chunk is requeued (other
@@ -256,28 +259,16 @@ class _ShardWorker(threading.Thread):
         self.scheduler = scheduler
         self.client = client
         self.address = getattr(client, "address", None)
-        self.chunk_size = scheduler.min_chunk
         self.failure: ShardError | None = None
-        self.chunks_done = 0
-        self.rounds_done = 0
-        self.rejoins = 0
 
     def run(self) -> None:
         sched = self.scheduler
         chunk: list = []
         try:
             while True:
-                chunk, source = sched._take(self.chunk_size,
-                                            self.client.name)
+                chunk, source = sched._take(self.client.name)
                 if not chunk:
-                    # Don't exit while another shard still holds work:
-                    # if it dies, its chunk is requeued and this shard
-                    # must be around to steal it.  Only an empty queue
-                    # with nothing in flight means the batch is done.
-                    if sched._finished():
-                        break
-                    time.sleep(0.02)
-                    continue
+                    break  # the batch is done (or aborted)
                 chunk_id = sched._next_chunk_id()
                 start = time.perf_counter()
                 try:
@@ -289,12 +280,8 @@ class _ShardWorker(threading.Thread):
                     if self._rejoin(exc):
                         continue
                     return
-                elapsed = time.perf_counter() - start
                 telemetry.histogram("cluster.chunk.seconds") \
-                    .observe(elapsed)
-                self.chunks_done += 1
-                self.rounds_done += len(chunk)
-                self._adapt(len(chunk), elapsed)
+                    .observe(time.perf_counter() - start)
                 sched._deliver(
                     chunk, outcomes, source=source,
                     cache_hits=getattr(self.client, "last_cache_hits", 0),
@@ -347,34 +334,16 @@ class _ShardWorker(threading.Thread):
                 self.failure = again
                 continue
             self.client = client
-            self.chunk_size = sched.min_chunk  # re-learn its speed
             self.failure = None
-            self.rejoins += 1
             sched._note_rejoin()
             return True
         return False
 
     def _sleep_unless_finished(self, seconds: float) -> bool:
-        """Back off in small slices; ``False`` once the batch is done."""
-        deadline = time.monotonic() + seconds
-        while True:
-            if self.scheduler._finished():
-                return False
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return True
-            time.sleep(min(remaining, 0.05))
-
-    def _adapt(self, n: int, elapsed: float) -> None:
-        """Rescale the chunk towards the target duration (≤ 2x per step)."""
-        if elapsed <= 0.0:
-            target = self.chunk_size * 2
-        else:
-            per_item = elapsed / n
-            target = int(self.scheduler.target_seconds / max(per_item, 1e-9))
-        target = min(target, self.chunk_size * 2)
-        self.chunk_size = max(self.scheduler.min_chunk,
-                              min(self.scheduler.max_chunk, target))
+        """Back off for ``seconds``; ``False`` once the batch is done."""
+        sched = self.scheduler
+        with sched._wake:
+            return not sched._wake.wait_for(sched._done, timeout=seconds)
 
 
 class ClusterScheduler:
@@ -384,10 +353,9 @@ class ClusterScheduler:
     ----------
     clients:
         Handshaken :class:`ShardClient`\\ s (at least one).
-    min_chunk, max_chunk, target_seconds:
-        Adaptive-chunking knobs: chunk sizes stay in
-        ``[min_chunk, max_chunk]`` and chase ``target_seconds`` of work
-        per round trip.
+    max_chunk:
+        The deal window: no chunk holds more rounds (see the module
+        docs).  Defaults to one fit window.
     reconnect:
         Optional ``address -> handshaken ShardClient`` factory.  When
         given, a worker whose shard dies walks ``retry_policy``'s
@@ -406,22 +374,16 @@ class ClusterScheduler:
     """
 
     def __init__(self, clients: list[ShardClient], *,
-                 min_chunk: int = DEFAULT_MIN_CHUNK,
                  max_chunk: int = DEFAULT_MAX_CHUNK,
-                 target_seconds: float = DEFAULT_TARGET_SECONDS,
                  reconnect=None,
                  retry_policy: RetryPolicy | None = None,
                  placement: dict | None = None):
         if not clients:
             raise ClusterError("no live shards to schedule on")
-        if min_chunk < 1 or max_chunk < min_chunk:
-            raise ValueError(
-                f"need 1 <= min_chunk <= max_chunk, got "
-                f"{min_chunk}/{max_chunk}")
+        if max_chunk < 1:
+            raise ValueError(f"need max_chunk >= 1, got {max_chunk}")
         self.clients = list(clients)
-        self.min_chunk = int(min_chunk)
         self.max_chunk = int(max_chunk)
-        self.target_seconds = float(target_seconds)
         self.reconnect = reconnect
         self.retry_policy = retry_policy or RetryPolicy()
         names = {client.name for client in self.clients}
@@ -430,9 +392,13 @@ class ClusterScheduler:
             if owner in names:
                 for index in indices:
                     self._owner_of.setdefault(int(index), owner)
+        # Whole chunks: each owner's placed backlog, and the shared queue.
         self._placed: dict[str, deque] = {}
         self._pending: deque = deque()
         self._lock = threading.Lock()
+        # Idle workers wait on this; every change that can hand out a
+        # chunk or end the batch notifies it.
+        self._wake = threading.Condition(self._lock)
         self._results: queue.Queue = queue.Queue()
         self._chunk_counter = 0
         self._live_workers = 0
@@ -454,69 +420,72 @@ class ClusterScheduler:
 
     # -- worker-side hooks (thread-safe) -----------------------------------
 
-    @staticmethod
-    def _drain(source: deque, n: int) -> list:
-        return [source.popleft() for _ in range(min(n, len(source)))]
+    def _take(self, owner: str) -> tuple[list, str]:
+        """Hand ``owner`` its next whole chunk plus where it came from.
 
-    def _take(self, n: int, owner: str | None = None) -> tuple[list, str]:
-        """Hand ``owner`` up to ``n`` items plus where they came from.
-
-        Own placed backlog first (a *dedicated* chunk — never mixed
-        with queue items, so the whole chunk answers from the owner's
-        cache tier), then the shared queue, and only when both are
-        empty a steal from the largest other placed backlog (keeping a
-        slow or dead owner from stalling the batch).
+        Own placed backlog first (a *dedicated* chunk — placed and
+        queue rounds never share one, so the whole chunk answers from
+        the owner's cache tier), then the shared queue, and only when
+        both are empty a steal from the largest other placed backlog
+        (keeping a slow or dead owner from stalling the batch).  With
+        nothing to hand out, waits while another shard still holds a
+        chunk: if that shard dies, its chunk is requeued and this one
+        must be around to take it.  An empty chunk means the batch is
+        done or aborted.
         """
-        with self._lock:
-            if self._abort_exc is not None:
-                return [], "queue"
-            own = self._placed.get(owner or "")
-            if own:
-                chunk = self._drain(own, n)
-                self._in_flight += len(chunk)
-                return chunk, "own"
-            if self._pending:
-                chunk = self._drain(self._pending, n)
-                self._in_flight += len(chunk)
-                return chunk, "queue"
-            victim = max((backlog for backlog in self._placed.values()
-                          if backlog), key=len, default=None)
-            if victim is not None:
-                chunk = self._drain(victim, n)
-                self._in_flight += len(chunk)
-                self.placed_steals += 1
-                telemetry.counter("cluster.chunks_stolen").inc()
-                return chunk, "stolen"
-            return [], "queue"
+        with self._wake:
+            while True:
+                if self._abort_exc is not None:
+                    return [], "queue"
+                own = self._placed.get(owner)
+                if own:
+                    chunk, source = own.popleft(), "own"
+                elif self._pending:
+                    chunk, source = self._pending.popleft(), "queue"
+                else:
+                    victim = max((backlog for backlog in self._placed.values()
+                                  if backlog), key=len, default=None)
+                    if victim is None:
+                        if not self._in_flight:
+                            return [], "queue"
+                        self._wake.wait()
+                        continue
+                    chunk, source = victim.popleft(), "stolen"
+                    self.placed_steals += 1
+                    telemetry.counter("cluster.chunks_stolen").inc()
+                self._in_flight += 1
+                return chunk, source
 
     def _requeue(self, chunk: list) -> None:
-        if chunk:
-            telemetry.counter("cluster.chunks_requeued").inc()
-        with self._lock:
-            if chunk:
-                self.requeues += 1
+        if not chunk:
+            return
+        telemetry.counter("cluster.chunks_requeued").inc()
+        with self._wake:
+            self.requeues += 1
             # Requeue at the front: retried work should not gratuitously
             # fall behind fresh work in arrival order.  Placed chunks
             # requeue to the *shared* queue too — their owner just
             # demonstrated it is slow or dead, so any survivor should
             # pick them up immediately.
-            self._pending.extendleft(reversed(chunk))
-            self._in_flight -= len(chunk)
+            self._pending.appendleft(chunk)
+            self._in_flight -= 1
+            self._wake.notify_all()
 
     def _abort(self, exc: BaseException) -> None:
         """Stop scheduling: record ``exc``, drop pending work, wake all."""
-        with self._lock:
+        with self._wake:
             if self._abort_exc is None:
                 self._abort_exc = exc
             self._pending.clear()
             self._placed.clear()
+            self._wake.notify_all()
         self._results.put(None)  # wake the consumer
 
-    def _finished(self) -> bool:
-        with self._lock:
-            return self._abort_exc is not None or \
-                (not self._pending and self._in_flight == 0 and
-                 not any(self._placed.values()))
+    def _done(self) -> bool:
+        """Aborted, or no chunk left anywhere (call with the lock held)."""
+        return self._abort_exc is not None or \
+            (not self._pending and not self._in_flight and
+             not any(self._placed.values()))
 
     def _next_chunk_id(self) -> int:
         with self._lock:
@@ -529,8 +498,8 @@ class ClusterScheduler:
         telemetry.merge(telemetry_delta)
         for (index, _), outcome in zip(chunk, outcomes):
             self._results.put((index, outcome))
-        with self._lock:
-            self._in_flight -= len(chunk)
+        with self._wake:
+            self._in_flight -= 1
             self.rounds_done += len(chunk)
             if source == "own":
                 self.placement_hits += len(chunk)
@@ -540,15 +509,23 @@ class ClusterScheduler:
             if cache_hits:
                 telemetry.counter("cluster.shard_cache_hits") \
                     .inc(int(cache_hits))
+            self._wake.notify_all()
 
     def _worker_done(self, worker: _ShardWorker) -> None:
-        with self._lock:
+        with self._wake:
             self._live_workers -= 1
             if worker.failure is not None:
                 self.failures.append(worker.failure)
+            self._wake.notify_all()
         self._results.put(None)  # wake the consumer to re-check liveness
 
     # -- consumer side -----------------------------------------------------
+
+    def _deal(self, items: list, workers: int) -> list[list]:
+        """``items`` cut into whole chunks by the one deal rule."""
+        return [[items[i] for i in chunk]
+                for chunk in deal_chunks(len(items), workers,
+                                         self.max_chunk)]
 
     def stats(self) -> dict:
         """Telemetry of this batch: placement and shard-cache counters.
@@ -581,15 +558,19 @@ class ClusterScheduler:
         specs = list(specs)
         if not specs:
             return
+        shared: list = []
+        placed: dict[str, list] = {}
+        for index, spec in enumerate(specs):
+            owner = self._owner_of.get(index)
+            if owner is None:
+                shared.append((index, spec))
+            else:
+                placed.setdefault(owner, []).append((index, spec))
         with self._lock:
-            for index, spec in enumerate(specs):
-                owner = self._owner_of.get(index)
-                if owner is None:
-                    self._pending.append((index, spec))
-                else:
-                    self._placed.setdefault(owner,
-                                            deque()).append((index, spec))
-                    self.placed_rounds += 1
+            self._pending.extend(self._deal(shared, len(self.clients)))
+            for owner, items in placed.items():
+                self._placed[owner] = deque(self._deal(items, 1))
+                self.placed_rounds += len(items)
             self._live_workers = len(self.clients)
         workers = [_ShardWorker(self, client) for client in self.clients]
         for worker in workers:

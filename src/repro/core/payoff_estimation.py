@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.core.game import PayoffCurves
 from repro.utils.validation import check_positive_int, check_sorted_increasing
@@ -93,6 +92,10 @@ class MonotoneCurve:
                 f"{self.y.shape}"
             )
         self.clamp = bool(clamp)
+        # Imported here so that importing repro loads no scipy (shards and
+        # pool workers never fit a curve).
+        from scipy.interpolate import PchipInterpolator
+
         # PCHIP needs strictly increasing x but handles flat stretches
         # in y fine; a single knot degenerates to a constant curve.
         self._interp = (PchipInterpolator(self.x, self.y, extrapolate=False)

@@ -55,6 +55,7 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "WorkerPool",
+    "deal_chunks",
     "execute_round",
     "execute_rounds",
     "register_backend",
@@ -75,6 +76,22 @@ _FIT_WINDOW = 32
 # shared memory instead of pickling.  The radius map's sorted distance
 # vector travels in the same block, as "map_distances".
 _SHARED_ARRAY_FIELDS = ("X_train", "y_train", "X_test", "y_test")
+
+
+def deal_chunks(n: int, workers: int, window: int) -> list[range]:
+    """Deal positions ``range(n)`` round-robin into chunks.
+
+    ``workers * ceil(n / (workers * window))`` chunks, never more than
+    ``n``: each worker gets an equal share of chunks, no chunk exceeds
+    ``window`` positions, and dealing round-robin spreads a grid's
+    costly axis values over every chunk.  The process pool deals with
+    ``window=_FIT_WINDOW``, so each chunk trains as one lockstep fit
+    group; the cluster scheduler deals the same way over its shards.
+    """
+    if n <= 0:
+        return []
+    stride = min(n, workers * -(-n // (workers * window)))
+    return [range(first, n, stride) for first in range(stride)]
 
 
 def _round_kwargs(ctx, spec) -> dict:
@@ -521,31 +538,26 @@ class WorkerPool:
     def run_iter(self, specs):
         """Yield ``(index, outcome)`` pairs as worker chunks complete.
 
-        ``specs`` is dealt round-robin into ``jobs * ceil(n / (jobs *
-        _FIT_WINDOW))`` chunks (never more than ``n``): each worker gets
-        an equal share of chunks, and no chunk exceeds one fit window,
-        so each trains as one lockstep group.  Dealing round-robin
-        spreads a grid's costly axis values over every chunk.  Each
-        chunk runs through :func:`execute_rounds` in its worker and
-        surfaces whole, in arrival order; chunks not yet started are
-        cancelled if the stream is abandoned.
+        ``specs`` is dealt over the workers by :func:`deal_chunks` with
+        a window of ``_FIT_WINDOW``, so each chunk trains as one
+        lockstep group.  Each chunk runs through :func:`execute_rounds`
+        in its worker and surfaces whole, in arrival order; chunks not
+        yet started are cancelled if the stream is abandoned.
         """
         from repro import telemetry
 
         specs = list(specs)
-        chunks_per_worker = -(-len(specs) // (self.jobs * _FIT_WINDOW))
-        stride = min(len(specs), self.jobs * chunks_per_worker)
         arming = telemetry.arming()
-        futures = {self._pool.submit(_worker_run_chunk, specs[first::stride],
-                                     arming): first
-                   for first in range(stride)}
+        futures = {self._pool.submit(_worker_run_chunk,
+                                     [specs[i] for i in chunk], arming): chunk
+                   for chunk in deal_chunks(len(specs), self.jobs,
+                                            _FIT_WINDOW)}
         try:
             for future in as_completed(futures):
                 outcomes, delta = future.result()
                 telemetry.merge(delta)
-                first = futures[future]
-                for offset, outcome in enumerate(outcomes):
-                    yield first + offset * stride, outcome
+                for index, outcome in zip(futures[future], outcomes):
+                    yield index, outcome
         finally:
             for future in futures:
                 future.cancel()

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.gametheory.matrix_game import MatrixGame
 
@@ -45,6 +44,10 @@ class LPSolution:
 
 def _solve_row_lp(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Row player's LP: maximise v s.t. A' p >= v, sum p = 1, p >= 0."""
+    # Imported here: scipy.optimize costs ~0.45 s, which shards and pool
+    # workers (they never solve an LP) should not pay at start-up.
+    from scipy.optimize import linprog
+
     m, n = A.shape
     # Variables: [p_1..p_m, v]; objective: maximise v == minimise -v.
     c = np.zeros(m + 1)

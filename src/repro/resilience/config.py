@@ -9,7 +9,7 @@ size travelled all the way to a worker before anything objected.
 These helpers fail at *parse time* with an error naming the variable
 and the expected shape, and clamp parseable-but-extreme values into a
 sane documented range instead of letting them wedge the service (a
-``min_chunk`` of 0 becomes 1; a timeout of a week becomes the cap).
+``max_chunk`` of 0 becomes 1; a timeout of a week becomes the cap).
 Clamping is silent by design: the range limits are operational
 guard-rails, not semantics.
 """

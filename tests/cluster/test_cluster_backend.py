@@ -168,7 +168,6 @@ class TestHandshake:
         addresses = shard_farm(1)
         specs = batch(n=3, seeds=2)  # one chunk, far more than 50ms of work
         backend = ClusterBackend(shards=addresses, timeout=0.05,
-                                 min_chunk=len(specs),
                                  max_chunk=len(specs))
         engine = EvaluationEngine(backend, cache=False)
         reference = EvaluationEngine("serial", cache=False)
@@ -177,15 +176,19 @@ class TestHandshake:
 
 
 class _StubClient:
-    """Scheduler stub that serves every chunk instantly."""
+    """Scheduler stub that serves every chunk instantly and records it."""
 
     name = "stub"
 
-    def __init__(self):
+    def __init__(self, name=None):
         self.calls = 0
+        self.received = []
+        if name is not None:
+            self.name = name
 
     def run_chunk(self, chunk_id, specs):
         self.calls += 1
+        self.received.append(list(specs))
         return [f"out-{s}" for s in specs]
 
     def close(self):
@@ -203,6 +206,7 @@ class _DyingClient(_StubClient):
 
     def run_chunk(self, chunk_id, specs):
         self.calls += 1
+        self.received.append(list(specs))
         self.died.set()
         raise ShardError("stub shard died")
 
@@ -229,8 +233,7 @@ class TestScheduler:
         died = threading.Event()
         healthy = _WaitingClient(died)
         dying = _DyingClient(died)
-        scheduler = ClusterScheduler([healthy, dying], min_chunk=2,
-                                     max_chunk=4)
+        scheduler = ClusterScheduler([healthy, dying], max_chunk=4)
         specs = [f"s{i}" for i in range(20)]
         delivered = list(scheduler.run_iter(specs))
         indices = [i for i, _ in delivered]
@@ -250,18 +253,127 @@ class TestScheduler:
         with pytest.raises(ClusterError, match="outstanding"):
             list(scheduler.run_iter(["a", "b", "c"]))
 
-    def test_adaptive_chunks_grow_on_fast_shards(self):
-        client = _StubClient()
-        scheduler = ClusterScheduler([client], min_chunk=1, max_chunk=64,
-                                     target_seconds=10.0)
-        list(scheduler.run_iter([f"s{i}" for i in range(40)]))
-        # instant chunks against a 10s target: growth is capped at 2x
-        # per round trip, so 40 items take ~log2(40) + residual trips,
-        # far fewer than one per item
-        assert client.calls <= 8
+    @staticmethod
+    def _dealt(n, clients, **kwargs):
+        """Run ``range(n)`` as the batch; the chunks the stubs received
+        (a spec is its own index), ordered by first index."""
+        scheduler = ClusterScheduler(clients, **kwargs)
+        delivered = dict(scheduler.run_iter(list(range(n))))
+        assert delivered == {i: f"out-{i}" for i in range(n)}
+        return sorted((chunk for client in clients
+                       for chunk in client.received), key=min)
+
+    def test_grid_batch_is_dealt_as_two_fit_windows(self):
+        chunks = self._dealt(48, [_StubClient("a"), _StubClient("b")])
+        assert chunks == [list(range(0, 48, 2)), list(range(1, 48, 2))]
+
+    def test_paper_game_batch_is_dealt_13_and_12(self):
+        chunks = self._dealt(25, [_StubClient("a"), _StubClient("b")])
+        assert chunks == [list(range(0, 25, 2)), list(range(1, 25, 2))]
+        assert [len(chunk) for chunk in chunks] == [13, 12]
+
+    def test_one_shard_gets_whole_windows(self):
+        chunks = self._dealt(40, [_StubClient()])
+        assert chunks == [list(range(0, 40, 2)), list(range(1, 40, 2))]
+
+    def test_max_chunk_is_the_deal_window(self):
+        chunks = self._dealt(20, [_StubClient("a"), _StubClient("b")],
+                             max_chunk=4)
+        # 2 shards x ceil(20 / (2 x 4)) chunks, dealt round-robin
+        assert chunks == [list(range(first, 20, 6)) for first in range(6)]
+        assert max(len(chunk) for chunk in chunks) == 4
+
+    def test_requeued_chunk_is_retaken_whole(self):
+        import threading
+
+        died = threading.Event()
+        healthy = _WaitingClient(died)
+        dying = _DyingClient(died)
+        scheduler = ClusterScheduler([healthy, dying])
+        delivered = dict(scheduler.run_iter(list(range(48))))
+        assert delivered == {i: f"out-{i}" for i in range(48)}
+        (lost,) = dying.received
+        assert lost in healthy.received
+        assert sorted(healthy.received, key=min) == \
+            [list(range(0, 48, 2)), list(range(1, 48, 2))]
+        assert scheduler.stats()["requeues"] == 1
+
+    def test_placed_chunks_never_mix_with_queue_chunks(self):
+        """The owner holds its first placed chunk until the other shard
+        has stolen one of its backlog, so both the owner's and the
+        thief's path through the placed backlog run."""
+        import threading
+
+        placed = {0, 3, 6, 9, 12, 15}
+        stolen = threading.Event()
+
+        class Owner(_StubClient):
+            def run_chunk(self, chunk_id, specs):
+                assert stolen.wait(timeout=10.0)
+                return super().run_chunk(chunk_id, specs)
+
+        class Thief(_StubClient):
+            def run_chunk(self, chunk_id, specs):
+                if set(specs) <= placed:
+                    stolen.set()
+                return super().run_chunk(chunk_id, specs)
+
+        owner, thief = Owner("owner"), Thief("thief")
+        scheduler = ClusterScheduler([owner, thief], max_chunk=2,
+                                     placement={"owner": sorted(placed)})
+        delivered = dict(scheduler.run_iter(list(range(20))))
+        assert delivered == {i: f"out-{i}" for i in range(20)}
+        chunks = owner.received + thief.received
+        assert all(set(chunk) <= placed or not set(chunk) & placed
+                   for chunk in chunks)
+        # The owner's backlog is dealt into whole chunks of its own.
+        assert sorted(chunk for chunk in chunks if set(chunk) <= placed) \
+            == [[0, 9], [3, 12], [6, 15]]
+        stats = scheduler.stats()
+        assert stats["placed_rounds"] == len(placed)
+        assert stats["placed_steals"] >= 1
+
+    def test_many_shards_under_fast_switching_deliver_exactly_once(self):
+        """More shard threads than cores, two of which die mid-batch,
+        with a shortened switch interval: a lost update to the shared
+        queue or the in-flight count would hang, drop or repeat work."""
+        import sys
+        import threading
+
+        class Flaky(_StubClient):
+            def run_chunk(self, chunk_id, specs):
+                if self.calls == 1:  # dies on its second chunk
+                    self.calls += 1
+                    raise ShardError("flaky stub died")
+                return super().run_chunk(chunk_id, specs)
+
+        clients = [_StubClient(f"stress-{i}") for i in range(6)] + \
+            [Flaky(f"stress-flaky-{i}") for i in range(2)]
+        n = 500
+        scheduler = ClusterScheduler(clients, max_chunk=3)
+        delivered = []
+        runner = threading.Thread(
+            target=lambda: delivered.extend(
+                scheduler.run_iter(list(range(n)))), daemon=True)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not runner.is_alive()
+        # every shard thread saw the batch end (none left waiting)
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("shard-stress-")]
+        assert sorted(i for i, _ in delivered) == list(range(n))
+        stats = scheduler.stats()
+        assert stats["rounds"] == n
+        # every dealt chunk landed once; each failed attempt was requeued
+        assert stats["chunks"] == 8 * -(-n // (8 * 3)) + stats["requeues"]
 
     def test_chunk_bounds_validated(self):
-        with pytest.raises(ValueError, match="min_chunk"):
-            ClusterScheduler([_StubClient()], min_chunk=0)
+        with pytest.raises(ValueError, match="max_chunk"):
+            ClusterScheduler([_StubClient()], max_chunk=0)
         with pytest.raises(ClusterError, match="no live shards"):
             ClusterScheduler([])

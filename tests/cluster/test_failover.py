@@ -72,7 +72,7 @@ class TestShardDeath:
             chaotic, addr_b = _spawn_shard(ctx_file,
                                            "--chaos-exit-after", "3")
             backend = ClusterBackend(shards=[addr_a, addr_b],
-                                     min_chunk=2, max_chunk=4)
+                                     max_chunk=4)
             engine = EvaluationEngine(backend, cache=False)
             outcomes = engine.evaluate_batch(cluster_ctx, specs)
             assert outcomes == reference

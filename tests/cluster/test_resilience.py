@@ -35,7 +35,6 @@ def reference(cluster_ctx):
 def _cluster_run(ctx, addresses, **backend_kwargs):
     backend_kwargs.setdefault("retries", 6)
     backend_kwargs.setdefault("backoff", 0.01)
-    backend_kwargs.setdefault("min_chunk", 1)
     backend_kwargs.setdefault("max_chunk", 3)
     backend = ClusterBackend(shards=addresses, **backend_kwargs)
     engine = EvaluationEngine(backend, cache=False)
@@ -132,8 +131,8 @@ class TestRestartRejoin:
         watcher = threading.Thread(target=respawner, daemon=True)
         watcher.start()
         try:
-            backend = ClusterBackend(shards=[address], min_chunk=1,
-                                     max_chunk=2, retries=10, backoff=0.3,
+            backend = ClusterBackend(shards=[address], max_chunk=2,
+                                     retries=10, backoff=0.3,
                                      fallback=False)
             engine = EvaluationEngine(backend, cache=False)
             outcomes = engine.evaluate_batch(cluster_ctx, specs)
@@ -174,8 +173,8 @@ class TestGracefulDegradation:
         save_context(cluster_ctx, ctx_file)
         proc, address = _spawn_shard(ctx_file, "--chaos-exit-after", "3")
         try:
-            backend = ClusterBackend(shards=[address], min_chunk=1,
-                                     max_chunk=2, retries=1, backoff=0.05)
+            backend = ClusterBackend(shards=[address], max_chunk=2,
+                                     retries=1, backoff=0.05)
             engine = EvaluationEngine(backend, cache=False)
             with pytest.warns(ClusterDegradedWarning):
                 outcomes = engine.evaluate_batch(cluster_ctx,

@@ -151,8 +151,8 @@ class TestCacheInfoProbe:
 
 class TestPlacement:
     def _run(self, ctx, addresses, **kwargs):
-        backend = ClusterBackend(shards=addresses, min_chunk=1,
-                                 max_chunk=4, **kwargs)
+        backend = ClusterBackend(shards=addresses, max_chunk=4,
+                                 **kwargs)
         engine = EvaluationEngine(backend, cache=False)
         outcomes = engine.evaluate_batch(ctx, sweep_batch(n=4, seeds=3))
         return outcomes, engine.batch_log[-1].get("cluster")
@@ -207,8 +207,7 @@ class TestPlacement:
         from repro.experiments.reporting import format_engine_stats
 
         addresses = shard_farm(1, cache_dir=str(tmp_path / "tier"))
-        backend = ClusterBackend(shards=addresses, min_chunk=1,
-                                 max_chunk=4)
+        backend = ClusterBackend(shards=addresses, max_chunk=4)
         engine = EvaluationEngine(backend, cache=False)
         specs = sweep_batch(n=2, seeds=2)
         engine.evaluate_batch(cluster_ctx, specs)
@@ -254,7 +253,7 @@ class TestPlacementUnderChaos:
         survivor, addr_b = _spawn_shard(ctx_file)
         try:
             backend = ClusterBackend(shards=[addr_a, addr_b],
-                                     min_chunk=2, max_chunk=2,
+                                     max_chunk=2,
                                      retries=1, backoff=0.05)
             engine = EvaluationEngine(backend, cache=False)
             outcomes = engine.evaluate_batch(cluster_ctx, specs)
@@ -300,8 +299,8 @@ class TestPlacementUnderChaos:
         watcher = threading.Thread(target=respawner, daemon=True)
         watcher.start()
         try:
-            backend = ClusterBackend(shards=[address], min_chunk=2,
-                                     max_chunk=2, retries=10, backoff=0.3,
+            backend = ClusterBackend(shards=[address], max_chunk=2,
+                                     retries=10, backoff=0.3,
                                      fallback=False)
             engine = EvaluationEngine(backend, cache=False)
             outcomes = engine.evaluate_batch(cluster_ctx, specs)
@@ -330,8 +329,8 @@ class TestPlacementUnderChaos:
                                      str(tmp_path / "tier"),
                                      "--chaos-exit-after", "3")
         try:
-            backend = ClusterBackend(shards=[address], min_chunk=1,
-                                     max_chunk=2, retries=1, backoff=0.05)
+            backend = ClusterBackend(shards=[address], max_chunk=2,
+                                     retries=1, backoff=0.05)
             engine = EvaluationEngine(backend, cache=False)
             with pytest.warns(ClusterDegradedWarning):
                 outcomes = engine.evaluate_batch(cluster_ctx,

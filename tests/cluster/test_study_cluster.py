@@ -67,3 +67,39 @@ class TestStudyOnCluster:
         rerun = run_study(SPEC, context=cluster_ctx, engine=local)
         assert rerun.rounds_computed == 0
         assert rerun.payload == remote.payload
+
+
+class TestFitWindows:
+    def test_grid_batch_trains_as_two_fit_windows(self, cluster_ctx,
+                                                  shard_farm, monkeypatch):
+        """The e2e benchmark's 48-round grid (8 defences x 3 attacks x 2
+        fractions) leaves a 2-shard farm as 2 chunks, and each shard
+        trains its chunk as one lockstep fit_many group of 24."""
+        from repro.ml.linear_svm import LinearSVM
+
+        spec = studies.grid(
+            context=None,
+            defenses=("none", "radius:0.1", "percentile_filter:0.1",
+                      "slab_filter:0.1", "loss_filter:0.1",
+                      "pca_detector:0.1", "certified:0.1", "knn_sanitizer"),
+            attacks=("boundary:0.05", "label-flip", "random-noise:0.05"),
+            fractions=(0.1, 0.2), n_repeats=1)
+        serial = run_study(spec, context=cluster_ctx,
+                           engine=EvaluationEngine("serial", cache=False))
+        engine = EvaluationEngine(ClusterBackend(shards=shard_farm(2)),
+                                  cache=False)
+        calls = []
+        original = LinearSVM.fit_many.__func__
+
+        def counting_fit_many(cls, models, datasets):
+            calls.append(len(models))
+            return original(cls, models, datasets)
+
+        monkeypatch.setattr(LinearSVM, "fit_many",
+                            classmethod(counting_fit_many))
+        clustered = run_study(spec, context=cluster_ctx, engine=engine)
+        assert clustered.n_rounds == 48
+        assert clustered.scenarios == serial.scenarios
+        assert clustered.payload == serial.payload
+        assert engine.batch_log[-1]["cluster"]["chunks"] == 2
+        assert calls == [24, 24]

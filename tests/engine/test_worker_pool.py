@@ -9,6 +9,7 @@ segment is a ``psm_*`` entry in ``/dev/shm``.
 
 import gc
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -200,8 +201,11 @@ class TestRecovery:
         old_workers = set(children()) - before
         victim = children()[min(old_workers)]
         os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=10.0)
-        assert not victim.is_alive()
+        # Watch the exit without reaping it: the executor's manager
+        # thread also waits on this pid, and whichever waiter loses gets
+        # ECHILD, after which is_alive() reads a dead worker as alive.
+        assert multiprocessing.connection.wait([victim.sentinel],
+                                               timeout=10.0)
         outcomes = engine.evaluate_batch(ctx, specs(4, first_seed=4))
         assert outcomes == serial(ctx, specs(4, first_seed=4))
         new_workers = set(children()) - before

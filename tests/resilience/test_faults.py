@@ -223,22 +223,12 @@ class TestBackendKnobValidation:
         with pytest.raises(ValueError, match="REPRO_CLUSTER_TIMEOUT"):
             ClusterBackend()
 
-    def test_min_chunk_is_clamped_sane(self, monkeypatch):
+    def test_max_chunk_is_clamped_sane(self, monkeypatch):
         from repro.cluster.backend import ClusterBackend
 
-        monkeypatch.setenv("REPRO_CLUSTER_MIN_CHUNK", "0")
         monkeypatch.setenv("REPRO_CLUSTER_MAX_CHUNK", "1000000")
         backend = ClusterBackend()
-        assert backend.min_chunk == 1
         assert backend.max_chunk == 8192
-
-    def test_max_chunk_never_below_min_chunk(self, monkeypatch):
-        from repro.cluster.backend import ClusterBackend
-
-        monkeypatch.setenv("REPRO_CLUSTER_MIN_CHUNK", "32")
-        monkeypatch.setenv("REPRO_CLUSTER_MAX_CHUNK", "2")
-        backend = ClusterBackend()
-        assert backend.max_chunk >= backend.min_chunk
 
     def test_bad_fallback_flag_names_itself(self, monkeypatch):
         from repro.cluster.backend import ClusterBackend
