@@ -797,8 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="scheduler workers in this process "
                                 "(0 = API-only replica; default 1)")
             p.add_argument("--poll-interval", type=float, default=None,
-                           help="scheduler/stream poll cadence in "
-                                "seconds (REPRO_SERVICE_POLL_INTERVAL)")
+                           help="seconds between fallback polls for "
+                                "submissions and progress made by other "
+                                "replicas sharing the archive dir; this "
+                                "replica's own are seen at once "
+                                "(REPRO_SERVICE_POLL_INTERVAL)")
             p.add_argument("--lease-ttl", type=float, default=None,
                            help="seconds without a heartbeat before a "
                                 "lease is stale and another replica "

@@ -36,6 +36,12 @@ service: any replica answers status/stream/result for any study, and
 the ``O_EXCL`` lease guarantees each fingerprint runs exactly once
 fleet-wide.  Progress streams work cross-replica because the executing
 worker heartbeats counts into the lease file the other replicas poll.
+
+Within one replica nothing waits on that poll: ``POST /studies`` wakes
+the replica's idle workers, and a worker pushes each change of the
+study it runs (leased, heartbeat, released) to the replica's open
+streams.  The ``poll_interval`` remains only as the fallback cadence
+at which workers and streams notice changes other replicas made.
 """
 
 from __future__ import annotations
@@ -88,12 +94,16 @@ class ReproService:
         self.auth = AuthPolicy(config.token)
         self.workers = [
             SchedulerWorker(self.queue, config, engine=engine,
-                            name=f"scheduler-{i}-pid{os.getpid()}")
+                            name=f"scheduler-{i}-pid{os.getpid()}",
+                            on_change=self._notify_streams)
             for i in range(max(0, int(workers)))
         ]
         self._http = HttpServer(self._route, host=config.host,
                                 port=config.port)
         self._loop: asyncio.AbstractEventLoop | None = None
+        # Set (and replaced) on the loop whenever a local worker changes
+        # a study's state; every open stream waits on the current one.
+        self._changed = asyncio.Event()
         self._loop_thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._start_error: BaseException | None = None
@@ -201,6 +211,17 @@ class ReproService:
         finally:
             self._loop.close()
 
+    def _notify_streams(self) -> None:
+        """Wake every open progress stream (called from worker threads)."""
+        try:
+            self._loop.call_soon_threadsafe(self._wake_streams)
+        except RuntimeError:
+            pass  # the loop has closed: no stream is left to wake
+
+    def _wake_streams(self) -> None:
+        changed, self._changed = self._changed, asyncio.Event()
+        changed.set()
+
     # -- routing -----------------------------------------------------------
 
     async def _route(self, request: Request) -> Response:
@@ -283,17 +304,25 @@ class ReproService:
             return json_response({"fingerprint": fingerprint,
                                   "state": "done", "deduped": True})
         entry, created = self.queue.submit(spec, priority=priority)
-        status = self.queue.study_state(fingerprint) or {}
         if created:
             telemetry.counter("service.submits.accepted").inc()
+            # The state at acceptance, even if a worker (another
+            # replica's, or one on its fallback poll) leased it since.
+            status = {"state": "queued",
+                      "queue_position": self.queue.position(fingerprint)}
         else:
             telemetry.counter("service.submits.deduped").inc()
+            status = self.queue.study_state(fingerprint) or {}
         body = {"fingerprint": fingerprint,
                 "state": status.get("state", "queued"),
                 "deduped": not created}
-        if "queue_position" in status:
+        if status.get("queue_position") is not None:
             body["queue_position"] = status["queue_position"]
-        return json_response(body, status=202 if created else 200)
+        response = json_response(body, status=202 if created else 200)
+        if created:
+            for worker in self.workers:
+                worker.wake()
+        return response
 
     def _status(self, fingerprint: str) -> Response:
         status = self.queue.study_state(fingerprint)
@@ -319,6 +348,9 @@ class ReproService:
         """JSON-line events whenever the study's status changes."""
         last = None
         while True:
+            # Taken before the read: a change pushed after the read has
+            # set this event, so the wait below returns at once.
+            changed = self._changed
             status = self.queue.study_state(fingerprint)
             if status is None:
                 yield json.dumps({"fingerprint": fingerprint,
@@ -335,7 +367,11 @@ class ReproService:
                 last = event
             if status["state"] in _TERMINAL_STATES:
                 return
-            await asyncio.sleep(self.config.poll_interval)
+            try:
+                await asyncio.wait_for(changed.wait(),
+                                       self.config.poll_interval)
+            except asyncio.TimeoutError:
+                pass  # the fallback poll, for other replicas' changes
 
     def _result(self, fingerprint: str) -> Response:
         path = archive_path(self.config.archive_dir, fingerprint)

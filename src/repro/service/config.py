@@ -15,7 +15,12 @@ Knobs
 ``REPRO_SERVICE_HOST`` / ``REPRO_SERVICE_PORT``
     Bind address; port ``0`` asks the OS for a free port.
 ``REPRO_SERVICE_POLL_INTERVAL``
-    Scheduler/stream poll cadence in seconds (clamped to [0.01, 60]).
+    Fallback poll cadence in seconds (clamped to [0.01, 60]): how soon
+    idle workers and open progress streams notice what no local event
+    announces — submissions, leases and progress of *other* replicas
+    sharing the archive directory, stale leases, expired retry
+    back-offs.  A replica's own submissions wake its workers, and its
+    own workers push their progress to its streams, at once.
 ``REPRO_SERVICE_LEASE_TTL``
     Seconds without a heartbeat before another replica may break a
     lease and adopt the study (clamped to [1, 86400]).

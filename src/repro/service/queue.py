@@ -227,17 +227,17 @@ class StudyQueue:
                 if e.state == "queued" and e.not_before <= now]
 
     def position(self, fingerprint: str) -> int | None:
-        """1-based place of ``fingerprint`` among unleased queued
-        entries (``None`` when it is not waiting)."""
-        place = 0
+        """1-based place of queued ``fingerprint``: one more than the
+        unleased queued entries ahead of it (``None`` when it is not
+        queued).  Its own lease is not consulted — callers that report a
+        leased study as running check for that first."""
+        place = 1
         for entry in self.entries():
-            if entry.state != "queued":
-                continue
-            if self.lease_info(entry.fingerprint) is not None:
-                continue
-            place += 1
             if entry.fingerprint == fingerprint:
-                return place
+                return place if entry.state == "queued" else None
+            if entry.state == "queued" and \
+                    self.lease_info(entry.fingerprint) is None:
+                place += 1
         return None
 
     def counts(self) -> dict:
@@ -393,10 +393,17 @@ class StudyQueue:
             if not (name.startswith("lease-") and name.endswith(".json")):
                 continue
             path = os.path.join(self.directory, name)
-            doc = self._read_lease(path)
-            beat = (doc or {}).get("heartbeat_at") or \
-                (doc or {}).get("acquired_at") or 0.0
-            if doc is not None and now - float(beat) <= ttl:
+            doc = self._read_lease(path) or {}
+            try:
+                # A lease acquire_lease has created but not yet written
+                # reads as empty: judge it by the file's age, since
+                # reaping it on sight lets a second worker lease the study.
+                beat = float(doc.get("heartbeat_at") or
+                             doc.get("acquired_at") or
+                             os.path.getmtime(path))
+            except OSError:
+                continue  # released meanwhile
+            if now - beat <= ttl:
                 continue
             try:
                 os.unlink(path)

@@ -3,7 +3,11 @@
 A :class:`SchedulerWorker` is the long-lived job-processing loop the
 queue implies (the cerebrum scheduled-jobs idiom: declarative job
 specs on disk, a daemon that leases and executes them, requeue on
-failure, an operator CLI to nudge).  Each pass it
+failure, an operator CLI to nudge).  An idle worker sleeps until
+:meth:`~SchedulerWorker.wake` (its own replica accepted a submission)
+or, at the latest, one ``poll_interval`` — the fallback that finds
+submissions and expired leases other replicas left in the shared
+directory.  Each pass it
 
 1. reaps stale leases (a dead replica's studies return to the pool);
 2. walks the eligible entries in priority order and tries to
@@ -23,6 +27,11 @@ failure, an operator CLI to nudge).  Each pass it
    :class:`~repro.resilience.RetryPolicy` backoff schedule until the
    retry budget is spent, then parks the entry ``failed`` with the
    error named for the operator.
+
+After it takes a lease, after each heartbeat and after it releases the
+lease the worker calls ``on_change``, which the service uses to push
+the new state to open progress streams instead of leaving them to
+poll.
 
 Shutdown is cooperative: :meth:`SchedulerWorker.stop` raises
 :class:`StudyInterrupted` out of the running study's progress callback;
@@ -68,10 +77,14 @@ class SchedulerWorker(threading.Thread):
         from it — the submitter's placement preference wins).
     name:
         Worker name, stamped into lease files (``owner``).
+    on_change:
+        Called with no arguments, from the worker's thread, whenever the
+        state of the study it runs changes (leased, progress heartbeat,
+        lease released).
     """
 
     def __init__(self, queue: StudyQueue, config: ServiceConfig, *,
-                 engine=None, name: str = "scheduler-0"):
+                 engine=None, name: str = "scheduler-0", on_change=None):
         super().__init__(name=name, daemon=True)
         self.queue = queue
         self.config = config
@@ -79,7 +92,9 @@ class SchedulerWorker(threading.Thread):
         self.policy = RetryPolicy(retries=config.retries,
                                   backoff=config.backoff,
                                   max_backoff=max(config.backoff, 30.0))
+        self._on_change = on_change or (lambda: None)
         self._stop_event = threading.Event()
+        self._wake = threading.Event()
         self._idle = threading.Event()
         self._running_fingerprint: str | None = None
         self.studies_completed = 0
@@ -91,6 +106,11 @@ class SchedulerWorker(threading.Thread):
         """Ask the worker to finish up: the current study checkpoints
         and requeues, the loop exits."""
         self._stop_event.set()
+        self._wake.set()
+
+    def wake(self) -> None:
+        """Make an idle worker scan the queue now, not at its next poll."""
+        self._wake.set()
 
     def stopping(self) -> bool:
         return self._stop_event.is_set()
@@ -108,6 +128,9 @@ class SchedulerWorker(threading.Thread):
 
     def run(self) -> None:
         while not self._stop_event.is_set():
+            # Cleared before the scan, never between scan and wait: a
+            # wake() that lands mid-scan then cuts the next wait short.
+            self._wake.clear()
             leased = False
             try:
                 self.queue.reap_stale_leases(ttl=self.config.lease_ttl)
@@ -119,7 +142,7 @@ class SchedulerWorker(threading.Thread):
                 traceback.print_exc()
             if not leased:
                 self._idle.set()
-                self._stop_event.wait(self.config.poll_interval)
+                self._wake.wait(self.config.poll_interval)
         self._idle.set()
 
     def _lease_and_run_one(self) -> bool:
@@ -132,11 +155,13 @@ class SchedulerWorker(threading.Thread):
                 continue
             self._idle.clear()
             self._running_fingerprint = entry.fingerprint
+            self._on_change()
             try:
                 self._run_entry(entry)
             finally:
                 self._running_fingerprint = None
                 self.queue.release_lease(entry.fingerprint)
+                self._on_change()
             return True
         return False
 
@@ -164,6 +189,7 @@ class SchedulerWorker(threading.Thread):
                 self.queue.heartbeat(fingerprint, done=done, total=total,
                                      owner=self.name)
                 last_beat = now
+                self._on_change()
 
         try:
             with telemetry.trace_span("service.study", kind=spec.kind):

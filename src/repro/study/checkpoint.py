@@ -5,7 +5,7 @@ whatever the engine's disk cache happened to hold — nothing, for the
 default in-memory cache.  :class:`StudyCheckpointer` gives
 :func:`~repro.study.run_study` a durable middle ground: as scenario
 outcomes land, completed rows (the exact records the final archive's
-``scenarios`` section would hold) are flushed to an atomic
+``scenarios`` section holds) are flushed to
 ``checkpoint-<study fingerprint>.json`` next to the archive.  On
 ``run_study(..., resume=True)`` the rows are injected back into the
 engine's cache under their original keys — the same ``warm_cache``
@@ -13,10 +13,19 @@ machinery study archives use — so every already-completed round is a
 cache hit and zero rounds are recomputed.  The checkpoint is deleted
 once the real archive lands (the archive subsumes it).
 
+The file is a journal of JSON lines: line 1 is a header (``type``,
+``schema``, study fingerprint, cache schema), every later line is one
+row.  A checkpointer's first flush writes the header and every row so
+far atomically (temp file + ``fsync`` + rename), which also drops a
+torn tail a killed writer left; later flushes append only the new
+rows to a handle it keeps open, then ``fsync`` it.  A flushed row is
+therefore on disk exactly as it was under whole-file rewrites, at the
+cost of one line instead of the whole file.
+
 Checkpoints are an *optimisation*, never an authority: a missing,
 corrupt or schema-mismatched checkpoint degrades to recomputing (with
-a warning), because the determinism contract makes recomputation
-bit-identical — only slower.
+a warning), and a torn last line loses only that row, because the
+determinism contract makes recomputation bit-identical — only slower.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from repro.utils.serialization import atomic_write_text
 
 __all__ = ["StudyCheckpointer", "checkpoint_path", "load_checkpoint"]
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 def checkpoint_path(archive_dir: str, fingerprint: str) -> str:
@@ -38,7 +47,7 @@ def checkpoint_path(archive_dir: str, fingerprint: str) -> str:
 
 
 class StudyCheckpointer:
-    """Accumulates scenario rows and flushes them atomically.
+    """Accumulates scenario rows and journals them to disk.
 
     ``every`` is the flush cadence in *new rows* (1 = flush on every
     completed scenario; larger values amortise the write).  ``note``
@@ -46,6 +55,8 @@ class StudyCheckpointer:
     recorder sees again, as a cache hit) costs nothing.  Seed a resumed
     checkpointer with the loaded rows (``seed``) so a second crash
     never regresses the checkpoint below the first one's progress.
+    The first flush opens an append handle that :meth:`close` or
+    :meth:`discard` releases.
     """
 
     def __init__(self, archive_dir: str, fingerprint: str, *,
@@ -56,6 +67,7 @@ class StudyCheckpointer:
         self.rows: list[dict] = []
         self._keys: set[str] = set()
         self._unflushed = 0
+        self._journal = None  # append handle, opened by the first flush
 
     def seed(self, rows) -> None:
         """Adopt already-checkpointed rows without re-flushing them."""
@@ -80,22 +92,44 @@ class StudyCheckpointer:
         return self._unflushed
 
     def flush(self) -> None:
-        """Write the checkpoint now (atomic; safe against any crash)."""
-        from repro.engine.cache import cache_schema_version
+        """Put every noted row on disk (fsync'd; safe against any crash)."""
+        if self._journal is None:
+            # The file on disk (if any) is a previous run's: rewrite it
+            # whole, seeded rows included, which drops a torn tail.
+            from repro.engine.cache import cache_schema_version
 
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        doc = {
-            "type": "StudyCheckpoint",
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "study_fingerprint": self.fingerprint,
-            "cache_schema_version": cache_schema_version(),
-            "scenarios": self.rows,
-        }
-        atomic_write_text(self.path, json.dumps(doc))
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            header = {"type": "StudyCheckpoint",
+                      "schema": CHECKPOINT_SCHEMA_VERSION,
+                      "study_fingerprint": self.fingerprint,
+                      "cache_schema_version": cache_schema_version()}
+            atomic_write_text(self.path, "".join(
+                json.dumps(doc) + "\n" for doc in [header, *self.rows]))
+            self._journal = open(self.path, "a", encoding="utf-8")
+        else:
+            self._journal.write("".join(
+                json.dumps(row) + "\n"
+                for row in self.rows[len(self.rows) - self._unflushed:]))
+            self._journal.flush()
+            os.fsync(self._journal.fileno())
         self._unflushed = 0
+
+    def close(self) -> None:
+        """Flush the rows noted since the last flush, then release the
+        append handle (the file stays, for a resume)."""
+        try:
+            if self._unflushed:
+                self.flush()
+        finally:
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
     def discard(self) -> None:
         """Delete the checkpoint (the final archive subsumes it)."""
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
         try:
             os.unlink(self.path)
         except OSError:
@@ -106,32 +140,48 @@ def load_checkpoint(archive_dir: str, fingerprint: str) -> list[dict]:
     """The checkpointed scenario rows for a study, or ``[]``.
 
     Tolerant by design (see module docs): anything unusable — absent
-    file, undecodable JSON, wrong study, a cache schema that no longer
-    names the same rounds — yields ``[]``, with a warning for every
-    case except plain absence.
+    file, an undecodable header, wrong study, another checkpoint
+    schema, a cache schema that no longer names the same rounds —
+    yields ``[]``, with a warning for every case except plain absence.
+    Rows are read up to the first line that does not parse (a torn
+    tail loses only itself).
     """
     path = checkpoint_path(archive_dir, fingerprint)
     if not os.path.exists(path):
         return []
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            lines = fh.readlines()
     except (OSError, ValueError) as exc:
         warnings.warn(f"ignoring unreadable study checkpoint {path}: "
                       f"{exc}", stacklevel=2)
         return []
     from repro.engine.cache import cache_schema_version
 
-    if doc.get("type") != "StudyCheckpoint" or \
-            doc.get("study_fingerprint") != fingerprint:
+    if not isinstance(header, dict) or \
+            header.get("type") != "StudyCheckpoint" or \
+            header.get("study_fingerprint") != fingerprint:
         warnings.warn(f"ignoring study checkpoint {path}: it does not "
                       f"belong to study {fingerprint[:12]}…", stacklevel=2)
         return []
-    if doc.get("cache_schema_version") != cache_schema_version():
+    if header.get("schema") != CHECKPOINT_SCHEMA_VERSION:
+        warnings.warn(
+            f"ignoring study checkpoint {path}: it is checkpoint schema "
+            f"v{header.get('schema')}, this build reads "
+            f"v{CHECKPOINT_SCHEMA_VERSION}; its rounds will be "
+            f"recomputed", stacklevel=2)
+        return []
+    if header.get("cache_schema_version") != cache_schema_version():
         warnings.warn(
             f"ignoring study checkpoint {path}: its scenario keys use "
-            f"cache schema v{doc.get('cache_schema_version')}, this "
+            f"cache schema v{header.get('cache_schema_version')}, this "
             f"build uses v{cache_schema_version()}", stacklevel=2)
         return []
-    rows = doc.get("scenarios", [])
-    return rows if isinstance(rows, list) else []
+    rows = []
+    for line in lines:
+        try:
+            rows.append(json.loads(line))
+        except ValueError:
+            break
+    return rows

@@ -54,14 +54,14 @@ class _RecordingEngine:
     """An engine proxy that records every distinct round it resolves.
 
     Behaves exactly like the wrapped engine (attribute access
-    delegates), but notes ``(cache key, context fingerprint, spec,
-    outcome)`` for each first-seen round — the raw material of the
-    result's ``scenarios`` section.  Every batch rides the engine's
-    one stream path: a round is noted (and ``on_record``, the hook
-    study checkpointing hangs off, fires) the moment it lands, so a
-    run killed mid-batch keeps every completed round — but
-    :attr:`records` takes each batch's rounds in input order, so the
-    archive is the same whatever order a backend lands them in.
+    delegates), but serialises each first-seen round into its archival
+    scenario row — the result's ``scenarios`` section, built once and
+    shared with the checkpoint.  Every batch rides the engine's one
+    stream path: a round is noted (and ``on_record``, the hook study
+    checkpointing hangs off, fires) the moment it lands, so a run
+    killed mid-batch keeps every completed round — but :attr:`records`
+    takes each batch's rounds in input order, so the archive is the
+    same whatever order a backend lands them in.
     """
 
     def __init__(self, engine, on_record=None):
@@ -77,13 +77,12 @@ class _RecordingEngine:
         self._progress_total = 0
 
     def _note(self, fingerprint: str, spec, outcome) -> dict | None:
-        """The record of a first-seen round (``None`` for a repeat)."""
+        """The scenario row of a first-seen round (``None`` for a repeat)."""
         key = round_key(fingerprint, spec)
         if key in self._seen:
             return None
         self._seen.add(key)
-        record = {"key": key, "fingerprint": fingerprint,
-                  "spec": spec, "outcome": outcome}
+        record = _scenario_row(key, fingerprint, spec, outcome)
         if self._on_record is not None:
             self._on_record(record)
         return record
@@ -124,27 +123,21 @@ class _RecordingEngine:
         return getattr(self._engine, name)
 
 
-def _scenario_row(rec: dict) -> dict:
-    """Serialise one recorder note into an archival scenario row."""
+def _scenario_row(key: str, fingerprint: str, spec, outcome) -> dict:
+    """Serialise one landed round into an archival scenario row."""
     from repro.engine.cache import outcome_to_dict
 
-    spec = rec["spec"]
     return {
-        "key": rec["key"],
-        "context": rec["fingerprint"],
+        "key": key,
+        "context": fingerprint,
         "defense": defense_to_obj(spec.defense),
         "attack": attack_to_obj(spec.attack),
         "victim": victim_to_obj(spec.victim),
         "fraction": (float(spec.poison_fraction)
                      if spec.attack is not None else None),
         "seed": int(spec.seed),
-        "outcome": outcome_to_dict(rec["outcome"]),
+        "outcome": outcome_to_dict(outcome),
     }
-
-
-def _scenario_records(records) -> list[dict]:
-    """Serialise the recorder's raw notes into archival scenario rows."""
-    return [_scenario_row(rec) for rec in records]
 
 
 # -- context reuse -----------------------------------------------------------
@@ -388,9 +381,9 @@ def run_study(
         so a killed run recomputes nothing it already finished.
         Requires ``archive_dir``.
     checkpoint_every:
-        Flush completed scenario rows to an atomic
-        ``checkpoint-<fingerprint>.json`` beside the archive every N
-        new rows (``None`` reads ``REPRO_STUDY_CHECKPOINT_EVERY``,
+        Flush completed scenario rows to the
+        ``checkpoint-<fingerprint>.json`` journal beside the archive
+        every N new rows (``None`` reads ``REPRO_STUDY_CHECKPOINT_EVERY``,
         default 16; ``0`` disables checkpointing).  Only active with
         ``archive_dir`` — the checkpoint lives where the archive will.
         The checkpoint is deleted once the archive is written.
@@ -475,9 +468,9 @@ def run_study(
             # never regress the checkpoint below this one's progress.
             checkpointer.seed(resumed_rows)
 
-    on_record = (lambda rec: checkpointer.note(_scenario_row(rec))) \
-        if checkpointer is not None else None
-    recorder = _RecordingEngine(engine, on_record=on_record)
+    recorder = _RecordingEngine(
+        engine,
+        on_record=checkpointer.note if checkpointer is not None else None)
     batches_before = len(engine.batch_log)
 
     try:
@@ -486,14 +479,14 @@ def run_study(
     except BaseException:
         # An aborted study (cancellation raised from the progress
         # callback, SIGTERM unwinding, a crash) keeps every completed
-        # round: flush the rows noted since the last cadence write, so
-        # a resume recomputes nothing that already finished.
-        if checkpointer is not None and checkpointer.unflushed:
-            checkpointer.flush()
+        # round: close() flushes the rows noted since the last cadence
+        # write, so a resume recomputes nothing that already finished.
+        if checkpointer is not None:
+            checkpointer.close()
         raise
 
     batches = [dict(b) for b in engine.batch_log[batches_before:]]
-    scenarios = _scenario_records(recorder.records)
+    scenarios = recorder.records
     context_fingerprints = []
     for row in scenarios:
         if row["context"] not in context_fingerprints:

@@ -3,8 +3,9 @@
 Result records, study specs and study results all accept "raw JSON text
 or a file path" in their loaders; this is the one implementation of
 that sniffing so the three loaders cannot drift.  The writing side is
-:func:`atomic_write_text`: archives and checkpoints are exactly the
-files a crashed process must never leave half-written.
+:func:`atomic_write_text`: archives, queue entries and a checkpoint's
+first flush are exactly the files a crashed process must never leave
+half-written.
 """
 
 from __future__ import annotations

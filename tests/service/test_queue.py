@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -115,6 +116,23 @@ def test_reap_stale_lease_requeues(tmp_path, tiny_spec, recwarn):
     assert reclaimed == [fp]
     assert queue.lease_info(fp) is None
     assert queue.study_state(fp)["state"] == "queued"
+
+
+def test_reaper_spares_a_lease_still_being_written(tmp_path, tiny_spec,
+                                                  recwarn):
+    """acquire_lease creates the lease file before it writes it; a
+    reaper that reads it in between must not break it on sight, or a
+    second worker leases the same study."""
+    queue = StudyQueue(str(tmp_path))
+    entry, _ = queue.submit(tiny_spec)
+    fp = entry.fingerprint
+    open(lease_path(str(tmp_path), fp), "w").close()  # created, unwritten
+    assert queue.reap_stale_leases(ttl=5.0) == []
+    assert not queue.acquire_lease(fp, owner="second-worker")
+    # Left unwritten for longer than the TTL, it is stale after all.
+    with pytest.warns(UserWarning, match="reaped stale lease"):
+        assert queue.reap_stale_leases(ttl=5.0,
+                                       now=time.time() + 10.0) == [fp]
 
 
 def test_cancel_refuses_leased(tmp_path, tiny_spec):

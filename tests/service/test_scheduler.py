@@ -51,6 +51,37 @@ def test_worker_runs_queued_study_to_archive(tmp_path, tiny_spec):
     assert served.study_fingerprint == tiny_spec.fingerprint()
 
 
+def test_submit_landing_mid_scan_is_not_lost(tmp_path, tiny_spec):
+    """A submission (and its wake) that lands after a scan listed the
+    queue but before the worker waits is picked up at once, not at the
+    next poll, 60 s away."""
+    queue = StudyQueue(str(tmp_path))
+    worker = SchedulerWorker(queue, _config(tmp_path, poll_interval=60.0),
+                             engine=EvaluationEngine("serial"))
+    real_pending = queue.pending
+    landed = threading.Event()
+
+    def pending_then_submit(**kwargs):
+        entries = real_pending(**kwargs)
+        if not landed.is_set():
+            landed.set()
+            queue.submit(tiny_spec)
+            worker.wake()
+        return entries
+
+    queue.pending = pending_then_submit
+    worker.start()
+    try:
+        fp = tiny_spec.fingerprint()
+        _wait(lambda: (queue.study_state(fp) or {}).get("state") == "done",
+              timeout=30.0, message="study archived before the next poll")
+    finally:
+        worker.stop()
+        worker.join(timeout=30.0)
+    assert not worker.is_alive()
+    assert worker.studies_completed == 1
+
+
 def test_failure_requeues_with_backoff_then_parks_failed(tmp_path):
     bad_ctx = ContextSpec(name="no-such-context", seed=0)
     spec = studies.figure1(context=bad_ctx, percentiles=(0.05,),

@@ -1,13 +1,14 @@
 """End-to-end over real HTTP: submit → stream → result, dedupe, parity."""
 
 import json
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.engine import EvaluationEngine
-from repro.service import ReproService, ServiceConfig
+from repro.service import ReproService, ServiceConfig, StudyQueue
 from repro.study import run_study
 
 
@@ -169,6 +170,9 @@ def test_queue_route_counters_when_telemetry_armed(tmp_path, client_class,
             spec = spec_maker(seed_offset=31)
             client.json("POST", "/studies", spec.to_obj())
             _wait_done(client, spec.fingerprint())
+            # "done" is the archive; the worker counts the completion
+            # just after it lands.
+            assert service.workers[0].wait_idle(timeout=30.0)
             status, listing = client.json("GET", "/queue")
         finally:
             service.stop()
@@ -205,3 +209,126 @@ def test_health_reports_workers(svc_client, svc):
     assert doc["auth"] is False
     assert len(doc["workers"]) == 1
     assert doc["workers"][0]["alive"] is True
+
+
+def test_submit_reply_is_the_state_at_acceptance(svc_client, svc, tiny_spec,
+                                                 monkeypatch):
+    """A lease taken between the entry's creation and the reply (by a
+    worker of another replica, or one on its fallback poll) does not
+    turn the 202 into a position-less "running"."""
+    fp = tiny_spec.fingerprint()
+    real_submit = StudyQueue.submit
+
+    def submit_then_lease(self, spec, **kwargs):
+        entry, created = real_submit(self, spec, **kwargs)
+        assert self.acquire_lease(entry.fingerprint, owner="other-replica")
+        return entry, created
+
+    monkeypatch.setattr(StudyQueue, "submit", submit_then_lease)
+    status, doc = svc_client.json("POST", "/studies", tiny_spec.to_obj())
+    assert status == 202
+    assert doc == {"fingerprint": fp, "state": "queued",
+                   "deduped": False, "queue_position": 1}
+    assert svc.queue.lease_info(fp)["owner"] == "other-replica"
+
+
+def _slow_poll_service(tmp_path, **kwargs):
+    """A service whose fallback poll (60 s, the clamp's top) is far
+    longer than any client timeout below: only wake-ups and pushed
+    events can finish a study in time."""
+    return ReproService(ServiceConfig(
+        archive_dir=str(tmp_path / "archive"), poll_interval=60.0,
+        lease_ttl=30.0, retries=0), engine=EvaluationEngine("serial"),
+        **kwargs).start()
+
+
+def test_submit_wakes_an_idle_worker_and_the_stream_is_pushed(
+        tmp_path, client_class, tiny_spec):
+    service = _slow_poll_service(tmp_path)
+    try:
+        # Idle: the worker's first scan is over, its next poll is 60 s
+        # away.
+        assert service.workers[0].wait_idle(timeout=30.0)
+        client = client_class(service.host, service.port)
+        fp = tiny_spec.fingerprint()
+        status, _ = client.json("POST", "/studies", tiny_spec.to_obj(),
+                                timeout=20.0)
+        assert status == 202
+        status, events = client.stream_lines(f"/studies/{fp}/stream",
+                                             timeout=20.0)
+        assert status == 200
+        assert events[-1]["state"] == "done"
+        assert service.workers[0].studies_completed == 1
+    finally:
+        service.stop()
+    assert not service.workers[0].is_alive()
+
+
+def test_many_workers_many_streams_no_lost_wakeup(tmp_path, client_class,
+                                                  spec_maker):
+    """4 workers (more than the CPUs), 8 studies POSTed and streamed by
+    8 client threads, a 60 s fallback poll and a tiny switch interval:
+    a lost wake-up or event hangs a stream past its 20 s timeout, and a
+    double lease shows as a ninth completion."""
+    specs = [spec_maker(seed_offset=40 + i) for i in range(8)]
+    service = _slow_poll_service(tmp_path, workers=4)
+    finals: dict = {}
+    errors: list = []
+
+    def submit_and_follow(spec):
+        try:
+            client = client_class(service.host, service.port)
+            fp = spec.fingerprint()
+            status, _ = client.json("POST", "/studies", spec.to_obj(),
+                                    timeout=20.0)
+            assert status == 202
+            status, events = client.stream_lines(f"/studies/{fp}/stream",
+                                                 timeout=20.0)
+            assert status == 200
+            finals[fp] = events[-1]["state"]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=submit_and_follow, args=(spec,))
+                   for spec in specs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        service.stop()
+    assert errors == []
+    assert finals == {spec.fingerprint(): "done" for spec in specs}
+    assert sum(w.studies_completed for w in service.workers) == len(specs)
+    assert not any(w.is_alive() for w in service.workers)
+
+
+def test_stream_falls_back_to_the_poll_for_another_replicas_run(
+        tmp_path, client_class, tiny_spec):
+    """Replica A (API only) and replica B (one worker) share an archive
+    dir: A's submission reaches B by B's poll, and A's stream sees B's
+    progress by its own poll — neither replica pushes to the other."""
+    config = ServiceConfig(archive_dir=str(tmp_path / "archive"),
+                           poll_interval=0.05, lease_ttl=5.0, retries=0)
+    api = ReproService(config, workers=0).start()
+    runner = ReproService(config, engine=EvaluationEngine("serial"),
+                          workers=1).start()
+    try:
+        client = client_class(api.host, api.port)
+        fp = tiny_spec.fingerprint()
+        status, _ = client.json("POST", "/studies", tiny_spec.to_obj(),
+                                timeout=20.0)
+        assert status == 202
+        status, events = client.stream_lines(f"/studies/{fp}/stream",
+                                             timeout=20.0)
+        assert status == 200
+        assert events[-1]["state"] == "done"
+    finally:
+        api.stop()
+        runner.stop()
+    assert runner.workers[0].studies_completed == 1

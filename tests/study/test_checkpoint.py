@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.engine import EvaluationEngine, cache_schema_version
 from repro.study import (StudyCheckpointer, archive_path, checkpoint_path,
                          load_checkpoint, run_study, studies,
                          study_result_from_json)
+from repro.study import checkpoint as checkpoint_module
 
 PERCENTILES = (0.0, 0.1, 0.2, 0.3)
 
@@ -36,6 +38,11 @@ def _row(i):
             "outcome": {"accuracy": 0.5}}
 
 
+def _header(path):
+    with open(path) as fh:
+        return json.loads(fh.readline())
+
+
 class TestCheckpointer:
     def test_flush_cadence_and_dedupe(self, tmp_path):
         cp = StudyCheckpointer(str(tmp_path), "f" * 64, every=2)
@@ -45,11 +52,47 @@ class TestCheckpointer:
         assert not os.path.exists(cp.path)
         cp.note(_row(1))
         assert os.path.exists(cp.path)  # cadence reached
-        doc = json.loads(open(cp.path).read())
-        assert doc["type"] == "StudyCheckpoint"
-        assert doc["cache_schema_version"] == cache_schema_version()
-        assert [r["key"] for r in doc["scenarios"]] == \
+        header = _header(cp.path)
+        assert header["type"] == "StudyCheckpoint"
+        assert header["cache_schema_version"] == cache_schema_version()
+        assert [r["key"] for r in load_checkpoint(str(tmp_path),
+                                                  "f" * 64)] == \
             [_row(0)["key"], _row(1)["key"]]
+        cp.close()
+
+    def test_first_flush_rewrites_then_appends(self, tmp_path,
+                                               monkeypatch):
+        """48 rows at every=1: one atomic write (header + first row),
+        then 47 appends, each fsync'd before note() returns."""
+        calls = []
+        real_atomic = checkpoint_module.atomic_write_text
+        real_fsync = os.fsync
+
+        def atomic(path, text):
+            calls.append("atomic")
+            real_atomic(path, text)
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        monkeypatch.setattr(checkpoint_module, "atomic_write_text", atomic)
+        monkeypatch.setattr(os, "fsync", fsync)
+        cp = StudyCheckpointer(str(tmp_path), "f" * 64, every=1)
+        for i in range(48):
+            cp.note(_row(i))
+            assert cp.unflushed == 0
+        cp.close()
+        # atomic_write_text fsyncs its temp file once; the rest are the
+        # appends' own.
+        assert calls.count("atomic") == 1
+        assert calls.count("fsync") == 1 + 47
+        assert calls[:2] == ["atomic", "fsync"]
+        with open(cp.path) as fh:
+            assert len(fh.readlines()) == 1 + 48
+        rows = load_checkpoint(str(tmp_path), "f" * 64)
+        assert [r["key"] for r in rows] == [_row(i)["key"]
+                                            for i in range(48)]
 
     def test_seed_does_not_flush_but_protects_progress(self, tmp_path):
         cp = StudyCheckpointer(str(tmp_path), "f" * 64, every=1)
@@ -58,6 +101,7 @@ class TestCheckpointer:
         cp.note(_row(0))  # resumed round seen again: no-op
         assert not os.path.exists(cp.path)
         cp.note(_row(2))  # first *new* round flushes everything
+        cp.close()
         rows = load_checkpoint(str(tmp_path), "f" * 64)
         assert len(rows) == 3
 
@@ -68,6 +112,16 @@ class TestCheckpointer:
         cp.discard()
         assert not os.path.exists(cp.path)
         cp.discard()  # idempotent
+
+    def test_close_flushes_pending_rows_and_keeps_the_file(self, tmp_path):
+        cp = StudyCheckpointer(str(tmp_path), "f" * 64, every=16)
+        cp.note(_row(0))
+        cp.note(_row(1))
+        assert not os.path.exists(cp.path)  # below cadence
+        cp.close()
+        assert cp.unflushed == 0
+        assert len(load_checkpoint(str(tmp_path), "f" * 64)) == 2
+        cp.close()  # idempotent
 
 
 class TestLoadTolerance:
@@ -84,6 +138,7 @@ class TestLoadTolerance:
     def test_foreign_checkpoint_warns(self, tmp_path):
         cp = StudyCheckpointer(str(tmp_path), "a" * 64, every=1)
         cp.note(_row(0))
+        cp.close()
         os.rename(cp.path, checkpoint_path(str(tmp_path), "b" * 64))
         with pytest.warns(UserWarning, match="does not belong"):
             assert load_checkpoint(str(tmp_path), "b" * 64) == []
@@ -91,12 +146,41 @@ class TestLoadTolerance:
     def test_schema_mismatch_warns(self, tmp_path):
         cp = StudyCheckpointer(str(tmp_path), "f" * 64, every=1)
         cp.note(_row(0))
-        doc = json.loads(open(cp.path).read())
-        doc["cache_schema_version"] = -1
+        cp.close()
+        with open(cp.path) as fh:
+            header, *rows = fh.readlines()
+        header = json.loads(header)
+        header["cache_schema_version"] = -1
         with open(cp.path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(header) + "\n" + "".join(rows))
         with pytest.warns(UserWarning, match="cache schema"):
             assert load_checkpoint(str(tmp_path), "f" * 64) == []
+
+    def test_torn_tail_loses_only_the_torn_row(self, tmp_path):
+        """A kill mid-append leaves a partial last line: the rows before
+        it load without a warning, and the next checkpointer's first
+        flush rewrites the file without the torn bytes."""
+        cp = StudyCheckpointer(str(tmp_path), "f" * 64, every=1)
+        for i in range(3):
+            cp.note(_row(i))
+        cp.close()
+        with open(cp.path) as fh:
+            text = fh.read()
+        third = text.rindex("\n", 0, len(text) - 1) + 1
+        with open(cp.path, "w") as fh:
+            fh.write(text[:third + (len(text) - third) // 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = load_checkpoint(str(tmp_path), "f" * 64)
+        assert [r["key"] for r in rows] == [_row(0)["key"], _row(1)["key"]]
+
+        resumed = StudyCheckpointer(str(tmp_path), "f" * 64, every=1)
+        resumed.seed(rows)
+        resumed.note(_row(3))
+        resumed.close()
+        assert [r["key"] for r in load_checkpoint(str(tmp_path),
+                                                  "f" * 64)] == \
+            [_row(i)["key"] for i in (0, 1, 3)]
 
 
 class TestAtomicArchive:
@@ -158,11 +242,40 @@ class TestResume:
         ref = run_study(spec, engine=EvaluationEngine("serial"))
         for row in ref.scenarios[:2]:
             cp.note(dict(row))
+        cp.close()
         engine = EvaluationEngine("serial", cache=False)
         with pytest.warns(UserWarning, match="no cache"):
             result = run_study(spec, engine=engine, archive_dir=archive_dir,
                                resume=True)
         assert result.scenarios == ref.scenarios
+
+    def test_previous_schema_warns_and_recomputes_bit_identically(
+            self, ctx_spec, tmp_path):
+        """A schema-1 checkpoint (one JSON document, the format before
+        the journal) is named in a warning and recomputed, not trusted."""
+        spec = figure1_spec(ctx_spec, percentiles=(0.0, 0.1))
+        reference = run_study(spec, engine=EvaluationEngine("serial"))
+        archive_dir = str(tmp_path)
+        fingerprint = spec.fingerprint()
+        with open(checkpoint_path(archive_dir, fingerprint), "w") as fh:
+            json.dump({"type": "StudyCheckpoint", "schema": 1,
+                       "study_fingerprint": fingerprint,
+                       "cache_schema_version": cache_schema_version(),
+                       "scenarios": reference.scenarios[:2]}, fh)
+        engine = EvaluationEngine("serial")
+        with pytest.warns(UserWarning, match="checkpoint schema v1"):
+            result = run_study(spec, engine=engine, archive_dir=archive_dir,
+                               resume=True, checkpoint_every=1)
+        assert sum(b["computed"] for b in engine.batch_log) == \
+            reference.n_unique
+        assert "resumed_scenarios" not in result.extras
+        with open(archive_path(archive_dir, fingerprint)) as fh:
+            archived = json.load(fh)
+        direct = json.loads(reference.to_json())
+        for key in ("scenarios", "payload"):
+            assert json.dumps(archived["data"][key], sort_keys=True) == \
+                json.dumps(direct["data"][key], sort_keys=True), key
+        assert not os.path.exists(checkpoint_path(archive_dir, fingerprint))
 
     def test_checkpoint_gone_after_clean_run(self, ctx_spec, tmp_path):
         spec = figure1_spec(ctx_spec, percentiles=(0.0, 0.1))
