@@ -749,6 +749,7 @@ def test_cluster_locality(spambase_ctx):
     import shutil
     import tempfile
 
+    from repro import telemetry
     from repro.cluster.backend import ClusterBackend, close_local_pools, \
         shared_local_pool
     from repro.experiments.runner import make_synthetic_context
@@ -762,12 +763,23 @@ def test_cluster_locality(spambase_ctx):
     close_local_pools()  # force a fresh spawn that inherits the tier
     try:
         shared_local_pool(grid_ctx, 2)  # spawn outside the timed legs
+        # Metrics-only telemetry, armed after the spawn so the shards
+        # stay unarmed: a pass's cluster counts are the diff of the
+        # client's counters around it.
+        telemetry.configure(metrics_only=True)
 
         def cluster_pass():
+            before = telemetry.snapshot()
             backend = ClusterBackend(2)
             engine = EvaluationEngine(backend, cache=False)
             outcomes = engine.evaluate_batch(grid_ctx, specs)
-            return outcomes, engine.batch_log[-1]["cluster"]
+            counts = telemetry.diff_snapshots(
+                before, telemetry.snapshot())["counters"]
+            return outcomes, {name: counts.get(f"cluster.{name}", 0)
+                              for name in ("shard_cache_hits",
+                                           "placed_rounds",
+                                           "placement_hits",
+                                           "chunks_stolen")}
 
         cold_s, (cold_outcomes, cold_stats) = best_of(cluster_pass,
                                                       repeats=1)
@@ -776,6 +788,8 @@ def test_cluster_locality(spambase_ctx):
         serial_outcomes = EvaluationEngine(
             "serial", cache=False).evaluate_batch(fresh(grid_ctx), specs)
     finally:
+        telemetry.configure()  # disarm and scrub the exported env
+        telemetry.reset()
         close_local_pools()
         if saved is None:
             os.environ.pop("REPRO_SHARD_CACHE_DIR", None)
@@ -794,7 +808,7 @@ def test_cluster_locality(spambase_ctx):
             "warm_shard_cache_hits": warm_stats["shard_cache_hits"],
             "warm_placed_rounds": warm_stats["placed_rounds"],
             "warm_placement_hits": warm_stats["placement_hits"],
-            "warm_placed_steals": warm_stats["placed_steals"],
+            "warm_placed_steals": warm_stats["chunks_stolen"],
         },
     })
 

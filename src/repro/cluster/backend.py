@@ -309,8 +309,6 @@ class ClusterBackend(EvaluationBackend):
         self.placement = env_bool("REPRO_CLUSTER_PLACEMENT", True) \
             if placement is None else bool(placement)
         self._pool: LocalShardPool | None = None
-        self._last_scheduler: ClusterScheduler | None = None
-        self._last_telemetry: dict | None = None
 
     # -- shard management --------------------------------------------------
 
@@ -409,7 +407,6 @@ class ClusterBackend(EvaluationBackend):
                 address, fingerprint, schema),
             retry_policy=self.retry_policy,
             placement=self._build_placement(clients, fingerprint, specs))
-        self._last_scheduler = scheduler
         try:
             stream = scheduler.run_iter(specs)
             while True:
@@ -426,7 +423,6 @@ class ClusterBackend(EvaluationBackend):
                 done.add(index)
                 yield index, outcome
         finally:
-            self._last_telemetry = scheduler.stats()
             for client in clients:
                 client.close()
 
@@ -459,15 +455,6 @@ class ClusterBackend(EvaluationBackend):
             loads[best] += 1
             placement.setdefault(clients[best].name, []).append(index)
         return placement
-
-    def batch_telemetry(self) -> dict | None:
-        """Scheduler stats of the most recent batch (returned once).
-
-        The engine merges this into its ``batch_log`` entry; returning
-        and clearing keeps one batch's placement counters from being
-        attributed to the next."""
-        telemetry, self._last_telemetry = self._last_telemetry, None
-        return telemetry
 
     def _degrade_or_raise(self, ctx, specs, done, exc):
         """Finish ``specs`` minus ``done`` on the serial backend — or

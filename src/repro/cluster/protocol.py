@@ -58,22 +58,21 @@ Message shapes (all plain dicts with a ``"type"`` key):
   ``cache-report`` (with the shard's fingerprint included in
   ``stats``) and the connection closes — the probe never reaches the
   chunk-execution state machine.
-* ``telemetry-query`` — client -> shard, post-handshake: no payload.
-  Answered by ``telemetry-report`` (``{metrics}``, the shard's live
-  metrics-registry snapshot).  Old shards answer ``error`` (unknown
-  message type) and clients skip them — the ``cache-query`` interop
-  rule.  Shards also *piggyback* a metrics delta on every ``result``
-  message (optional ``telemetry`` field), so routine runs need no
-  extra round trips at all.
-* ``telemetry-info`` — the *pre-handshake* sibling, mirroring
-  ``cache-info``: ``repro-cluster stats`` asking for live metrics
-  without knowing the context fingerprint, auth digest over the
-  literal ``"telemetry-info"``.  Answered by ``telemetry-report`` and
-  the connection closes; old shards answer ``reject``.
+* **metrics deltas** — shards *piggyback* a metrics delta on every
+  ``result`` message (optional ``telemetry`` field), so routine runs
+  need no extra round trips.  The ``welcome`` carries the shard
+  process's telemetry ``token``; a client whose own token matches (a
+  shard in its own process, sharing its registry) does not merge the
+  delta, so counts cross process boundaries only.
+* ``telemetry-info`` — a *pre-handshake* probe mirroring
+  ``cache-info``: ``repro-cluster stats`` asking for a shard's live
+  metrics without knowing the context fingerprint, auth digest over
+  the literal ``"telemetry-info"``.  Answered by ``telemetry-report``
+  (``{metrics}``, the shard's metrics-registry snapshot) and the
+  connection closes; old shards answer ``reject``.
 * ``ping``    — liveness probe, answered by ``pong``.
-* ``shutdown``— ask the shard to exit its serve loop (used by the
-  localhost autospawn pool and the tests; production deployments just
-  signal the process).
+* ``shutdown``— ask the shard to exit its serve loop (deployments and
+  the localhost autospawn pool just signal the process).
 
 The payload pickles only engine-owned types (round specs, evaluation
 outcomes) whose modules both ends import; the handshake's ``schema``
@@ -108,7 +107,6 @@ __all__ = [
     "cache_report",
     "cache_info",
     "CACHE_INFO_FINGERPRINT",
-    "telemetry_query",
     "telemetry_report",
     "telemetry_info",
     "TELEMETRY_INFO_FINGERPRINT",
@@ -232,10 +230,14 @@ def hello(fingerprint: str, schema: int, *, secret: str | None = None) -> dict:
 
 
 def welcome(fingerprint: str, *, host: str, pid: int, capacity: int,
-            schema: int | None = None, secret: str | None = None) -> dict:
-    """Shard accepts: it holds the same context (and schema)."""
+            schema: int | None = None, secret: str | None = None,
+            token: str | None = None) -> dict:
+    """Shard accepts: it holds the same context (and schema).  ``token``
+    is its :func:`repro.telemetry.process_token`."""
     message = {"type": "welcome", "fingerprint": str(fingerprint),
                "host": str(host), "pid": int(pid), "capacity": int(capacity)}
+    if token:
+        message["token"] = str(token)
     if secret:
         message["auth"] = compute_auth(secret, "shard", str(fingerprint),
                                        int(schema or 0))
@@ -257,8 +259,8 @@ def chunk_result(chunk_id: int, outcomes: list, *,
     """A completed chunk, outcomes aligned with the request's specs.
 
     ``cache_hits`` counts the outcomes served from the shard's local
-    result-cache tier rather than recomputed — the per-chunk telemetry
-    the scheduler aggregates into its placement stats.  ``telemetry``
+    result-cache tier rather than recomputed — what the scheduler adds
+    to its ``cluster.shard_cache_hits`` counter.  ``telemetry``
     piggybacks the shard's metrics delta (see
     :meth:`repro.telemetry.metrics.MetricsRegistry.flush_delta`) so the
     client's registry covers shard-side stage timings with zero extra
@@ -315,16 +317,6 @@ def cache_info(schema: int, *, secret: str | None = None) -> dict:
 # probe signs over, domain-separating its digest from real handshakes
 # and from cache-info probes.
 TELEMETRY_INFO_FINGERPRINT = "telemetry-info"
-
-
-def telemetry_query() -> dict:
-    """Ask a handshaken shard for its live metrics snapshot.
-
-    Answered by :func:`telemetry_report`.  An *old* shard answers
-    ``error`` (unknown message type), which clients treat as "no
-    telemetry support" — the same interop rule as ``cache-query``.
-    """
-    return {"type": "telemetry-query"}
 
 
 def telemetry_report(metrics: dict) -> dict:

@@ -41,8 +41,12 @@ The scheduler turns "a batch of round specs" into "a stream of
   slow or dead owner's placed backlog (it merely recomputes what the
   owner would have served from cache), a requeued placed chunk goes
   back to the *shared* queue, and the all-dead/rejoin semantics above
-  are untouched.  :meth:`ClusterScheduler.stats` reports the
-  placement/cache telemetry.
+  are untouched.
+* **Counts** — no tallies of its own: each event is counted once,
+  where it happens, in the ``cluster.*`` telemetry counters and the
+  ``cluster.chunk.seconds`` histogram.  A shard's piggybacked metrics
+  delta is merged as its chunk lands, unless the shard runs in this
+  very process and so shares its registry.
 
 The scheduler is transport-dumb: it drives :class:`ShardClient`\\ s,
 which own one socket each and speak :mod:`repro.cluster.protocol`.
@@ -130,7 +134,8 @@ class ShardClient:
         # Shard-reported cache hits of the most recent chunk reply.
         self.last_cache_hits = 0
         # Shard-piggybacked metrics delta of the most recent chunk
-        # reply (None from old shards or when telemetry is disabled).
+        # reply, to merge (None from old shards, from a shard in this
+        # process, or when telemetry is disabled).
         self.last_telemetry: dict | None = None
 
     def handshake(self, fingerprint: str, schema: int) -> dict:
@@ -189,26 +194,11 @@ class ShardClient:
                 f"shard {self.name} returned {len(outcomes)} outcomes "
                 f"for a {len(specs)}-spec chunk")
         self.last_cache_hits = int(reply.get("cache_hits", 0))
-        self.last_telemetry = reply.get("telemetry")
+        # A shard in this very process shares our registry: its delta
+        # holds counts already counted here.
+        self.last_telemetry = None if self.info.get("token") == \
+            telemetry.process_token() else reply.get("telemetry")
         return outcomes
-
-    def query_telemetry(self) -> dict | None:
-        """The shard's live metrics snapshot, or ``None``.
-
-        Same interop rule as :meth:`query_cache`: an *old* shard
-        answers ``error`` for the unknown ``telemetry-query`` type and
-        stays alive, so any non-report reply means "no telemetry
-        support"; only a transport failure raises :class:`ShardError`.
-        """
-        try:
-            protocol.send_message(self._sock, protocol.telemetry_query())
-            reply = protocol.recv_message(self._sock)
-        except (protocol.ProtocolError, ConnectionError, OSError) as exc:
-            raise ShardError(f"telemetry query to shard {self.name} "
-                             f"failed: {exc}") from exc
-        if reply.get("type") != "telemetry-report":
-            return None
-        return dict(reply.get("metrics", {}))
 
     def query_cache(self, keys) -> tuple[set, dict]:
         """Ask the shard which of these round keys its cache tier holds.
@@ -228,14 +218,6 @@ class ShardClient:
         if reply.get("type") != "cache-report":
             return set(), {}
         return set(reply.get("held", [])), dict(reply.get("stats", {}))
-
-    def shutdown_server(self) -> None:
-        """Ask the shard process to exit its serve loop (best effort)."""
-        try:
-            protocol.send_message(self._sock, {"type": "shutdown"})
-            protocol.recv_message(self._sock)
-        except (protocol.ProtocolError, ConnectionError, OSError):
-            pass
 
     def close(self) -> None:
         try:
@@ -335,7 +317,7 @@ class _ShardWorker(threading.Thread):
                 continue
             self.client = client
             self.failure = None
-            sched._note_rejoin()
+            telemetry.counter("cluster.rejoins").inc()
             return True
         return False
 
@@ -405,18 +387,6 @@ class ClusterScheduler:
         self._in_flight = 0
         self._abort_exc: BaseException | None = None
         self.failures: list[ShardError] = []
-        self.rejoins = 0
-        self.rounds_done = 0
-        self.placed_rounds = 0
-        self.placement_hits = 0
-        self.placed_steals = 0
-        self.shard_cache_hits = 0
-        self.requeues = 0
-
-    def _note_rejoin(self) -> None:
-        telemetry.counter("cluster.rejoins").inc()
-        with self._lock:
-            self.rejoins += 1
 
     # -- worker-side hooks (thread-safe) -----------------------------------
 
@@ -451,7 +421,6 @@ class ClusterScheduler:
                         self._wake.wait()
                         continue
                     chunk, source = victim.popleft(), "stolen"
-                    self.placed_steals += 1
                     telemetry.counter("cluster.chunks_stolen").inc()
                 self._in_flight += 1
                 return chunk, source
@@ -461,7 +430,6 @@ class ClusterScheduler:
             return
         telemetry.counter("cluster.chunks_requeued").inc()
         with self._wake:
-            self.requeues += 1
             # Requeue at the front: retried work should not gratuitously
             # fall behind fresh work in arrival order.  Placed chunks
             # requeue to the *shared* queue too — their owner just
@@ -496,19 +464,14 @@ class ClusterScheduler:
                  source: str = "queue", cache_hits: int = 0,
                  telemetry_delta: dict | None = None) -> None:
         telemetry.merge(telemetry_delta)
+        if source == "own":
+            telemetry.counter("cluster.placement_hits").inc(len(chunk))
+        if cache_hits:
+            telemetry.counter("cluster.shard_cache_hits").inc(cache_hits)
         for (index, _), outcome in zip(chunk, outcomes):
             self._results.put((index, outcome))
         with self._wake:
             self._in_flight -= 1
-            self.rounds_done += len(chunk)
-            if source == "own":
-                self.placement_hits += len(chunk)
-                telemetry.counter("cluster.placement_hits") \
-                    .inc(len(chunk))
-            self.shard_cache_hits += int(cache_hits)
-            if cache_hits:
-                telemetry.counter("cluster.shard_cache_hits") \
-                    .inc(int(cache_hits))
             self._wake.notify_all()
 
     def _worker_done(self, worker: _ShardWorker) -> None:
@@ -526,28 +489,6 @@ class ClusterScheduler:
         return [[items[i] for i in chunk]
                 for chunk in deal_chunks(len(items), workers,
                                          self.max_chunk)]
-
-    def stats(self) -> dict:
-        """Telemetry of this batch: placement and shard-cache counters.
-
-        ``placement_hits`` counts rounds a shard answered from its
-        *own* placed backlog, ``placed_steals`` counts chunks another
-        shard stole from a slow/dead owner's backlog, and
-        ``shard_cache_hits`` sums the per-chunk cache-hit counts the
-        shards reported (which can exceed ``placement_hits`` — a shard
-        also serves cached rounds that arrive via the shared queue).
-        """
-        with self._lock:
-            return {
-                "chunks": self._chunk_counter,
-                "rounds": self.rounds_done,
-                "placed_rounds": self.placed_rounds,
-                "placement_hits": self.placement_hits,
-                "placed_steals": self.placed_steals,
-                "shard_cache_hits": self.shard_cache_hits,
-                "requeues": self.requeues,
-                "rejoins": self.rejoins,
-            }
 
     def run_iter(self, specs: list):
         """Yield ``(index, outcome)`` pairs as shards complete them.
@@ -570,7 +511,7 @@ class ClusterScheduler:
             self._pending.extend(self._deal(shared, len(self.clients)))
             for owner, items in placed.items():
                 self._placed[owner] = deque(self._deal(items, 1))
-                self.placed_rounds += len(items)
+                telemetry.counter("cluster.placed_rounds").inc(len(items))
             self._live_workers = len(self.clients)
         workers = [_ShardWorker(self, client) for client in self.clients]
         for worker in workers:

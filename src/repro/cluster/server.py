@@ -249,7 +249,7 @@ class ShardServer:
         protocol.send_message(conn, protocol.welcome(
             self.fingerprint, host=self.host, pid=os.getpid(),
             capacity=self.jobs, schema=self.schema,
-            secret=self.secret))
+            secret=self.secret, token=telemetry.process_token()))
         return True
 
     def _answer_cache_info(self, conn: socket.socket, message: dict) -> None:
@@ -349,10 +349,6 @@ class ShardServer:
                 else []
             protocol.send_message(
                 conn, protocol.cache_report(held, self.cache_stats()))
-            return True
-        if kind == "telemetry-query":
-            protocol.send_message(
-                conn, protocol.telemetry_report(self.telemetry_stats()))
             return True
         if kind == "run":
             chunk_id = int(message.get("chunk_id", -1))

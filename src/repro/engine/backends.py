@@ -270,16 +270,6 @@ class EvaluationBackend(ABC):
             outcomes[index] = outcome
         return outcomes
 
-    def batch_telemetry(self) -> dict | None:
-        """Backend-specific counters of the most recent batch, or ``None``.
-
-        Read-once: the engine calls this after each batch and merges a
-        truthy result into the ``batch_log`` entry (the cluster backend
-        reports its placement/shard-cache stats here).  Backends with
-        nothing to report inherit this ``None``.
-        """
-        return None
-
 
 class SerialBackend(EvaluationBackend):
     """The reference backend: a plain in-process loop."""

@@ -25,6 +25,7 @@ explicit engine, so existing call sites gain caching transparently.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 from repro import telemetry
@@ -80,8 +81,12 @@ class EvaluationEngine:
                                      max_entries=cache_max_entries)
         else:
             self.cache = None
+        # Lifetime totals, folded once per batch: concurrent streams
+        # (a `repro serve` replica's workers) may share one engine.
+        self._totals_lock = threading.Lock()
         self.rounds_computed = 0
-        self.batch_log: list[dict] = []
+        self._batches_run = 0
+        self._batch_seconds = 0.0
 
     # -- evaluation -------------------------------------------------------
 
@@ -124,7 +129,7 @@ class EvaluationEngine:
         for index, outcome in self._stream_indexed(ctx, specs):
             yield specs[index], outcome
 
-    def _stream_indexed(self, ctx, specs):
+    def _stream_indexed(self, ctx, specs, batches: list | None = None):
         """Yield ``(index, outcome)``: cache hits first, then the
         backend's :meth:`~repro.engine.backends.EvaluationBackend.
         run_iter` completions.
@@ -135,6 +140,10 @@ class EvaluationEngine:
         every backend leaves the same cache behind (LRU order
         included).  A stream abandoned or failed mid-batch still caches
         every round that landed.
+
+        When the stream ends, the batch's record is appended to the
+        caller's own ``batches`` list, so streams sharing one engine
+        never see each other's batches.
         """
         if not specs:
             return
@@ -162,7 +171,6 @@ class EvaluationEngine:
                                           rounds=len(to_run)):
                     for j, outcome in self.backend.run_iter(
                             ctx, [spec for _, spec in to_run]):
-                        self.rounds_computed += 1
                         computed += 1
                         landed[j] = outcome
                         while committed < len(to_run) and \
@@ -179,19 +187,21 @@ class EvaluationEngine:
             telemetry.counter("engine.rounds_total").inc(len(specs))
             telemetry.counter("engine.rounds_computed").inc(computed)
             telemetry.counter("engine.batches_total").inc()
-            entry = {
-                "batch": len(self.batch_log) + 1,
-                "backend": self.backend.name,
-                "n_specs": len(specs),
-                "n_unique": len(positions),
-                "computed": computed,
-                "cache_hits": len(positions) - len(to_run),
-                "seconds": time.perf_counter() - start,
-            }
-            cluster_telemetry = self.backend.batch_telemetry()
-            if cluster_telemetry:
-                entry["cluster"] = cluster_telemetry
-            self.batch_log.append(entry)
+            seconds = time.perf_counter() - start
+            with self._totals_lock:
+                self.rounds_computed += computed
+                self._batches_run += 1
+                self._batch_seconds += seconds
+            if batches is not None:
+                batches.append({
+                    "batch": len(batches) + 1,
+                    "backend": self.backend.name,
+                    "n_specs": len(specs),
+                    "n_unique": len(positions),
+                    "computed": computed,
+                    "cache_hits": len(positions) - len(to_run),
+                    "seconds": seconds,
+                })
 
     def _commit(self, key: str, outcome) -> None:
         if self.cache is not None:
@@ -201,27 +211,16 @@ class EvaluationEngine:
 
     @property
     def stats(self) -> dict:
-        """Lifetime counters: computed rounds plus cache hit/miss tallies.
-
-        Includes ``batches_run`` and the wall time summed over
-        ``batch_log`` (per-batch backend/timing detail lives in
-        :attr:`batch_log` itself; :func:`repro.experiments.reporting.
-        format_engine_stats` renders both).
-        """
-        out = {
-            "backend": self.backend.name,
-            "rounds_computed": self.rounds_computed,
-            "batches_run": len(self.batch_log),
-            "batch_seconds": sum(b["seconds"] for b in self.batch_log),
-        }
-        cluster_entries = [b["cluster"] for b in self.batch_log
-                           if b.get("cluster")]
-        if cluster_entries:
-            for counter in ("chunks", "placed_rounds", "placement_hits",
-                            "placed_steals", "shard_cache_hits",
-                            "requeues", "rejoins"):
-                out[counter] = sum(int(c.get(counter, 0))
-                                   for c in cluster_entries)
+        """Lifetime totals: computed rounds, batches run and their wall
+        time, plus the cache's hit/miss tallies.  (A study archives its
+        own batch records; cluster counts live in telemetry.)"""
+        with self._totals_lock:
+            out = {
+                "backend": self.backend.name,
+                "rounds_computed": self.rounds_computed,
+                "batches_run": self._batches_run,
+                "batch_seconds": self._batch_seconds,
+            }
         if self.cache is not None:
             out.update(
                 cache_hits=self.cache.stats.hits,

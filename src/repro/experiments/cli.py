@@ -147,11 +147,11 @@ def _progress_for(args, label: str):
     return None
 
 
-def _print_engine_stats(engine) -> None:
+def _print_engine_stats(engine, result) -> None:
     from repro.experiments.reporting import format_engine_stats
 
     print()
-    print(format_engine_stats(engine))
+    print(format_engine_stats(engine, result.engine_stats["batches"]))
 
 
 # -- the study surface -------------------------------------------------------
@@ -270,7 +270,7 @@ def cmd_run(args) -> int:
 
     spec = _study_from_args(args)
     engine = _study_engine(args, spec)
-    batches_before = len(engine.batch_log)
+    batches_before = engine.stats["batches_run"]
     try:
         result = run_study(spec, engine=engine,
                            progress=_progress_for(args, f"run:{spec.kind}"),
@@ -279,10 +279,10 @@ def cmd_run(args) -> int:
                            checkpoint_every=args.checkpoint_every)
     except ValueError as exc:  # unknown context maker, invalid grid, ...
         raise SystemExit(f"cannot run study: {exc}") from None
-    fresh = len(engine.batch_log) > batches_before
+    fresh = engine.stats["batches_run"] > batches_before
     print(result.render())
     if fresh:
-        _print_engine_stats(engine)
+        _print_engine_stats(engine, result)
     else:
         print("\n(served from the study archive; no rounds were submitted)")
     if args.out:
@@ -645,7 +645,7 @@ def cmd_proposition1(args) -> int:
     print(f"pure NE exists: {search.exists}")
     print(f"best-response cycle length: {search.trace.cycle_length}")
     print(f"Ta = {cert['ta']:.3f}, Td(at Ta-attack) = {cert['td_at_ta_attack']:.3f}")
-    _print_engine_stats(engine)
+    _print_engine_stats(engine, result)
     return 0
 
 

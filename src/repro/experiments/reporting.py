@@ -91,13 +91,15 @@ def format_pure_sweep(result: PureSweepResult) -> str:
     )
 
 
-def format_engine_stats(engine) -> str:
+def format_engine_stats(engine, batches=()) -> str:
     """Engine telemetry for an experiment summary.
 
-    One summary block (backend, rounds computed, cache
-    hits/misses/evictions) plus a per-batch table with each batch's
-    backend and wall time, so a report always says how its numbers
-    were produced.
+    One summary block (the engine's lifetime totals: backend, rounds
+    computed, batches, cache hits/misses/evictions) plus a per-batch
+    table of ``batches`` — a study's own records
+    (``result.engine_stats["batches"]``) — with each batch's backend
+    and wall time, so a report always says how its numbers were
+    produced.
     """
     stats = engine.stats
     rows = [
@@ -116,31 +118,19 @@ def format_engine_stats(engine) -> str:
         ]
     else:
         rows.append(("cache", "off"))
-    if "placement_hits" in stats:
-        # Cluster telemetry: present only when at least one batch ran
-        # on the cluster backend with placement/shard-cache reporting.
-        rows += [
-            ("cluster chunks", str(stats.get("chunks", 0))),
-            ("cluster placed rounds", str(stats.get("placed_rounds", 0))),
-            ("cluster placement hits", str(stats["placement_hits"])),
-            ("cluster shard-cache hits", str(stats["shard_cache_hits"])),
-            ("cluster placed-chunk steals", str(stats["placed_steals"])),
-            ("cluster chunk requeues", str(stats.get("requeues", 0))),
-            ("cluster shard rejoins", str(stats.get("rejoins", 0))),
-        ]
     summary = ascii_table(["engine", "value"], rows, title="Engine stats")
-    if not engine.batch_log:
+    if not batches:
         return summary
     batch_rows = [
         (str(b["batch"]), b["backend"], str(b["n_specs"]), str(b["n_unique"]),
          str(b["computed"]), str(b["cache_hits"]), f"{b['seconds'] * 1e3:.1f}")
-        for b in engine.batch_log
+        for b in batches
     ]
-    batches = ascii_table(
+    table = ascii_table(
         ["batch", "backend", "specs", "unique", "computed", "cached", "ms"],
         batch_rows,
     )
-    return f"{summary}\n{batches}"
+    return f"{summary}\n{table}"
 
 
 def format_telemetry_summary(summary: dict) -> str:

@@ -112,9 +112,6 @@ class SchedulerWorker(threading.Thread):
         """Make an idle worker scan the queue now, not at its next poll."""
         self._wake.set()
 
-    def stopping(self) -> bool:
-        return self._stop_event.is_set()
-
     @property
     def running_fingerprint(self) -> str | None:
         """The study this worker is executing right now, if any."""

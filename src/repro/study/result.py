@@ -52,8 +52,9 @@ class StudyResult:
         computed under; a future build whose schema differs must not
         warm its cache from these records.
     engine_stats:
-        Backend name plus the engine's per-batch telemetry for this
-        run only (specs/unique/computed/cache-hits/wall time).
+        Backend name plus the records of this run's own batches
+        (specs/unique/computed/cache-hits/wall time), even when other
+        studies shared the engine.
     scenarios:
         One record per distinct round: its cache key, context
         fingerprint, declarative coordinates (defense/attack/victim/

@@ -61,7 +61,9 @@ class _RecordingEngine:
     checkpointing hangs off, fires) the moment it lands, so a run
     killed mid-batch keeps every completed round — but :attr:`records`
     takes each batch's rounds in input order, so the archive is the
-    same whatever order a backend lands them in.
+    same whatever order a backend lands them in.  The engine hands
+    each batch's record to :attr:`batches`, so a study counts its own
+    batches even while other studies share the engine.
     """
 
     def __init__(self, engine, on_record=None):
@@ -69,6 +71,7 @@ class _RecordingEngine:
         self._seen: set[str] = set()
         self._on_record = on_record
         self.records: list[dict] = []
+        self.batches: list[dict] = []
         # Study-cumulative progress accounting: batches within one
         # study continue the count instead of restarting at zero, and
         # resumed (checkpointed) rounds land first as cache hits — so
@@ -108,7 +111,8 @@ class _RecordingEngine:
         self._progress_total += len(specs)
         landed: list = [None] * len(specs)
         try:
-            for index, outcome in self._engine._stream_indexed(ctx, specs):
+            for index, outcome in self._engine._stream_indexed(
+                    ctx, specs, self.batches):
                 landed[index] = self._note(fingerprint, specs[index],
                                            outcome)
                 self._progress_done += 1
@@ -471,7 +475,6 @@ def run_study(
     recorder = _RecordingEngine(
         engine,
         on_record=checkpointer.note if checkpointer is not None else None)
-    batches_before = len(engine.batch_log)
 
     try:
         with telemetry.trace_span("study", kind=spec.kind):
@@ -485,7 +488,7 @@ def run_study(
             checkpointer.close()
         raise
 
-    batches = [dict(b) for b in engine.batch_log[batches_before:]]
+    batches = recorder.batches
     scenarios = recorder.records
     context_fingerprints = []
     for row in scenarios:
@@ -677,7 +680,7 @@ def describe_study(
     :meth:`~repro.engine.ResultCache.contains`), the prediction is
     exact for statically-enumerable studies: a subsequent
     :func:`run_study` on the same engine will report exactly the
-    predicted specs/unique/cache-hit counts in its batch telemetry.
+    predicted specs/unique/cache-hit counts in its batch records.
     ``context`` supplies the live context for specs built with
     ``context=None`` — like :func:`run_study`, it is consulted only
     then; a spec that names its own ContextSpec gets the same

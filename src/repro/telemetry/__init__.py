@@ -25,7 +25,9 @@ discipline (:meth:`~repro.telemetry.metrics.MetricsRegistry.flush_delta`
 / ``merge``): pool workers return a delta beside their outcomes,
 cluster shards piggyback one on ``chunk_result`` messages, and the
 client folds them into its own registry — so ``summary()`` on the
-client covers the whole fleet regardless of backend.  ``summary()``
+client covers the whole fleet regardless of backend.  A delta never
+merges within one process: a shard in its client's process shares
+the client's registry (:func:`process_token`).  ``summary()``
 also derives per-stage time breakdowns from the ``span.<name>.seconds``
 histograms every span feeds.
 
@@ -59,6 +61,7 @@ __all__ = [
     "gauge",
     "histogram",
     "merge",
+    "process_token",
     "rearm",
     "registry",
     "reset",
@@ -92,6 +95,8 @@ class _State:
 
 _state: _State | None = None
 _state_lock = threading.Lock()
+# Names this process to its peers (see process_token()).
+_token = os.urandom(8).hex()
 
 
 def _after_fork() -> None:
@@ -100,9 +105,11 @@ def _after_fork() -> None:
     # second time.  Drop it without writing anything, so the child
     # starts from an empty registry (re-armed from the environment)
     # and opens its own sink file.  The lock is replaced, not taken:
-    # the fork may have copied it mid-hold.
-    global _state, _state_lock
+    # the fork may have copied it mid-hold.  The child is a new peer,
+    # so it draws its own token.
+    global _state, _state_lock, _token
     _state, _state_lock = None, threading.Lock()
+    _token = os.urandom(8).hex()
 
 
 os.register_at_fork(after_in_child=_after_fork)
@@ -253,6 +260,15 @@ def merge(delta: dict | None) -> None:
     """Fold a worker/shard delta into the local registry."""
     if delta:
         _ensure().registry.merge(delta)
+
+
+def process_token() -> str:
+    """A random name for this process (drawn again in a forked child).
+
+    A shard's welcome carries it; a client never merges the delta of a
+    shard whose token equals its own (that shard shares its registry).
+    """
+    return _token
 
 
 def summary(since: dict | None = None) -> dict:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.cluster.backend import ClusterBackend, parse_shard_addresses
 from repro.cluster.scheduler import (
     ClusterError,
@@ -95,6 +96,34 @@ class TestClusterParity:
             ClusterBackend(shards=shard_farm(2)), cache=False)
         assert cluster.evaluate_batch(cluster_ctx, specs) == \
             serial.evaluate_batch(cluster_ctx, specs)
+
+
+class TestInProcessCounts:
+    def test_in_process_farm_counts_each_round_once(self, cluster_ctx,
+                                                    shard_farm, counters):
+        """Shards in the client's own process share its registry, so
+        their piggybacked deltas must not be merged back into it."""
+        specs = batch(n=4, seeds=1)[:7]
+        engine = EvaluationEngine(ClusterBackend(shards=shard_farm(2)),
+                                  cache=False)
+        engine.evaluate_batch(cluster_ctx, specs[:4])
+        engine.evaluate_batch(cluster_ctx, specs[4:])
+        counts = telemetry.snapshot()["counters"]
+        assert counts["engine.rounds_computed"] == 7
+        assert counts["engine.batches_total"] == 2
+        assert counts["shard.rounds_total"] == 7
+        assert counts["shard.chunks_total"] == 4
+
+    def test_welcome_carries_the_shard_process_token(self, cluster_ctx,
+                                                     shard_farm):
+        (address,) = shard_farm(1)
+        client = ShardClient(address)
+        try:
+            info = client.handshake(cluster_ctx.fingerprint(),
+                                    cache_schema_version())
+        finally:
+            client.close()
+        assert info["token"] == telemetry.process_token()
 
 
 class TestHandshake:
@@ -283,7 +312,7 @@ class TestScheduler:
         assert chunks == [list(range(first, 20, 6)) for first in range(6)]
         assert max(len(chunk) for chunk in chunks) == 4
 
-    def test_requeued_chunk_is_retaken_whole(self):
+    def test_requeued_chunk_is_retaken_whole(self, counters):
         import threading
 
         died = threading.Event()
@@ -296,9 +325,9 @@ class TestScheduler:
         assert lost in healthy.received
         assert sorted(healthy.received, key=min) == \
             [list(range(0, 48, 2)), list(range(1, 48, 2))]
-        assert scheduler.stats()["requeues"] == 1
+        assert counters()["cluster.chunks_requeued"] == 1
 
-    def test_placed_chunks_never_mix_with_queue_chunks(self):
+    def test_placed_chunks_never_mix_with_queue_chunks(self, counters):
         """The owner holds its first placed chunk until the other shard
         has stolen one of its backlog, so both the owner's and the
         thief's path through the placed backlog run."""
@@ -329,11 +358,15 @@ class TestScheduler:
         # The owner's backlog is dealt into whole chunks of its own.
         assert sorted(chunk for chunk in chunks if set(chunk) <= placed) \
             == [[0, 9], [3, 12], [6, 15]]
-        stats = scheduler.stats()
-        assert stats["placed_rounds"] == len(placed)
-        assert stats["placed_steals"] >= 1
+        counts = counters()
+        assert counts["cluster.placed_rounds"] == len(placed)
+        assert counts["cluster.chunks_stolen"] >= 1
+        # The owner landed every placed chunk the thief did not steal.
+        assert counts["cluster.placement_hits"] == \
+            sum(len(chunk) for chunk in owner.received)
 
-    def test_many_shards_under_fast_switching_deliver_exactly_once(self):
+    def test_many_shards_under_fast_switching_deliver_exactly_once(
+            self, counters):
         """More shard threads than cores, two of which die mid-batch,
         with a shortened switch interval: a lost update to the shared
         queue or the in-flight count would hang, drop or repeat work."""
@@ -367,10 +400,11 @@ class TestScheduler:
         assert not [thread for thread in threading.enumerate()
                     if thread.name.startswith("shard-stress-")]
         assert sorted(i for i, _ in delivered) == list(range(n))
-        stats = scheduler.stats()
-        assert stats["rounds"] == n
         # every dealt chunk landed once; each failed attempt was requeued
-        assert stats["chunks"] == 8 * -(-n // (8 * 3)) + stats["requeues"]
+        landed = telemetry.snapshot()["histograms"]["cluster.chunk.seconds"]
+        assert landed["count"] == 8 * -(-n // (8 * 3))
+        assert counters().get("cluster.chunks_requeued", 0) == \
+            len(scheduler.failures)
 
     def test_chunk_bounds_validated(self):
         with pytest.raises(ValueError, match="max_chunk"):

@@ -150,28 +150,34 @@ class TestCacheInfoProbe:
 
 
 class TestPlacement:
+    @pytest.fixture(autouse=True)
+    def _arm(self, counters):
+        self.counters = counters
+
     def _run(self, ctx, addresses, **kwargs):
+        """One sweep from a cold client; its outcomes and the cluster
+        counters it moved."""
         backend = ClusterBackend(shards=addresses, max_chunk=4,
                                  **kwargs)
         engine = EvaluationEngine(backend, cache=False)
         outcomes = engine.evaluate_batch(ctx, sweep_batch(n=4, seeds=3))
-        return outcomes, engine.batch_log[-1].get("cluster")
+        return outcomes, self.counters()
 
     def test_warm_fleet_recomputes_nothing(self, cluster_ctx, shard_farm,
                                            reference, tmp_path):
         addresses = shard_farm(2, cache_dir=str(tmp_path / "tier"))
-        cold, telemetry = self._run(cluster_ctx, addresses)
+        cold, counts = self._run(cluster_ctx, addresses)
         assert cold == reference
-        assert telemetry["shard_cache_hits"] == 0
+        assert counts.get("cluster.shard_cache_hits", 0) == 0
         # Second sweep from a *cold client* (fresh backend, engine cache
         # off): every round is placed on a holder and served from disk —
-        # zero recompute, asserted via the shard-reported telemetry.
+        # zero recompute, asserted via the shard-reported cache hits.
         specs = sweep_batch(n=4, seeds=3)
-        warm, telemetry = self._run(cluster_ctx, addresses)
+        warm, counts = self._run(cluster_ctx, addresses)
         assert warm == reference
-        assert telemetry["placed_rounds"] == len(specs)
-        assert telemetry["shard_cache_hits"] == len(specs)
-        assert 0 < telemetry["placement_hits"] <= len(specs)
+        assert counts["cluster.placed_rounds"] == len(specs)
+        assert counts["cluster.shard_cache_hits"] == len(specs)
+        assert 0 < counts["cluster.placement_hits"] <= len(specs)
 
     def test_disjoint_tiers_place_to_the_holder(self, cluster_ctx,
                                                 shard_farm, reference,
@@ -183,46 +189,56 @@ class TestPlacement:
         addresses = shard_farm(1, cache_dir=str(tmp_path / "a")) + \
             shard_farm(1, cache_dir=str(tmp_path / "b"))
         self._run(cluster_ctx, addresses)
-        warm, telemetry = self._run(cluster_ctx, addresses)
+        warm, counts = self._run(cluster_ctx, addresses)
         assert warm == reference
-        assert telemetry["placed_rounds"] == len(sweep_batch(n=4, seeds=3))
-        assert telemetry["shard_cache_hits"] > 0
+        assert counts["cluster.placed_rounds"] == \
+            len(sweep_batch(n=4, seeds=3))
+        assert counts["cluster.shard_cache_hits"] > 0
 
     def test_placement_toggle_off_still_hits_shard_cache(
             self, cluster_ctx, shard_farm, reference, tmp_path):
         addresses = shard_farm(2, cache_dir=str(tmp_path / "shared"))
         self._run(cluster_ctx, addresses)
-        warm, telemetry = self._run(cluster_ctx, addresses,
-                                    placement=False)
+        warm, counts = self._run(cluster_ctx, addresses,
+                                 placement=False)
         assert warm == reference
-        assert telemetry["placed_rounds"] == 0
-        assert telemetry["placement_hits"] == 0
+        assert counts.get("cluster.placed_rounds", 0) == 0
+        assert counts.get("cluster.placement_hits", 0) == 0
         # The shards still answer from their tier — placement only
         # decides *routing*, the cache serves either way.
-        assert telemetry["shard_cache_hits"] == len(sweep_batch(n=4,
-                                                               seeds=3))
+        assert counts["cluster.shard_cache_hits"] == \
+            len(sweep_batch(n=4, seeds=3))
 
-    def test_engine_stats_aggregate_cluster_telemetry(
-            self, cluster_ctx, shard_farm, tmp_path):
-        from repro.experiments.reporting import format_engine_stats
+    def test_study_archives_its_cluster_counts(self, cluster_ctx,
+                                               shard_farm, tmp_path):
+        """A study's cluster counts are archived with its telemetry and
+        render like every other layer's (``repro report --telemetry``)."""
+        from repro.experiments.reporting import format_telemetry_summary
+        from repro.study import run_study, studies
 
         addresses = shard_farm(1, cache_dir=str(tmp_path / "tier"))
-        backend = ClusterBackend(shards=addresses, max_chunk=4)
-        engine = EvaluationEngine(backend, cache=False)
-        specs = sweep_batch(n=2, seeds=2)
-        engine.evaluate_batch(cluster_ctx, specs)
-        engine.evaluate_batch(cluster_ctx, specs)
-        stats = engine.stats
-        assert stats["shard_cache_hits"] == len(specs)
-        assert stats["placement_hits"] == len(specs)
-        rendered = format_engine_stats(engine)
-        assert "cluster placement hits" in rendered
-        assert "cluster shard-cache hits" in rendered
+        spec = studies.figure1(context=None, percentiles=(0.0, 0.1),
+                               poison_fraction=0.2)
+
+        def run():
+            engine = EvaluationEngine(
+                ClusterBackend(shards=addresses, max_chunk=4), cache=False)
+            return run_study(spec, context=cluster_ctx, engine=engine)
+
+        cold, warm = run(), run()
+        assert "cluster.shard_cache_hits" not in \
+            cold.extras["telemetry"]["counters"]
+        counts = warm.extras["telemetry"]["counters"]
+        assert counts["cluster.shard_cache_hits"] == warm.n_unique
+        assert counts["cluster.placement_hits"] == warm.n_unique
+        rendered = format_telemetry_summary(warm.extras["telemetry"])
+        assert "cluster.placement_hits" in rendered
+        assert "cluster.shard_cache_hits" in rendered
 
 
 class TestPlacementUnderChaos:
     def test_placed_shard_killed_mid_chunk_is_bit_identical(
-            self, cluster_ctx, reference, tmp_path):
+            self, cluster_ctx, reference, tmp_path, counters):
         """A half-warm shard owns placed chunks, crashes mid-chunk; the
         cacheless survivor absorbs the requeue (stealing the remaining
         placed work) and the sweep matches serial bit for bit."""
@@ -258,8 +274,7 @@ class TestPlacementUnderChaos:
             engine = EvaluationEngine(backend, cache=False)
             outcomes = engine.evaluate_batch(cluster_ctx, specs)
             assert outcomes == reference
-            telemetry = engine.batch_log[-1]["cluster"]
-            assert telemetry["placed_rounds"] == 6
+            assert counters()["cluster.placed_rounds"] == 6
             assert chaotic.wait(timeout=10.0) == CHAOS_EXIT_CODE
         finally:
             for proc in (chaotic, survivor):
@@ -269,7 +284,8 @@ class TestPlacementUnderChaos:
                 proc.stdout.close()
 
     def test_rejoin_replays_partial_chunk_from_disk(self, cluster_ctx,
-                                                    reference, tmp_path):
+                                                    reference, tmp_path,
+                                                    counters):
         """The lone shard streams each round to disk, crashes mid-chunk,
         and is restarted at the same address over the same tier: the
         requeued chunk's already-landed rounds replay from disk instead
@@ -305,9 +321,9 @@ class TestPlacementUnderChaos:
             engine = EvaluationEngine(backend, cache=False)
             outcomes = engine.evaluate_batch(cluster_ctx, specs)
             assert outcomes == reference
-            assert backend._last_scheduler.rejoins >= 1
-            telemetry = engine.batch_log[-1]["cluster"]
-            assert telemetry["shard_cache_hits"] >= 1
+            counts = counters()
+            assert counts["cluster.rejoins"] >= 1
+            assert counts["cluster.shard_cache_hits"] >= 1
             watcher.join(timeout=10.0)
             assert first.returncode == CHAOS_EXIT_CODE
         finally:

@@ -105,16 +105,57 @@ class TestBatchTelemetry:
                 RoundSpec(filter_percentile=0.1,
                           attack=AttackSpec("boundary", 0.1), seed=5)]
 
-    def test_batch_log_records_backend_and_wall_time(self, ctx):
+    def test_streams_get_their_own_batch_records(self, ctx):
+        """A batch's record goes to the stream that ran it; the engine
+        keeps only lifetime totals."""
         engine = EvaluationEngine("serial")
-        engine.evaluate_batch(ctx, self.specs())
-        engine.evaluate_batch(ctx, self.specs())  # all cache hits
-        assert len(engine.batch_log) == 2
-        first, second = engine.batch_log
+        cold, warm = [], []
+        list(engine._stream_indexed(ctx, self.specs(), cold))
+        list(engine._stream_indexed(ctx, self.specs(), warm))  # all hits
+        (first,), (second,) = cold, warm
+        assert first["batch"] == second["batch"] == 1
         assert first["backend"] == "serial"
         assert first["computed"] == 2 and first["cache_hits"] == 0
         assert second["computed"] == 0 and second["cache_hits"] == 2
         assert first["seconds"] > 0.0 and second["seconds"] >= 0.0
+        assert engine.stats["batches_run"] == 2
+        assert engine.rounds_computed == 2
+
+    def test_totals_survive_concurrent_streams(self, ctx):
+        """More streams than cores on one engine, switching often: the
+        lifetime totals lose no update and each stream keeps exactly
+        its own records."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.engine import SerialBackend
+
+        class Instant(SerialBackend):
+            def run_iter(self, ctx, specs):
+                return ((i, _outcome()) for i in range(len(specs)))
+
+        engine = EvaluationEngine(Instant(), cache=False)
+        specs = [RoundSpec(filter_percentile=0.01 * i, attack=None, seed=5)
+                 for i in range(5)]
+
+        def stream(_):
+            batches = []
+            for _ in range(200):
+                list(engine._stream_indexed(ctx, specs, batches))
+            return batches
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                per_stream = list(pool.map(stream, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(previous)
+        for batches in per_stream:
+            assert [b["batch"] for b in batches] == list(range(1, 201))
+            assert all(b["computed"] == len(specs) for b in batches)
+        assert engine.stats["batches_run"] == 8 * 200
+        assert engine.rounds_computed == 8 * 200 * len(specs)
 
     def test_stats_include_evictions_and_batches(self, ctx):
         engine = EvaluationEngine("serial", cache_max_entries=1)
@@ -128,8 +169,9 @@ class TestBatchTelemetry:
         from repro.experiments.reporting import format_engine_stats
 
         engine = EvaluationEngine("serial")
-        engine.evaluate_batch(ctx, self.specs())
-        text = format_engine_stats(engine)
+        batches = []
+        list(engine._stream_indexed(ctx, self.specs(), batches))
+        text = format_engine_stats(engine, batches)
         assert "Engine stats" in text
         assert "cache hits" in text
         assert "cache evictions" in text

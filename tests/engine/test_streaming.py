@@ -108,15 +108,14 @@ class TestEvaluateStream:
         assert engine.rounds_computed == 1
         assert len({id(outcome) for _, outcome in pairs}) == 1
 
-    def test_stream_appends_batch_log(self, ctx):
+    def test_stream_counts_one_batch(self, ctx):
         engine = EvaluationEngine("serial")
         specs = batch()
         list(engine.evaluate_stream(ctx, specs))
-        assert len(engine.batch_log) == 1
-        entry = engine.batch_log[0]
-        assert entry["n_specs"] == len(specs)
-        assert entry["computed"] == len(specs)
-        assert entry["cache_hits"] == 0
+        stats = engine.stats
+        assert stats["batches_run"] == 1
+        assert stats["rounds_computed"] == len(specs)
+        assert stats["cache_hits"] == 0
 
     def test_empty_stream(self, ctx):
         engine = EvaluationEngine("serial")

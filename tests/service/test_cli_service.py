@@ -143,3 +143,4 @@ def test_serve_sigterm_graceful_exit_zero(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+        proc.stdout.close()

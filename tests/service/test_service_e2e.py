@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationEngine, SerialBackend
 from repro.service import ReproService, ServiceConfig, StudyQueue
-from repro.study import run_study
+from repro.study import archive_path, run_study, study_result_from_json
 
 
 @pytest.fixture()
@@ -112,7 +112,59 @@ def test_concurrent_submits_one_computation(svc_client, svc, engine,
     direct_engine = EvaluationEngine("serial")
     run_study(tiny_spec, engine=direct_engine)
     assert engine.rounds_computed == direct_engine.rounds_computed
-    assert len(engine.batch_log) == len(direct_engine.batch_log)
+    assert engine.stats["batches_run"] == direct_engine.stats["batches_run"]
+
+
+def batch_accounting(result) -> dict:
+    """What a study archives about the batches it ran, timings aside."""
+    return {"n_rounds": result.n_rounds, "n_unique": result.n_unique,
+            "cache_hits": result.cache_hits,
+            "rounds_computed": result.rounds_computed,
+            "batches": [{key: value for key, value in batch.items()
+                         if key != "seconds"}
+                        for batch in result.engine_stats["batches"]]}
+
+
+def test_two_workers_sharing_an_engine_archive_only_their_batches(
+        tmp_path, spec_maker, client_class):
+    """Two studies with disjoint rounds, run at once by one replica's two
+    scheduler workers on one engine, archive what each runs alone."""
+    specs = [spec_maker(percentiles=(0.05, 0.1)),
+             spec_maker(percentiles=(0.15, 0.2))]
+    solo = [batch_accounting(run_study(spec,
+                                       engine=EvaluationEngine("serial")))
+            for spec in specs]
+    meet = threading.Barrier(2, timeout=60.0)
+
+    class Overlapping(SerialBackend):
+        """Serial rounds; each study's one batch holds after its first
+        round until the other's has landed one too."""
+
+        def run_iter(self, ctx, specs):
+            for n, landed in enumerate(super().run_iter(ctx, specs)):
+                yield landed
+                if n == 0:
+                    meet.wait()
+
+    shared = EvaluationEngine(Overlapping())
+    archive_dir = str(tmp_path / "archive")
+    service = ReproService(ServiceConfig(
+        archive_dir=archive_dir, poll_interval=0.05, lease_ttl=5.0,
+        retries=0, backoff=0.01), engine=shared, workers=2).start()
+    try:
+        client = client_class(service.host, service.port)
+        for spec in specs:
+            assert client.json("POST", "/studies", spec.to_obj())[0] == 202
+        for spec in specs:
+            assert _wait_done(client, spec.fingerprint())["state"] == "done"
+    finally:
+        service.stop()
+    served = [study_result_from_json(archive_path(archive_dir,
+                                                  spec.fingerprint()))
+              for spec in specs]
+    assert [batch_accounting(result) for result in served] == solo
+    assert shared.rounds_computed == \
+        sum(result.rounds_computed for result in served)
 
 
 def test_already_archived_submit_zero_recompute(svc_client, svc, engine,
@@ -123,7 +175,7 @@ def test_already_archived_submit_zero_recompute(svc_client, svc, engine,
     _wait_done(svc_client, fp)
     svc.workers[0].wait_idle(timeout=30.0)
     rounds_after_first = engine.rounds_computed
-    batches_after_first = len(engine.batch_log)
+    batches_after_first = engine.stats["batches_run"]
 
     status, doc = svc_client.json("POST", "/studies", tiny_spec.to_obj())
     assert status == 200
@@ -132,7 +184,7 @@ def test_already_archived_submit_zero_recompute(svc_client, svc, engine,
     # ever pick the study up, and nothing was (or will be) recomputed.
     assert svc.queue.get(fp) is None
     assert engine.rounds_computed == rounds_after_first
-    assert len(engine.batch_log) == batches_after_first
+    assert engine.stats["batches_run"] == batches_after_first
 
 
 def test_priority_wrapper_and_queue_route(svc_client, svc, spec_maker):

@@ -225,8 +225,7 @@ class TestResume:
         engine = EvaluationEngine("serial")  # fresh, empty cache
         result = run_study(spec, engine=engine, archive_dir=archive_dir,
                            resume=True)
-        computed = sum(b["computed"] for b in engine.batch_log)
-        assert computed == reference.n_unique - len(rows)
+        assert result.rounds_computed == reference.n_unique - len(rows)
         assert result.extras["resumed_scenarios"] == len(rows)
         assert result.scenarios == reference.scenarios
         # the archive subsumes the checkpoint
@@ -266,8 +265,7 @@ class TestResume:
         with pytest.warns(UserWarning, match="checkpoint schema v1"):
             result = run_study(spec, engine=engine, archive_dir=archive_dir,
                                resume=True, checkpoint_every=1)
-        assert sum(b["computed"] for b in engine.batch_log) == \
-            reference.n_unique
+        assert result.rounds_computed == reference.n_unique
         assert "resumed_scenarios" not in result.extras
         with open(archive_path(archive_dir, fingerprint)) as fh:
             archived = json.load(fh)
@@ -328,9 +326,8 @@ class TestSigkillAcceptance:
         engine = EvaluationEngine("serial")
         result = run_study(spec, engine=engine, archive_dir=archive_dir,
                            resume=True)
-        # telemetry: every checkpointed round was a cache hit
-        assert sum(b["computed"] for b in engine.batch_log) == \
-            reference.n_unique - len(rows)
-        assert sum(b["cache_hits"] for b in engine.batch_log) == len(rows)
+        # every checkpointed round was a cache hit
+        assert result.rounds_computed == reference.n_unique - len(rows)
+        assert result.cache_hits == len(rows)
         assert result.scenarios == reference.scenarios
         assert result.payload == reference.payload

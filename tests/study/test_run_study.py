@@ -78,6 +78,48 @@ class TestProvenanceStamps:
                       context=study_ctx)
 
 
+def batch_accounting(result) -> dict:
+    """What a study archives about the batches it ran, timings aside."""
+    return {"n_rounds": result.n_rounds, "n_unique": result.n_unique,
+            "cache_hits": result.cache_hits,
+            "rounds_computed": result.rounds_computed,
+            "batches": [{key: value for key, value in batch.items()
+                         if key != "seconds"}
+                        for batch in result.engine_stats["batches"]]}
+
+
+class TestConcurrentStudies:
+    def test_threads_sharing_an_engine_archive_only_their_batches(
+            self, ctx_spec):
+        """Two studies with disjoint rounds, both mid-batch at once on
+        one engine, archive exactly what each runs alone."""
+        from concurrent.futures import ThreadPoolExecutor
+        from threading import Barrier
+
+        specs = [figure1_spec(ctx_spec, percentiles=(0.0, 0.1)),
+                 figure1_spec(ctx_spec, percentiles=(0.05, 0.2))]
+        solo = [batch_accounting(run_study(
+            spec, engine=EvaluationEngine("serial"))) for spec in specs]
+
+        shared = EvaluationEngine("serial")
+        # Each study waits after its first landed round until the other
+        # has landed one too, so both batches are in flight together.
+        meet = Barrier(2, timeout=60.0)
+
+        def overlap(done, total):
+            if done == 1:
+                meet.wait()
+
+        def run(spec):
+            return run_study(spec, engine=shared, progress=overlap)
+
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(run, specs))
+        assert [batch_accounting(r) for r in results] == solo
+        assert shared.rounds_computed == \
+            sum(r.rounds_computed for r in results)
+
+
 class TestArchive:
     def test_skip_if_done(self, ctx_spec, tmp_path):
         spec = figure1_spec(ctx_spec)
@@ -89,7 +131,7 @@ class TestArchive:
         # Second submission: served from the archive, nothing runs.
         untouched = EvaluationEngine("serial")
         second = run_study(spec, engine=untouched, archive_dir=archive)
-        assert untouched.batch_log == []  # the engine never saw a round
+        assert untouched.stats["batches_run"] == 0  # it never saw a round
         assert second.to_json() == first.to_json()
         # force=True re-runs (fully cached on the same engine).
         third = run_study(spec, engine=engine, archive_dir=archive,
