@@ -798,14 +798,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(0 = API-only replica; default 1)")
             p.add_argument("--poll-interval", type=float, default=None,
                            help="seconds between fallback polls for "
-                                "submissions and progress made by other "
-                                "replicas sharing the archive dir; this "
-                                "replica's own are seen at once "
+                                "submissions, lease refreshes and "
+                                "results made by other replicas sharing "
+                                "the archive dir; this replica's own are "
+                                "seen at once "
                                 "(REPRO_SERVICE_POLL_INTERVAL)")
             p.add_argument("--lease-ttl", type=float, default=None,
                            help="seconds without a heartbeat before a "
                                 "lease is stale and another replica "
-                                "adopts the study "
+                                "adopts the study; a running study's "
+                                "lease is refreshed every quarter of it "
                                 "(REPRO_SERVICE_LEASE_TTL)")
             p.add_argument("--retries", type=int, default=None,
                            help="requeue-on-failure budget per study "

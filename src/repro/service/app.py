@@ -34,14 +34,19 @@ instances of ``repro serve`` pointed at one shared ``--archive-dir``
 (plus a shard fleet for the compute tier) therefore behave as one
 service: any replica answers status/stream/result for any study, and
 the ``O_EXCL`` lease guarantees each fingerprint runs exactly once
-fleet-wide.  Progress streams work cross-replica because the executing
-worker heartbeats counts into the lease file the other replicas poll.
+fleet-wide.  Every route resolves a study's state the same way: the
+archive means ``done``; a study one of this replica's workers runs is
+``running`` with that worker's in-memory progress; anything else is
+read from the queue directory.  Another replica's progress therefore
+reaches a stream at the cadence its worker refreshes the lease —
+every quarter of the lease TTL.
 
-Within one replica nothing waits on that poll: ``POST /studies`` wakes
+Within one replica nothing waits on a poll: ``POST /studies`` wakes
 the replica's idle workers, and a worker pushes each change of the
-study it runs (leased, heartbeat, released) to the replica's open
-streams.  The ``poll_interval`` remains only as the fallback cadence
-at which workers and streams notice changes other replicas made.
+study it runs (leased, progress landed, released) to the replica's
+open streams.  The ``poll_interval`` remains only as the fallback
+cadence at which workers and streams notice changes other replicas
+made.
 """
 
 from __future__ import annotations
@@ -140,7 +145,7 @@ class ReproService:
         new work arrives; (2) workers stop — the running study's
         progress callback raises, ``run_study`` flushes its checkpoint,
         the lease is released and the entry stays queued; (3) the queue
-        manifest is flushed so the on-disk roll-up matches reality.
+        manifest is written, the one snapshot of the queue left behind.
         """
         if self._stopped:
             return
@@ -270,6 +275,24 @@ class ReproService:
             raise HttpError(405, f"{request.path} supports {method} only")
         return handler(request)
 
+    # -- state -------------------------------------------------------------
+
+    def _study_state(self, fingerprint: str) -> dict | None:
+        """The status every route reports for ``fingerprint``, or ``None``.
+
+        The archive means ``done``; a study a local worker runs is
+        ``running`` with the worker's in-memory progress (one ``stat``,
+        no file read); the rest — another replica's running study
+        included — is :meth:`StudyQueue.study_state` from disk.
+        """
+        if not os.path.exists(archive_path(self.config.archive_dir,
+                                           fingerprint)):
+            for worker in self.workers:
+                status = worker.running_status(fingerprint)
+                if status is not None:
+                    return status
+        return self.queue.study_state(fingerprint)
+
     # -- routes ------------------------------------------------------------
 
     def _submit(self, request: Request) -> Response:
@@ -297,13 +320,16 @@ class ReproService:
                                  "with context=None: name a ContextSpec "
                                  "in the document")
         fingerprint = spec.fingerprint()
-        if os.path.exists(archive_path(self.config.archive_dir,
-                                       fingerprint)):
-            # Already computed, ever: the strongest dedupe tier.
-            telemetry.counter("service.submits.deduped").inc()
-            return json_response({"fingerprint": fingerprint,
-                                  "state": "done", "deduped": True})
-        entry, created = self.queue.submit(spec, priority=priority)
+        archived = archive_path(self.config.archive_dir, fingerprint)
+        created = False
+        # Already computed, ever: the strongest dedupe tier.
+        if not os.path.exists(archived):
+            _, created = self.queue.submit(spec, priority=priority)
+            if created and os.path.exists(archived):
+                # A worker archived the study and removed its entry
+                # between the check and the submit: withdraw the entry.
+                self.queue.remove(fingerprint)
+                created = False
         if created:
             telemetry.counter("service.submits.accepted").inc()
             # The state at acceptance, even if a worker (another
@@ -312,7 +338,7 @@ class ReproService:
                       "queue_position": self.queue.position(fingerprint)}
         else:
             telemetry.counter("service.submits.deduped").inc()
-            status = self.queue.study_state(fingerprint) or {}
+            status = self._study_state(fingerprint) or {}
         body = {"fingerprint": fingerprint,
                 "state": status.get("state", "queued"),
                 "deduped": not created}
@@ -325,7 +351,7 @@ class ReproService:
         return response
 
     def _status(self, fingerprint: str) -> Response:
-        status = self.queue.study_state(fingerprint)
+        status = self._study_state(fingerprint)
         if status is None:
             raise HttpError(404, f"unknown study {fingerprint}: not "
                                  f"archived, queued or running here")
@@ -338,7 +364,7 @@ class ReproService:
         return json_response(status)
 
     def _stream(self, fingerprint: str) -> Response:
-        if self.queue.study_state(fingerprint) is None:
+        if self._study_state(fingerprint) is None:
             raise HttpError(404, f"unknown study {fingerprint}: nothing "
                                  f"to stream")
         return Response(content_type="application/x-ndjson",
@@ -351,7 +377,7 @@ class ReproService:
             # Taken before the read: a change pushed after the read has
             # set this event, so the wait below returns at once.
             changed = self._changed
-            status = self.queue.study_state(fingerprint)
+            status = self._study_state(fingerprint)
             if status is None:
                 yield json.dumps({"fingerprint": fingerprint,
                                   "state": "unknown"},
@@ -394,7 +420,7 @@ class ReproService:
         return text_response(result.render() + "\n")
 
     def _raise_not_done(self, fingerprint: str, what: str):
-        status = self.queue.study_state(fingerprint)
+        status = self._study_state(fingerprint)
         if status is None:
             raise HttpError(404, f"unknown study {fingerprint}: no "
                                  f"{what} to fetch")
@@ -419,21 +445,18 @@ class ReproService:
     def _queue_listing(self, request: Request) -> Response:
         entries = []
         for entry in self.queue.entries():
-            lease = self.queue.lease_info(entry.fingerprint)
+            status = self._study_state(entry.fingerprint)
+            if status is None:
+                continue  # removed since the listing
             record = {"fingerprint": entry.fingerprint,
-                      "state": "running" if lease is not None
-                      else entry.state,
+                      "state": status["state"],
                       "kind": entry.study.get("kind", "?"),
                       "priority": entry.priority,
                       "attempts": entry.attempts,
                       "submitted_at": entry.submitted_at}
-            if lease is not None:
-                record["progress"] = {"done": int(lease.get("done", 0)),
-                                      "total": int(lease.get("total", 0))}
-                record["owner"] = lease.get("owner")
-            elif entry.state == "queued":
-                record["queue_position"] = \
-                    self.queue.position(entry.fingerprint)
+            for key in ("progress", "owner", "queue_position"):
+                if status.get(key) is not None:
+                    record[key] = status[key]
             if entry.last_error:
                 record["last_error"] = entry.last_error
             entries.append(record)

@@ -17,13 +17,17 @@ Knobs
 ``REPRO_SERVICE_POLL_INTERVAL``
     Fallback poll cadence in seconds (clamped to [0.01, 60]): how soon
     idle workers and open progress streams notice what no local event
-    announces — submissions, leases and progress of *other* replicas
-    sharing the archive directory, stale leases, expired retry
-    back-offs.  A replica's own submissions wake its workers, and its
-    own workers push their progress to its streams, at once.
+    announces — submissions, leases, lease refreshes and results of
+    *other* replicas sharing the archive directory, stale leases,
+    expired retry back-offs.  A replica's own submissions wake its
+    workers, and its own workers push their progress to its streams,
+    at once.
 ``REPRO_SERVICE_LEASE_TTL``
     Seconds without a heartbeat before another replica may break a
-    lease and adopt the study (clamped to [1, 86400]).
+    lease and adopt the study (clamped to [1, 86400]).  It also sets
+    the refresh cadence: a running study's lease is rewritten once a
+    quarter of the TTL has passed since the last write, which is also
+    how often other replicas see that study's progress move.
 ``REPRO_SERVICE_RETRIES`` / ``REPRO_SERVICE_BACKOFF``
     Requeue-on-failure budget: attempts beyond the first, and the base
     delay of the :class:`~repro.resilience.RetryPolicy` schedule.

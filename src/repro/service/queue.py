@@ -18,15 +18,19 @@ directory see the same queue** and survive each other's crashes:
 ``lease-<fingerprint>.json``
     The cross-replica run lock.  Created with ``O_CREAT | O_EXCL`` —
     the filesystem's atomic test-and-set — by the worker that will run
-    the study; while it exists no other worker touches the entry.  The
-    holder heartbeats progress counts into it (atomically), and a
-    lease whose heartbeat is older than the TTL is *stale*: the holder
-    is presumed dead, any worker may break the lease and adopt the
-    study, resuming from its checkpoint.
+    the study; while it exists no other worker touches the entry.  It
+    is liveness, not a progress channel: the holder refreshes it
+    (atomically, with the progress counts of the moment) once a
+    quarter of the TTL has passed since it was taken or last
+    refreshed, and a lease whose heartbeat is older than the TTL is
+    *stale*: the holder is presumed dead, any worker may break the
+    lease and adopt the study, resuming from its checkpoint.
 
 ``queue-manifest.json``
-    A convenience roll-up (counts by state, flushed atomically on
-    mutation and shutdown) for dashboards that want one read.
+    A roll-up of the counts by state, written atomically by
+    :meth:`StudyQueue.flush_manifest` when a service shuts down — a
+    snapshot of the queue it left.  Mutations do not rewrite it; the
+    live roll-up is the service's ``GET /queue``.
 
 State model: an entry stays ``queued`` while it is leased and running
 — so a daemon killed hard leaves exactly the files a recovering worker
@@ -152,9 +156,10 @@ class StudyQueue:
         ``created=False`` is the dedupe hit: an entry for this
         fingerprint already exists (queued, running, failed or
         cancelled) and is returned as-is — the submitter never causes
-        a second computation.  Callers check the archive *before*
-        submitting; a fingerprint that is already archived should
-        never reach the queue.
+        a second computation.  Callers check the archive before
+        submitting, and again after a ``created`` submit (a worker may
+        have archived the study and removed its entry in between): a
+        fingerprint that is already archived should never stay queued.
         """
         if spec.context is None:
             raise ValueError(
@@ -195,7 +200,6 @@ class StudyQueue:
             except OSError:
                 pass
         telemetry.counter("service.queue.submitted").inc()
-        self.flush_manifest()
         return entry, True
 
     # -- reading -----------------------------------------------------------
@@ -277,7 +281,6 @@ class StudyQueue:
         """Rewrite ``entry``'s file atomically."""
         atomic_write_text(entry_path(self.archive_dir, entry.fingerprint),
                           json.dumps(entry.to_obj()))
-        self.flush_manifest()
 
     def remove(self, fingerprint: str) -> bool:
         """Delete the entry (terminal success, or operator cleanup)."""
@@ -285,7 +288,6 @@ class StudyQueue:
             os.unlink(entry_path(self.archive_dir, fingerprint))
         except OSError:
             return False
-        self.flush_manifest()
         return True
 
     def cancel(self, fingerprint: str) -> QueueEntry | None:
@@ -347,7 +349,8 @@ class StudyQueue:
 
     def heartbeat(self, fingerprint: str, *, done: int, total: int,
                   owner: str) -> None:
-        """Refresh the lease's liveness stamp and progress counts."""
+        """Refresh the lease's liveness stamp and progress counts (an
+        fsync'd file replace: callers space refreshes by the TTL)."""
         path = lease_path(self.archive_dir, fingerprint)
         doc = self._read_lease(path) or {}
         doc.update(type="StudyLease", schema=QUEUE_SCHEMA_VERSION,
@@ -422,7 +425,8 @@ class StudyQueue:
     # -- manifest ----------------------------------------------------------
 
     def flush_manifest(self) -> None:
-        """Atomically roll up the queue's counts for one-read dashboards."""
+        """Atomically write the queue's counts to ``queue-manifest.json``
+        (the service's shutdown snapshot)."""
         doc = {"type": "StudyQueueManifest",
                "schema": QUEUE_SCHEMA_VERSION,
                "counts": self.counts(),
@@ -439,7 +443,8 @@ class StudyQueue:
         Resolution order mirrors the lifecycle: the archive (done)
         outranks a live lease (running) outranks a bare entry
         (queued / failed / cancelled).  ``None`` means the service has
-        never heard of the fingerprint.
+        never heard of the fingerprint.  A running study's progress is
+        the lease's, as of its holder's last refresh.
         """
         archived = archive_path(self.archive_dir, fingerprint)
         if os.path.exists(archived):

@@ -20,18 +20,20 @@ directory.  Each pass it
    service's ``checkpoint_every`` — a worker that dies mid-study
    leaves a checkpoint, and whichever worker adopts the study next
    recomputes **zero** completed rounds;
-4. heartbeats progress into the lease file as rounds land (the status
-   and stream routes read it — live progress works from *any* API
-   replica, not just the one executing);
+4. keeps the study's progress counts in memory as rounds land (its
+   own replica's status and stream routes read them there), and
+   refreshes the lease file only for liveness: once ``lease_ttl / 4``
+   has passed since the lease was taken or last refreshed, with the
+   counts of the moment — which is what *other* replicas read;
 5. on success archives-and-dequeues; on failure requeues with the
    :class:`~repro.resilience.RetryPolicy` backoff schedule until the
    retry budget is spent, then parks the entry ``failed`` with the
    error named for the operator.
 
-After it takes a lease, after each heartbeat and after it releases the
-lease the worker calls ``on_change``, which the service uses to push
-the new state to open progress streams instead of leaving them to
-poll.
+After it takes a lease, as progress lands (at most every 0.1 s, and at
+each batch end) and after it releases the lease the worker calls
+``on_change``, which the service uses to push the new state to open
+progress streams instead of leaving them to poll.
 
 Shutdown is cooperative: :meth:`SchedulerWorker.stop` raises
 :class:`StudyInterrupted` out of the running study's progress callback;
@@ -79,7 +81,7 @@ class SchedulerWorker(threading.Thread):
         Worker name, stamped into lease files (``owner``).
     on_change:
         Called with no arguments, from the worker's thread, whenever the
-        state of the study it runs changes (leased, progress heartbeat,
+        state of the study it runs changes (leased, progress landed,
         lease released).
     """
 
@@ -96,7 +98,9 @@ class SchedulerWorker(threading.Thread):
         self._stop_event = threading.Event()
         self._wake = threading.Event()
         self._idle = threading.Event()
-        self._running_fingerprint: str | None = None
+        # (entry, done, total) of the study this worker runs, replaced
+        # whole so a reader on another thread sees one consistent tuple.
+        self._running: tuple[QueueEntry, int, int] | None = None
         self.studies_completed = 0
         self.studies_failed = 0
 
@@ -115,7 +119,22 @@ class SchedulerWorker(threading.Thread):
     @property
     def running_fingerprint(self) -> str | None:
         """The study this worker is executing right now, if any."""
-        return self._running_fingerprint
+        running = self._running
+        return running[0].fingerprint if running is not None else None
+
+    def running_status(self, fingerprint: str) -> dict | None:
+        """``fingerprint``'s ``running`` status if this worker runs it,
+        shaped like :meth:`StudyQueue.study_state`'s, with the progress
+        counts from memory (the lease file holds those of its last
+        refresh only)."""
+        running = self._running
+        if running is None or running[0].fingerprint != fingerprint:
+            return None
+        entry, done, total = running
+        return {"fingerprint": fingerprint, "state": "running",
+                "progress": {"done": done, "total": total},
+                "owner": self.name, "attempts": entry.attempts,
+                "priority": entry.priority}
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until the worker has nothing leased (for tests)."""
@@ -151,18 +170,19 @@ class SchedulerWorker(threading.Thread):
                                             owner=self.name):
                 continue
             self._idle.clear()
-            self._running_fingerprint = entry.fingerprint
+            self._running = (entry, 0, 0)
             self._on_change()
             try:
                 self._run_entry(entry)
             finally:
-                self._running_fingerprint = None
+                self._running = None
                 self.queue.release_lease(entry.fingerprint)
                 self._on_change()
             return True
         return False
 
     def _run_entry(self, entry: QueueEntry) -> None:
+        beat_at = time.monotonic()  # acquire_lease stamped the lease
         fingerprint = entry.fingerprint
         try:
             spec = StudySpec.from_obj(entry.study)
@@ -173,19 +193,25 @@ class SchedulerWorker(threading.Thread):
             return
 
         engine = self._engine_for(spec)
-        last_beat = 0.0
+        pushed_at = 0.0
 
         def progress(done: int, total: int) -> None:
-            nonlocal last_beat
+            nonlocal pushed_at, beat_at
             if self._stop_event.is_set():
                 raise StudyInterrupted(fingerprint)
+            self._running = (entry, done, total)
             now = time.monotonic()
-            # Throttled: a heartbeat is an fsync'd file replace, and
-            # rounds can land thousands per second from a warm cache.
-            if now - last_beat >= 0.1 or done >= total:
+            # The lease only proves this worker alive to the reapers: a
+            # refresh is an fsync'd file replace, so it comes four times
+            # per TTL, never per round.
+            if now - beat_at >= self.config.lease_ttl / 4:
                 self.queue.heartbeat(fingerprint, done=done, total=total,
                                      owner=self.name)
-                last_beat = now
+                beat_at = now
+            # Throttled: rounds can land thousands per second from a
+            # warm cache.
+            if now - pushed_at >= 0.1 or done >= total:
+                pushed_at = now
                 self._on_change()
 
         try:

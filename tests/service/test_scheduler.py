@@ -1,6 +1,7 @@
 """SchedulerWorker: lease-and-run, retry/backoff, interrupt, resume."""
 
 import json
+import os
 import threading
 import time
 
@@ -8,8 +9,10 @@ import pytest
 
 from repro.engine import EvaluationEngine
 from repro.engine.backends import SerialBackend
-from repro.service import (SchedulerWorker, ServiceConfig, StudyInterrupted,
-                           StudyQueue)
+from repro.service import (ReproService, SchedulerWorker, ServiceConfig,
+                           StudyInterrupted, StudyQueue)
+from repro.service import queue as queue_module
+from repro.service import scheduler as scheduler_module
 from repro.study import (ContextSpec, describe_study, load_checkpoint,
                          run_study, studies)
 
@@ -301,3 +304,97 @@ def test_two_workers_share_one_context_bit_identically(tmp_path, ctx_spec):
         for key in ("scenarios", "payload"):
             assert json.dumps(served[key], sort_keys=True) == \
                 json.dumps(direct[key], sort_keys=True), key
+
+
+class _FakeTime:
+    """A clock the test moves by hand, standing in for the ``time``
+    module of :mod:`repro.service.scheduler` and
+    :mod:`repro.service.queue` (every other name is the real module's)."""
+
+    def __init__(self, now: float):
+        self.now = now
+
+    def time(self) -> float:
+        return self.now
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+def test_lease_refreshes_every_quarter_ttl_through_a_long_study(
+        tmp_path, ctx_spec, monkeypatch):
+    """Each round takes an eighth of the lease TTL of fake time, so the
+    study spans three TTLs: the lease is refreshed every quarter TTL and
+    a reaper with that TTL never breaks it."""
+    ttl = 4.0
+    clock = _FakeTime(1_000_000.0)
+    monkeypatch.setattr(scheduler_module, "time", clock)
+    monkeypatch.setattr(queue_module, "time", clock)
+    spec = studies.figure1(context=ctx_spec,
+                           percentiles=tuple(0.01 * i for i in range(1, 13)),
+                           n_repeats=1)
+    total = describe_study(spec).n_rounds
+    fp = spec.fingerprint()
+    queue = StudyQueue(str(tmp_path))
+    queue.submit(spec)
+    beats, reaped = [], []
+
+    class Slow(SerialBackend):
+        def run_iter(self, ctx, specs):
+            for landed in super().run_iter(ctx, specs):
+                clock.now += ttl / 8
+                yield landed
+                beats.append(queue.lease_info(fp)["heartbeat_at"])
+                reaped.extend(queue.reap_stale_leases(ttl=ttl))
+
+    worker = SchedulerWorker(queue, _config(tmp_path, lease_ttl=ttl),
+                             engine=EvaluationEngine(Slow()))
+    started = clock.now
+    assert worker._lease_and_run_one()
+    assert clock.now - started == total * ttl / 8 > ttl
+    assert reaped == []
+    assert worker.studies_completed == 1
+    assert queue.study_state(fp)["state"] == "done"
+    refreshes = sorted(set(beats) | {started})
+    assert all(later - earlier <= ttl / 4
+               for earlier, later in zip(refreshes, refreshes[1:]))
+    assert clock.now - refreshes[-1] <= ttl / 4
+    assert len(refreshes) - 1 == total // 2  # not one write per round
+
+
+def test_served_studies_rewrite_no_lease_and_no_manifest(
+        tmp_path, spec_maker, client_class, monkeypatch):
+    """The scheduler's clock stands still, so every study is shorter than
+    a quarter of the lease TTL: no study replaces its lease file, none
+    replaces the queue manifest, and stop() writes the manifest once."""
+    monkeypatch.setattr(scheduler_module, "time", _FakeTime(1_000_000.0))
+    replaced = []
+    real_replace = os.replace
+
+    def replace(src, dst, **kwargs):
+        replaced.append(os.path.basename(dst))
+        return real_replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    specs = [spec_maker(seed_offset=60 + i) for i in range(2)]
+    service = ReproService(_config(tmp_path / "archive", lease_ttl=5.0),
+                           engine=EvaluationEngine("serial")).start()
+    try:
+        client = client_class(service.host, service.port)
+        for spec in specs:
+            status, _ = client.json("POST", "/studies", spec.to_obj())
+            assert status == 202
+            status, events = client.stream_lines(
+                f"/studies/{spec.fingerprint()}/stream")
+            assert events[-1]["state"] == "done"
+        assert service.workers[0].wait_idle(timeout=30.0)
+        served = list(replaced)
+    finally:
+        service.stop()
+    assert service.workers[0].studies_completed == len(specs)
+    assert [name for name in served if name.startswith("lease-")] == []
+    assert "queue-manifest.json" not in served
+    assert replaced.count("queue-manifest.json") == 1

@@ -1,5 +1,6 @@
 """End-to-end over real HTTP: submit → stream → result, dedupe, parity."""
 
+import http.client
 import json
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 
 from repro.engine import EvaluationEngine, SerialBackend
 from repro.service import ReproService, ServiceConfig, StudyQueue
+from repro.service.queue import lease_path
 from repro.study import archive_path, run_study, study_result_from_json
 
 
@@ -187,6 +189,106 @@ def test_already_archived_submit_zero_recompute(svc_client, svc, engine,
     assert engine.stats["batches_run"] == batches_after_first
 
 
+def test_submit_racing_the_studys_completion_is_deduped(svc_client, svc,
+                                                        tiny_spec,
+                                                        monkeypatch):
+    """A worker that archives the study and removes its entry between the
+    POST's archive check and its submit: the reply is the archive's
+    "done", and no entry is left behind for a worker to lease again."""
+    for worker in svc.workers:
+        worker.stop()
+    for worker in svc.workers:
+        worker.join(timeout=30.0)
+    fp = tiny_spec.fingerprint()
+    real_submit = svc.queue.submit
+
+    def archive_then_submit(spec, **kwargs):
+        run_study(spec, engine=EvaluationEngine("serial"),
+                  archive_dir=svc.config.archive_dir)
+        return real_submit(spec, **kwargs)
+
+    monkeypatch.setattr(svc.queue, "submit", archive_then_submit)
+    status, doc = svc_client.json("POST", "/studies", tiny_spec.to_obj())
+    assert status == 200
+    assert doc == {"fingerprint": fp, "state": "done", "deduped": True}
+    assert svc.queue.get(fp) is None
+
+
+def test_local_progress_comes_from_the_worker_not_the_lease(
+        tmp_path, client_class, tiny_spec):
+    """A study this replica runs reports its worker's in-memory progress:
+    after its first round, the status says so while the lease file still
+    holds acquire_lease's zero, and the stream's last event before
+    "done" has every round done."""
+
+    class Stepped(SerialBackend):
+        """Serial rounds that each hold, once landed, for a step."""
+
+        def __init__(self):
+            self.landed = threading.Semaphore(0)
+            self.step = threading.Semaphore(0)
+
+        def run_iter(self, ctx, specs):
+            for landed in super().run_iter(ctx, specs):
+                yield landed
+                self.landed.release()
+                self.step.acquire(timeout=60.0)
+
+    rounds = Stepped()
+    archive_dir = str(tmp_path / "archive")
+    service = ReproService(ServiceConfig(
+        archive_dir=archive_dir, poll_interval=0.05, lease_ttl=600.0,
+        retries=0), engine=EvaluationEngine(rounds)).start()
+    events: list = []
+
+    def follow():
+        conn = http.client.HTTPConnection(service.host, service.port,
+                                          timeout=60.0)
+        try:
+            conn.request("GET", f"/studies/{fp}/stream")
+            for line in conn.getresponse():
+                if line.strip():
+                    events.append(json.loads(line))
+        finally:
+            conn.close()
+
+    def wait_for(predicate, what):
+        deadline = time.time() + 30.0
+        while not predicate():
+            assert time.time() < deadline, f"timed out waiting for {what}"
+            time.sleep(0.01)
+
+    follower = threading.Thread(target=follow)
+    try:
+        client = client_class(service.host, service.port)
+        fp = tiny_spec.fingerprint()
+        assert client.json("POST", "/studies", tiny_spec.to_obj())[0] == 202
+        assert rounds.landed.acquire(timeout=60.0), "no round ever landed"
+        status, doc = client.json("GET", f"/studies/{fp}")
+        assert status == 200
+        assert doc["state"] == "running"
+        assert doc["progress"]["done"] >= 1
+        total = doc["progress"]["total"]
+        with open(lease_path(archive_dir, fp), encoding="utf-8") as fh:
+            assert json.load(fh)["done"] == 0
+
+        follower.start()
+        for _ in range(total - 1):
+            rounds.step.release()
+            assert rounds.landed.acquire(timeout=60.0)
+        every_round = {"done": total, "total": total}
+        wait_for(lambda: any(e.get("progress") == every_round
+                             for e in events), "the last round's event")
+        rounds.step.release()
+        follower.join(timeout=60.0)
+        assert not follower.is_alive()
+    finally:
+        rounds.step.release()
+        service.stop()
+    assert events[-1]["state"] == "done"
+    assert events[-2]["progress"] == every_round
+
+
 def test_priority_wrapper_and_queue_route(svc_client, svc, spec_maker):
     lo = spec_maker(seed_offset=21)
     hi = spec_maker(seed_offset=22)
@@ -310,6 +412,9 @@ def test_submit_wakes_an_idle_worker_and_the_stream_is_pushed(
                                              timeout=20.0)
         assert status == 200
         assert events[-1]["state"] == "done"
+        # "done" is the archive; the worker counts the completion once
+        # the entry and lease it held are gone.
+        assert service.workers[0].wait_idle(timeout=20.0)
         assert service.workers[0].studies_completed == 1
     finally:
         service.stop()
@@ -320,11 +425,13 @@ def test_many_workers_many_streams_no_lost_wakeup(tmp_path, client_class,
                                                   spec_maker):
     """4 workers (more than the CPUs), 8 studies POSTed and streamed by
     8 client threads, a 60 s fallback poll and a tiny switch interval:
-    a lost wake-up or event hangs a stream past its 20 s timeout, and a
-    double lease shows as a ninth completion."""
+    a lost wake-up or event hangs a stream past its 20 s timeout, a
+    double lease shows as a ninth completion, and a torn read of a
+    worker's in-memory progress as counts that go back or overshoot."""
     specs = [spec_maker(seed_offset=40 + i) for i in range(8)]
     service = _slow_poll_service(tmp_path, workers=4)
     finals: dict = {}
+    progress: dict = {}
     errors: list = []
 
     def submit_and_follow(spec):
@@ -338,6 +445,8 @@ def test_many_workers_many_streams_no_lost_wakeup(tmp_path, client_class,
                                                  timeout=20.0)
             assert status == 200
             finals[fp] = events[-1]["state"]
+            progress[fp] = [e["progress"] for e in events
+                            if "progress" in e]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -356,6 +465,10 @@ def test_many_workers_many_streams_no_lost_wakeup(tmp_path, client_class,
         service.stop()
     assert errors == []
     assert finals == {spec.fingerprint(): "done" for spec in specs}
+    for counts in progress.values():
+        dones = [c["done"] for c in counts]
+        assert dones == sorted(dones)
+        assert all(c["done"] <= c["total"] for c in counts)
     assert sum(w.studies_completed for w in service.workers) == len(specs)
     assert not any(w.is_alive() for w in service.workers)
 
