@@ -122,7 +122,8 @@ class ShardServer:
             cache_max_entries = env_int("REPRO_SHARD_CACHE_MAX_ENTRIES", 0,
                                         lo=0, hi=1_000_000_000) or None
         self.cache = ResultCache(disk_dir=cache_dir,
-                                 max_entries=cache_max_entries) \
+                                 max_entries=cache_max_entries,
+                                 counter_prefix="shard.cache") \
             if cache_dir else None
         armed = faults.crash_threshold("shard")
         if armed is not None:

@@ -225,6 +225,11 @@ class ResultCache:
         Eviction never touches the disk tier, so capped memory plus a
         ``disk_dir`` behaves like a small hot cache over a complete
         persistent store.
+    counter_prefix:
+        The telemetry name every counter of this cache starts with:
+        ``cache`` (``cache.memory.hits``, ``cache.stores`` ...) for the
+        client's cache, ``shard.cache`` for a shard's, so a shard's
+        piggybacked delta never counts into the client's tiers.
 
     The public API is thread-safe (one re-entrant lock around both
     tiers): the cluster scheduler delivers remote results from worker
@@ -235,7 +240,8 @@ class ResultCache:
     """
 
     def __init__(self, disk_dir: str | os.PathLike | None = None,
-                 max_entries: int | None = None):
+                 max_entries: int | None = None, *,
+                 counter_prefix: str = "cache"):
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._memory: OrderedDict[str, dict] = OrderedDict()
@@ -243,6 +249,7 @@ class ResultCache:
         self._disk_dir = os.fspath(disk_dir) if disk_dir is not None else None
         self._manifest: dict | None = None  # incremental tally, lazy-seeded
         self._lock = threading.RLock()
+        self._prefix = counter_prefix
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -262,7 +269,7 @@ class ResultCache:
             while len(self._memory) > self._max_entries:
                 self._memory.popitem(last=False)
                 self.stats.evictions += 1
-                telemetry.counter("cache.evictions").inc()
+                telemetry.counter(f"{self._prefix}.evictions").inc()
 
     # -- internal disk tier ----------------------------------------------
 
@@ -422,15 +429,15 @@ class ResultCache:
             entry = self._memory.get(key)
             if entry is not None:
                 self._memory.move_to_end(key)  # refresh recency
-                telemetry.counter("cache.memory.hits").inc()
+                telemetry.counter(f"{self._prefix}.memory.hits").inc()
             else:
                 entry = self._disk_get(key)
                 if entry is not None:
                     self._remember(key, entry)  # promote for next time
-                    telemetry.counter("cache.disk.hits").inc()
+                    telemetry.counter(f"{self._prefix}.disk.hits").inc()
             if entry is None:
                 self.stats.misses += 1
-                telemetry.counter("cache.misses").inc()
+                telemetry.counter(f"{self._prefix}.misses").inc()
                 return None
             self.stats.hits += 1
         return outcome_from_dict(entry)
@@ -444,7 +451,7 @@ class ResultCache:
             self._remember(key, entry)
             self._disk_put(key, entry)
             self.stats.stores += 1
-        telemetry.counter("cache.stores").inc()
+        telemetry.counter(f"{self._prefix}.stores").inc()
 
     def clear(self, *, disk: bool = False) -> None:
         """Drop the in-memory tier (and optionally the disk tier)."""

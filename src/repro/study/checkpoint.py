@@ -10,8 +10,10 @@ outcomes land, completed rows (the exact records the final archive's
 ``run_study(..., resume=True)`` the rows are injected back into the
 engine's cache under their original keys — the same ``warm_cache``
 machinery study archives use — so every already-completed round is a
-cache hit and zero rounds are recomputed.  The checkpoint is deleted
-once the real archive lands (the archive subsumes it).
+cache hit and zero rounds are recomputed.  The checkpoint is discarded
+once the real archive lands (the archive subsumes it): its name goes at
+once, and a background thread frees its blocks
+(:func:`~repro.utils.serialization.discard_file`).
 
 The file is a journal of JSON lines: line 1 is a header (``type``,
 ``schema``, study fingerprint, cache schema), every later line is one
@@ -34,7 +36,7 @@ import json
 import os
 import warnings
 
-from repro.utils.serialization import atomic_write_text
+from repro.utils.serialization import atomic_write_text, discard_file
 
 __all__ = ["StudyCheckpointer", "checkpoint_path", "load_checkpoint"]
 
@@ -126,14 +128,17 @@ class StudyCheckpointer:
                 self._journal = None
 
     def discard(self) -> None:
-        """Delete the checkpoint (the final archive subsumes it)."""
+        """Delete the checkpoint (the final archive subsumes it).
+
+        The name is gone when this returns; the unlink itself, which
+        waits on the trim of the fsync'd blocks where the filesystem
+        discards online, runs on the reclaimer thread
+        (:func:`~repro.utils.serialization.discard_file`).
+        """
         if self._journal is not None:
             self._journal.close()
             self._journal = None
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+        discard_file(self.path)
 
 
 def load_checkpoint(archive_dir: str, fingerprint: str) -> list[dict]:

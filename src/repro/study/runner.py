@@ -390,7 +390,10 @@ def run_study(
         every N new rows (``None`` reads ``REPRO_STUDY_CHECKPOINT_EVERY``,
         default 16; ``0`` disables checkpointing).  Only active with
         ``archive_dir`` — the checkpoint lives where the archive will.
-        The checkpoint is deleted once the archive is written.
+        Once the archive is written the checkpoint is discarded: its
+        name is gone when this returns, and a background thread frees
+        its blocks.  If anything fails before the archive lands, the
+        checkpoint keeps every completed row for a resume.
 
     When telemetry is enabled (:func:`repro.telemetry.configure` or
     ``REPRO_TELEMETRY_DIR``) the result's ``extras["telemetry"]``
@@ -479,15 +482,34 @@ def run_study(
     try:
         with telemetry.trace_span("study", kind=spec.kind):
             payload = _DISPATCH[spec.kind](spec, ctx, recorder, progress)
+        result = _study_result(spec, fingerprint, engine, recorder,
+                               payload, started)
+        if resumed_rows:
+            result.extras["resumed_scenarios"] = len(resumed_rows)
+        if tel_since is not None:
+            result.extras["telemetry"] = telemetry.summary(since=tel_since)
+        if getattr(engine, "cache", None) is not None:
+            engine.cache.annotate_study(fingerprint)
+        if archive_dir is not None:
+            os.makedirs(archive_dir, exist_ok=True)
+            result.to_json(archive_path(archive_dir, fingerprint))
     except BaseException:
-        # An aborted study (cancellation raised from the progress
-        # callback, SIGTERM unwinding, a crash) keeps every completed
-        # round: close() flushes the rows noted since the last cadence
-        # write, so a resume recomputes nothing that already finished.
+        # A study stopped before its archive landed (cancellation
+        # raised from the progress callback, SIGTERM unwinding, a
+        # crash, a failed archive write) keeps every completed round:
+        # close() flushes the rows noted since the last cadence write,
+        # so a resume recomputes nothing that already finished.
         if checkpointer is not None:
             checkpointer.close()
         raise
+    if checkpointer is not None:
+        checkpointer.discard()
+    return result
 
+
+def _study_result(spec, fingerprint, engine, recorder, payload,
+                  started) -> StudyResult:
+    """The provenance-stamped result of a finished study's rounds."""
     batches = recorder.batches
     scenarios = recorder.records
     context_fingerprints = []
@@ -495,7 +517,7 @@ def run_study(
         if row["context"] not in context_fingerprints:
             context_fingerprints.append(row["context"])
 
-    result = StudyResult(
+    return StudyResult(
         kind=spec.kind,
         study=spec.to_obj(),
         study_fingerprint=fingerprint,
@@ -511,19 +533,6 @@ def run_study(
         wall_time_seconds=time.perf_counter() - started,
         created_at=utc_timestamp(),
     )
-    if resumed_rows:
-        result.extras["resumed_scenarios"] = len(resumed_rows)
-    if tel_since is not None:
-        result.extras["telemetry"] = telemetry.summary(since=tel_since)
-
-    if getattr(engine, "cache", None) is not None:
-        engine.cache.annotate_study(fingerprint)
-    if archive_dir is not None:
-        os.makedirs(archive_dir, exist_ok=True)
-        result.to_json(archive_path(archive_dir, fingerprint))
-        if checkpointer is not None:
-            checkpointer.discard()
-    return result
 
 
 # -- describe ----------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import protocol
 from repro.cluster.backend import ClusterBackend, ClusterDegradedWarning
-from repro.cluster.scheduler import ShardClient
+from repro.cluster.scheduler import ClusterScheduler, ShardClient
 from repro.cluster.server import CHAOS_EXIT_CODE
 from repro.engine import EvaluationEngine, cache_schema_version, round_keys
 from repro.experiments.runner import save_context
@@ -236,9 +236,36 @@ class TestPlacement:
         assert "cluster.shard_cache_hits" in rendered
 
 
+class TestShardCacheCounters:
+    def test_shard_cache_counts_under_its_own_names(
+            self, cluster_ctx, reference, tmp_path, counters):
+        """An armed subprocess shard's cache tier counts as
+        ``shard.cache.*``: its piggybacked delta leaves a cacheless
+        client's own ``cache.*`` counters at 0."""
+        ctx_file = str(tmp_path / "ctx.pkl")
+        save_context(cluster_ctx, ctx_file)
+        specs = sweep_batch(n=4, seeds=3)
+        proc, address = _spawn_shard(ctx_file, "--cache-dir",
+                                     str(tmp_path / "tier"))
+        try:
+            engine = EvaluationEngine(ClusterBackend(shards=[address]),
+                                      cache=False)
+            assert engine.evaluate_batch(cluster_ctx, specs) == reference
+            counts = counters()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=5.0)
+            proc.stdout.close()
+        assert {name: count for name, count in counts.items()
+                if name.startswith("cache.") and count} == {}
+        assert counts["engine.rounds_computed"] == len(specs)
+        assert counts["shard.cache.stores"] == len(specs)
+        assert counts["shard.cache.misses"] == len(specs)
+
+
 class TestPlacementUnderChaos:
     def test_placed_shard_killed_mid_chunk_is_bit_identical(
-            self, cluster_ctx, reference, tmp_path, counters):
+            self, cluster_ctx, reference, tmp_path, counters, monkeypatch):
         """A half-warm shard owns placed chunks, crashes mid-chunk; the
         cacheless survivor absorbs the requeue (stealing the remaining
         placed work) and the sweep matches serial bit for bit."""
@@ -259,14 +286,28 @@ class TestPlacementUnderChaos:
             warmer.wait(timeout=5.0)
             warmer.stdout.close()
 
-        # Threshold 1: the chaotic shard's first *computed* chunk dies
-        # on its second round (cached rounds never arm the chaos
-        # counter), so the crash is deterministic as long as it takes
-        # any queue work at all — which its instant cache serves
-        # guarantee while the survivor is busy computing.
+        # Threshold 1: the chaotic shard dies on its second *computed*
+        # round (cached rounds never arm the chaos counter).  The six
+        # unplaced rounds deal as chunks of 2, 2, 1 and 1, and the
+        # survivor takes nothing until the chaotic shard has taken a
+        # queue chunk, so that chunk is the first: two rounds, and the
+        # crash, whichever shard then takes the rest.
         chaotic, addr_a = _spawn_shard(ctx_file, "--cache-dir", tier,
                                        "--chaos-exit-after", "1")
         survivor, addr_b = _spawn_shard(ctx_file)
+        chaotic_name = f"{addr_a[0]}:{addr_a[1]}"
+        chaos_computes = threading.Event()
+        real_take = ClusterScheduler._take
+
+        def take(scheduler, owner):
+            if owner != chaotic_name:
+                chaos_computes.wait(timeout=30.0)
+            chunk, source = real_take(scheduler, owner)
+            if owner == chaotic_name and source == "queue":
+                chaos_computes.set()
+            return chunk, source
+
+        monkeypatch.setattr(ClusterScheduler, "_take", take)
         try:
             backend = ClusterBackend(shards=[addr_a, addr_b],
                                      max_chunk=2,
