@@ -4,10 +4,10 @@ Splits the engine's round batches across shard servers (one per host,
 each holding the experiment context in a per-host shared-memory
 segment) and streams outcomes back as they land:
 
-* :mod:`repro.cluster.protocol` — length-prefixed socket protocol and
-  the content-fingerprint handshake;
+* :mod:`repro.cluster.protocol` — length-prefixed JSON socket
+  protocol and the content-fingerprint handshake;
 * :mod:`repro.cluster.server` — the shard server
-  (``python -m repro.cluster.server`` /
+  (``python -m repro.cluster`` /
   ``repro-cluster serve`` in the experiments CLI);
 * :mod:`repro.cluster.scheduler` — chunks dealt like the process
   pool's, one fit window at most, with retry and failover;

@@ -8,7 +8,9 @@ Registered under ``"cluster"`` (``EvaluationEngine("cluster")``,
   :mod:`repro.cluster.server`).
 * with **no shards configured**, the backend autospawns ``jobs``
   (default 2) local shard servers on the loopback interface, one
-  process per shard, handing each the pickled context — so
+  process per shard, handing each the context as a pickle file it
+  writes with ``mkstemp`` (``--context-file``, the one pickle a shard
+  loads; frames on the wire are JSON) — so
   ``REPRO_BACKEND=cluster`` works out of the box on one machine and
   the CI localhost job needs no orchestration.  The pool is keyed by
   context fingerprint: a new context tears the old shards down and
@@ -34,13 +36,6 @@ Registered under ``"cluster"`` (``EvaluationEngine("cluster")``,
   the in-process serial backend with a :class:`ClusterDegradedWarning`
   instead of failing the run.  Refusals never degrade — silently
   computing locally would mask a misconfigured fleet.
-* ``REPRO_CLUSTER_PLACEMENT`` (default on) — cache-aware placement:
-  before distributing a batch the backend sends each shard a
-  ``cache-query`` with the batch's canonical round keys and routes
-  held rounds to the shard that holds them (least-loaded among
-  holders), so a warm fleet answers them from its disk tier without
-  recompute.  Off, or against shards without a cache tier, everything
-  flows through the plain work-stealing queue.
 * ``REPRO_SHARD_CACHE_DIR`` / ``REPRO_SHARD_CACHE_MAX_ENTRIES`` —
   read by the *shard server* (and therefore inherited by autospawned
   localhost shards): directory of the shard-local
@@ -51,8 +46,14 @@ Registered under ``"cluster"`` (``EvaluationEngine("cluster")``,
 
 Every batch opens one connection per shard, performs the
 content-fingerprint handshake (a shard holding a different context —
-or a different cache schema — refuses, loudly), and streams chunks
-through the :class:`~repro.cluster.scheduler.ClusterScheduler`.  The
+or a different cache schema — refuses, loudly), places rounds by
+cache locality, and streams chunks through the
+:class:`~repro.cluster.scheduler.ClusterScheduler`.  Placement is
+always on: each shard gets a ``cache-query`` with the batch's
+canonical round keys, held rounds are routed to a shard that holds
+them (least-loaded among holders), so a warm fleet answers them from
+its disk tier without recompute; the rest, and everything when no
+shard holds anything, flows through the plain work-stealing queue.  The
 determinism contract of :mod:`repro.engine.backends` does the rest:
 outcomes are bit-identical to the serial backend whatever the
 sharding, chunking, arrival order — or fault/degradation path.
@@ -263,9 +264,6 @@ class ClusterBackend(EvaluationBackend):
     secret, retries, backoff, fallback:
         Resilience knobs; ``None`` reads ``REPRO_CLUSTER_SECRET`` /
         ``_RETRIES`` / ``_BACKOFF`` / ``_FALLBACK`` (see module docs).
-    placement:
-        Cache-aware placement toggle; ``None`` reads
-        ``REPRO_CLUSTER_PLACEMENT`` (default on — see module docs).
     """
 
     name = "cluster"
@@ -276,8 +274,7 @@ class ClusterBackend(EvaluationBackend):
                  secret: str | None = None,
                  retries: int | None = None,
                  backoff: float | None = None,
-                 fallback: bool | None = None,
-                 placement: bool | None = None):
+                 fallback: bool | None = None):
         if shards is None:
             shards = os.environ.get("REPRO_CLUSTER_SHARDS")
         if isinstance(shards, str):
@@ -306,8 +303,6 @@ class ClusterBackend(EvaluationBackend):
                                         backoff=float(backoff))
         self.fallback = env_bool("REPRO_CLUSTER_FALLBACK", True) \
             if fallback is None else bool(fallback)
-        self.placement = env_bool("REPRO_CLUSTER_PLACEMENT", True) \
-            if placement is None else bool(placement)
         self._pool: LocalShardPool | None = None
 
     # -- shard management --------------------------------------------------
@@ -433,8 +428,6 @@ class ClusterBackend(EvaluationBackend):
         fails in transport is treated as holding nothing — if it is
         truly dead, the scheduler's failover discovers that on its own
         terms."""
-        if not self.placement:
-            return None
         keys = round_keys(fingerprint, specs)
         held_by: list[set] = []
         for client in clients:

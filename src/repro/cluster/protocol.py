@@ -1,13 +1,24 @@
 """Wire protocol of the cluster evaluation service.
 
-One message = an 8-byte big-endian length prefix followed by a pickled
-payload dict.  Length-prefixed framing keeps the stream self-describing
+One message = an 8-byte big-endian length prefix followed by a UTF-8
+JSON object.  Length-prefixed framing keeps the stream self-describing
 over plain TCP: a reader always knows exactly how many bytes the next
 message occupies, so partial reads are retried and a connection that
 dies mid-message is distinguishable (``ConnectionClosed``) from a
-malformed one (``ProtocolError``).
+malformed one (``ProtocolError``: a frame over its size cap, a payload
+that is not JSON, or JSON that is not an object with a string
+``"type"``).  Decoding is ``json`` only, so a frame can carry data but
+never code.
 
-Message shapes (all plain dicts with a ``"type"`` key):
+The frames carry the serialisation the disk tiers already use: round
+specs as :func:`~repro.engine.spec.round_to_obj` objects (the defence,
+attack and victim codecs of study documents and archive rows) and
+outcomes as :func:`~repro.engine.cache.outcome_to_dict` dicts (the
+bytes a cache entry stores).  The shard client and server encode and
+decode at the edge, so callers pass round specs and get evaluation
+outcomes back, bit-identical to the serial backend's.
+
+Message shapes (all JSON objects with a ``"type"`` key):
 
 * ``hello``   — client -> shard: ``{protocol, fingerprint, schema}``
   plus an optional ``auth`` digest (below).  The shard compares all
@@ -16,7 +27,10 @@ Message shapes (all plain dicts with a ``"type"`` key):
   *refuses* to evaluate rounds for a context it does not hold — the
   content-fingerprint handshake that makes a mixed-version or
   mixed-context fleet fail loudly instead of returning subtly wrong
-  results.
+  results.  Another ``protocol`` version is refused by a reply naming
+  both versions.  The first frame of a connection may not exceed
+  :data:`MAX_HANDSHAKE_BYTES`, checked against its header before the
+  body is read.
 * **auth** — when both ends hold the shared secret
   (``REPRO_CLUSTER_SECRET``), the hello carries
   ``auth = HMAC-SHA256(secret, "client:" + protocol:fingerprint:schema)``
@@ -30,11 +44,11 @@ Message shapes (all plain dicts with a ``"type"`` key):
   handshake fields, not the chunk stream — this authenticates *who may
   submit work*, it is not transport encryption (deploy on a trusted
   network or under a TLS tunnel for that).
-* ``run``     — client -> shard: ``{chunk_id, specs}`` where ``specs``
-  is a list of picklable :class:`~repro.engine.RoundSpec`.  Answered
-  by ``result`` (``{chunk_id, outcomes}``, outcomes in spec order) or
-  ``error`` (``{chunk_id, message}`` — the chunk failed but the shard
-  survives).
+* ``run``     — client -> shard: ``{chunk_id, specs}``, the specs as
+  ``round_to_obj`` objects.  Answered by ``result`` (``{chunk_id,
+  outcomes}``, ``outcome_to_dict`` dicts in spec order) or ``error``
+  (``{chunk_id, message}`` — the chunk's specs did not decode or its
+  rounds raised; the shard survives).
 * ``cache-query`` — client -> shard, post-handshake: ``{keys}``, a
   list of canonical round keys (see
   :func:`~repro.engine.cache.round_keys`).  Answered by
@@ -45,51 +59,44 @@ Message shapes (all plain dicts with a ``"type"`` key):
   bit-identical content on both ends — that is what lets the scheduler
   route held rounds to the holding shard and serve them from its disk
   tier without recomputing.  A shard without a cache tier answers with
-  an empty ``held`` list; an *old* shard answers ``error`` (unknown
-  message type), which clients treat the same way — placement is a
-  preference and degrades to the plain work-stealing queue.
-* ``cache-info`` — a *pre-handshake* alternative to ``hello``: an
-  operator tool (``repro-cache info --shard``) asking for a shard's
-  cache-tier stats without knowing the context fingerprint the full
+  an empty ``held`` list.
+* ``info`` — a *pre-handshake* alternative to ``hello``: the operator
+  tools (``repro-cache info --shard``, ``repro-cluster stats``) asking
+  for a shard's stats without knowing the context fingerprint the full
   handshake would require.  Carries ``{protocol, schema}`` plus the
   usual ``auth`` digest when a secret is configured (computed over the
-  literal fingerprint string ``"cache-info"``, so a captured hello
-  digest cannot be replayed as a stats probe).  Answered by
-  ``cache-report`` (with the shard's fingerprint included in
-  ``stats``) and the connection closes — the probe never reaches the
-  chunk-execution state machine.
+  literal fingerprint string :data:`INFO_FINGERPRINT`, so a captured
+  hello digest cannot be replayed as a probe).  Answered by
+  ``info-report`` (``{cache, metrics}``: the cache tier's stats and the
+  shard's metrics snapshot, each with the shard's fingerprint) and the
+  connection closes — the probe never reaches the chunk-execution
+  state machine.
 * **metrics deltas** — shards *piggyback* a metrics delta on every
   ``result`` message (optional ``telemetry`` field), so routine runs
   need no extra round trips.  The ``welcome`` carries the shard
   process's telemetry ``token``; a client whose own token matches (a
   shard in its own process, sharing its registry) does not merge the
   delta, so counts cross process boundaries only.
-* ``telemetry-info`` — a *pre-handshake* probe mirroring
-  ``cache-info``: ``repro-cluster stats`` asking for a shard's live
-  metrics without knowing the context fingerprint, auth digest over
-  the literal ``"telemetry-info"``.  Answered by ``telemetry-report``
-  (``{metrics}``, the shard's metrics-registry snapshot) and the
-  connection closes; old shards answer ``reject``.
 * ``ping``    — liveness probe, answered by ``pong``.
 * ``shutdown``— ask the shard to exit its serve loop (deployments and
   the localhost autospawn pool just signal the process).
 
-The payload pickles only engine-owned types (round specs, evaluation
-outcomes) whose modules both ends import; the handshake's ``schema``
-field carries the cache schema version so two builds that disagree on
-what a round *is* never exchange results.
+The handshake's ``schema`` field carries the cache schema version, so
+two builds that disagree on what a round *is* never exchange results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-import pickle
+import json
 import socket
 import struct
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_MESSAGE_BYTES",
+    "MAX_HANDSHAKE_BYTES",
     "ProtocolError",
     "ConnectionClosed",
     "enable_keepalive",
@@ -105,14 +112,14 @@ __all__ = [
     "chunk_error",
     "cache_query",
     "cache_report",
-    "cache_info",
-    "CACHE_INFO_FINGERPRINT",
-    "telemetry_report",
-    "telemetry_info",
-    "TELEMETRY_INFO_FINGERPRINT",
+    "info",
+    "info_report",
+    "INFO_FINGERPRINT",
 ]
 
-PROTOCOL_VERSION = 1
+# v2: JSON frames and one pre-handshake ``info`` probe.  A v1 peer
+# (pickled frames) is refused by name, never decoded.
+PROTOCOL_VERSION = 2
 
 # 8-byte length prefix: big enough for any batch, fixed-size to parse.
 _HEADER = struct.Struct(">Q")
@@ -121,6 +128,10 @@ _HEADER = struct.Struct(">Q")
 # (the largest legitimate message — a chunk of specs or outcomes — is
 # a few hundred KB).  Guards against interpreting garbage as a length.
 MAX_MESSAGE_BYTES = 1 << 30
+
+# The cap on a connection's first frame, read before any peer is
+# authenticated: a hello with an auth digest is about 200 bytes.
+MAX_HANDSHAKE_BYTES = 1024
 
 
 class ProtocolError(RuntimeError):
@@ -155,7 +166,7 @@ def enable_keepalive(sock: socket.socket) -> None:
 
 def send_message(sock: socket.socket, message: dict) -> None:
     """Frame and send one message dict."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
     sock.sendall(_HEADER.pack(len(payload)) + payload)
 
 
@@ -173,21 +184,25 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_message(sock: socket.socket) -> dict:
-    """Receive one framed message dict (blocking)."""
-    header = _recv_exact(sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
+def recv_message(sock: socket.socket,
+                 max_bytes: int = MAX_MESSAGE_BYTES) -> dict:
+    """Receive one framed message dict (blocking).
+
+    A frame longer than ``max_bytes`` is refused from its header alone,
+    before any of its body is read.
+    """
+    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    if length > max_bytes:
         raise ProtocolError(f"message of {length} bytes exceeds the "
-                            f"{MAX_MESSAGE_BYTES}-byte frame limit")
+                            f"{max_bytes}-byte frame limit")
+    payload = _recv_exact(sock, length)
     try:
-        message = pickle.loads(_recv_exact(sock, length))
-    except ConnectionClosed:
-        raise
-    except Exception as exc:
+        message = json.loads(payload)
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable message payload: {exc}") from exc
-    if not isinstance(message, dict) or "type" not in message:
-        raise ProtocolError(f"malformed message: {message!r}")
+    if not isinstance(message, dict) or \
+            not isinstance(message.get("type"), str):
+        raise ProtocolError(f"malformed message: {payload[:80]!r}")
     return message
 
 
@@ -250,13 +265,14 @@ def reject(reason: str) -> dict:
 
 
 def run_chunk(chunk_id: int, specs: list) -> dict:
-    """Push one chunk of round specs to a shard."""
+    """Push one chunk of round specs (``round_to_obj`` objects)."""
     return {"type": "run", "chunk_id": int(chunk_id), "specs": list(specs)}
 
 
 def chunk_result(chunk_id: int, outcomes: list, *,
                  cache_hits: int = 0, telemetry: dict | None = None) -> dict:
-    """A completed chunk, outcomes aligned with the request's specs.
+    """A completed chunk, ``outcome_to_dict`` dicts aligned with the
+    request's specs.
 
     ``cache_hits`` counts the outcomes served from the shard's local
     result-cache tier rather than recomputed — what the scheduler adds
@@ -264,8 +280,7 @@ def chunk_result(chunk_id: int, outcomes: list, *,
     piggybacks the shard's metrics delta (see
     :meth:`repro.telemetry.metrics.MetricsRegistry.flush_delta`) so the
     client's registry covers shard-side stage timings with zero extra
-    round trips.  Both fields are omitted when empty: old clients
-    ignore them, old shards simply never send them.
+    round trips.  Both fields are omitted when empty.
     """
     message = {"type": "result", "chunk_id": int(chunk_id),
                "outcomes": list(outcomes)}
@@ -284,11 +299,6 @@ def chunk_error(chunk_id: int, message: str) -> dict:
 
 # -- shard cache tier --------------------------------------------------------
 
-# The literal "fingerprint" a pre-handshake cache-info probe signs its
-# auth digest over: the prober does not know the shard's context, and a
-# fixed tag keeps the digest domain-separated from real handshakes.
-CACHE_INFO_FINGERPRINT = "cache-info"
-
 
 def cache_query(keys) -> dict:
     """Ask a handshaken shard which of these round keys it holds."""
@@ -301,43 +311,26 @@ def cache_report(held, stats: dict) -> dict:
             "stats": dict(stats)}
 
 
-def cache_info(schema: int, *, secret: str | None = None) -> dict:
-    """Pre-handshake cache-tier stats probe (``repro-cache --shard``)."""
-    message = {"type": "cache-info", "protocol": PROTOCOL_VERSION,
+# -- operator probe ----------------------------------------------------------
+
+# The literal "fingerprint" a pre-handshake info probe signs its auth
+# digest over: the prober does not know the shard's context, and a
+# fixed tag keeps the digest domain-separated from real handshakes.
+INFO_FINGERPRINT = "info"
+
+
+def info(schema: int, *, secret: str | None = None) -> dict:
+    """Pre-handshake stats probe (``repro-cache info --shard``,
+    ``repro-cluster stats``)."""
+    message = {"type": "info", "protocol": PROTOCOL_VERSION,
                "schema": int(schema)}
     if secret:
-        message["auth"] = compute_auth(secret, "client",
-                                       CACHE_INFO_FINGERPRINT, int(schema))
-    return message
-
-
-# -- shard telemetry ---------------------------------------------------------
-
-# Like CACHE_INFO_FINGERPRINT: the literal a pre-handshake telemetry
-# probe signs over, domain-separating its digest from real handshakes
-# and from cache-info probes.
-TELEMETRY_INFO_FINGERPRINT = "telemetry-info"
-
-
-def telemetry_report(metrics: dict) -> dict:
-    """A shard's metrics snapshot (see ``MetricsRegistry.snapshot``)."""
-    return {"type": "telemetry-report", "metrics": dict(metrics)}
-
-
-def telemetry_info(schema: int, *, secret: str | None = None) -> dict:
-    """Pre-handshake live-metrics probe (``repro-cluster stats``).
-
-    The operator tool does not know the shard's context fingerprint, so
-    — exactly like ``cache-info`` — the probe rides its own message
-    type answered before the hello state machine, with the auth digest
-    computed over :data:`TELEMETRY_INFO_FINGERPRINT`.  Old shards
-    answer ``reject`` ("expected hello"), which the CLI reports as
-    unsupported.
-    """
-    message = {"type": "telemetry-info", "protocol": PROTOCOL_VERSION,
-               "schema": int(schema)}
-    if secret:
-        message["auth"] = compute_auth(secret, "client",
-                                       TELEMETRY_INFO_FINGERPRINT,
+        message["auth"] = compute_auth(secret, "client", INFO_FINGERPRINT,
                                        int(schema))
     return message
+
+
+def info_report(cache: dict, metrics: dict) -> dict:
+    """A shard's cache-tier stats and metrics snapshot."""
+    return {"type": "info-report", "cache": dict(cache),
+            "metrics": dict(metrics)}

@@ -63,6 +63,8 @@ from collections import deque
 from repro import telemetry
 from repro.cluster import protocol
 from repro.engine.backends import _FIT_WINDOW, deal_chunks
+from repro.engine.cache import outcome_from_dict
+from repro.engine.spec import round_to_obj
 from repro.resilience import RetryPolicy, faults
 
 __all__ = ["ShardError", "ShardRejected", "ChunkExecutionError",
@@ -134,8 +136,8 @@ class ShardClient:
         # Shard-reported cache hits of the most recent chunk reply.
         self.last_cache_hits = 0
         # Shard-piggybacked metrics delta of the most recent chunk
-        # reply, to merge (None from old shards, from a shard in this
-        # process, or when telemetry is disabled).
+        # reply, to merge (None from a shard in this process, or when
+        # telemetry is disabled).
         self.last_telemetry: dict | None = None
 
     def handshake(self, fingerprint: str, schema: int) -> dict:
@@ -145,7 +147,8 @@ class ShardClient:
             protocol.send_message(self._sock,
                                   protocol.hello(fingerprint, schema,
                                                  secret=self.secret))
-            reply = protocol.recv_message(self._sock)
+            reply = protocol.recv_message(self._sock,
+                                          protocol.MAX_HANDSHAKE_BYTES)
         except (protocol.ProtocolError, ConnectionError, OSError) as exc:
             raise ShardError(f"handshake with shard {self.name} failed: "
                              f"{exc}") from exc
@@ -171,8 +174,8 @@ class ShardClient:
         """Execute one chunk remotely; outcomes aligned with ``specs``."""
         try:
             faults.fire("chunk_send", key=f"{self.name}#{chunk_id}")
-            protocol.send_message(self._sock,
-                                  protocol.run_chunk(chunk_id, specs))
+            protocol.send_message(self._sock, protocol.run_chunk(
+                chunk_id, [round_to_obj(spec) for spec in specs]))
             reply = protocol.recv_message(self._sock)
         except (protocol.ProtocolError, ConnectionError, OSError) as exc:
             raise ShardError(f"shard {self.name} died mid-chunk: "
@@ -198,16 +201,13 @@ class ShardClient:
         # holds counts already counted here.
         self.last_telemetry = None if self.info.get("token") == \
             telemetry.process_token() else reply.get("telemetry")
-        return outcomes
+        return [outcome_from_dict(outcome) for outcome in outcomes]
 
     def query_cache(self, keys) -> tuple[set, dict]:
         """Ask the shard which of these round keys its cache tier holds.
 
-        Returns ``(held, stats)``.  An *old* shard answers ``error``
-        for the unknown message type and stays alive — any non-report
-        reply therefore means "no cache support" and comes back as
-        ``(set(), {})``; only a transport failure raises
-        :class:`ShardError`.
+        Returns ``(held, stats)``; a failed query or any reply but a
+        ``cache-report`` raises :class:`ShardError`.
         """
         try:
             protocol.send_message(self._sock, protocol.cache_query(keys))
@@ -216,7 +216,8 @@ class ShardClient:
             raise ShardError(f"cache query to shard {self.name} failed: "
                              f"{exc}") from exc
         if reply.get("type") != "cache-report":
-            return set(), {}
+            raise ShardError(f"shard {self.name} answered a cache query "
+                             f"out of protocol: {reply.get('type')!r}")
         return set(reply.get("held", [])), dict(reply.get("stats", {}))
 
     def close(self) -> None:

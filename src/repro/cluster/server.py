@@ -16,9 +16,12 @@ A :class:`ShardServer` owns exactly one
    backend);
 3. listens on a TCP socket and answers the protocol of
    :mod:`repro.cluster.protocol`: a content-fingerprint handshake,
-   then round chunks, executed through the engine's own
-   :func:`~repro.engine.backends.execute_round` — so a shard's
-   outcomes are bit-identical to the serial backend's by construction;
+   then round chunks decoded from JSON and executed through the
+   engine's own :func:`~repro.engine.backends.execute_round` — so a
+   shard's outcomes are bit-identical to the serial backend's by
+   construction.  A frame that does not decode is refused by name
+   (a ``reject`` before the connection closes; an ``error`` reply for
+   a ``run`` whose specs do not decode) and the shard keeps serving;
 4. with ``--cache-dir`` (or ``REPRO_SHARD_CACHE_DIR``), keeps a
    **shard-local** :class:`~repro.engine.cache.ResultCache` disk tier
    under the same content keys and schema gate as the client cache:
@@ -30,18 +33,27 @@ A :class:`ShardServer` owns exactly one
    different cache schema version, so a key held by the shard names
    bit-identical content for every admitted client.
 
-Run one with the CLI (``python -m repro.experiments.cli repro-cluster
-serve ...``) or directly::
+Run one with the CLI (``python -m repro repro-cluster serve ...``) or
+directly; both read the flags of :func:`add_shard_arguments` and start
+through :func:`serve_from_args`::
 
     python -m repro.cluster --context-file ctx.pkl --port 7781
+
+``--context-file`` is the one pickle left on a shard: it names a
+context written by :func:`~repro.experiments.runner.save_context` (the
+autospawn pool writes it to a ``mkstemp`` file of its own) and is
+unpickled at start-up, so pass only a file you trust.  Everything
+that crosses the socket is JSON.
 
 On startup the server prints a single ``READY host=... port=...
 fingerprint=...`` line to stdout — the localhost autospawn pool (and
 any orchestrator) parses it to learn the bound port.
 
-``--chaos-exit-after N`` is the failure-injection hook: the server
-executes rounds one at a time and calls ``os._exit`` after the N-th,
-mid-chunk, without replying — exactly the crash profile the
+A ``shard:crash_after_rounds=N`` rule in the armed fault plan
+(``--faults`` or ``REPRO_FAULTS``, see :mod:`repro.resilience`) is the
+crash hook: the server executes rounds one at a time and calls
+``os._exit`` (exit code :data:`CHAOS_EXIT_CODE`) when round N+1 would
+start, mid-chunk, without replying — exactly the crash profile the
 scheduler's requeue logic must survive.  It exists for the tests and
 for operators who want to drill failover.
 """
@@ -57,11 +69,13 @@ import threading
 from repro import telemetry
 from repro.cluster import protocol
 from repro.engine.backends import SerialBackend, WorkerPool
-from repro.engine.cache import ResultCache, cache_schema_version, round_keys
-from repro.engine.spec import prewarm_all
+from repro.engine.cache import (ResultCache, cache_schema_version,
+                                outcome_to_dict, round_keys)
+from repro.engine.spec import prewarm_all, round_from_obj
 from repro.resilience import env_int, faults
 
-__all__ = ["ShardServer", "serve", "main"]
+__all__ = ["ShardServer", "serve", "add_shard_arguments", "serve_from_args",
+           "main"]
 
 # Exit code of a chaos-triggered mid-chunk crash (distinguishable from
 # ordinary failures in tests and process tables).
@@ -81,11 +95,6 @@ class ShardServer:
         chosen one from :attr:`port` or the READY line).
     jobs:
         Worker processes for chunk execution (1 = in-process serial).
-    chaos_exit_after:
-        Failure injection: hard-exit mid-chunk after this many rounds.
-        A ``shard:crash_after_rounds`` rule in the armed fault plan
-        (``REPRO_FAULTS``) arms the same hook; when both are set the
-        smaller threshold wins.
     secret:
         Shared secret for mutual HMAC handshake auth; defaults to
         ``REPRO_CLUSTER_SECRET``.  When set, clients without a valid
@@ -104,11 +113,14 @@ class ShardServer:
         LRU cap for the cache's in-memory tier; defaults to
         ``REPRO_SHARD_CACHE_MAX_ENTRIES`` (0/unset = unbounded).
         Eviction never touches the disk tier.
+
+    The crash hook is read from the armed fault plan
+    (``shard:crash_after_rounds``) when the server is built.
     """
 
     def __init__(self, ctx, *, host: str = "127.0.0.1", port: int = 0,
-                 jobs: int | None = None, chaos_exit_after: int | None = None,
-                 secret: str | None = None, cache_dir: str | None = None,
+                 jobs: int | None = None, secret: str | None = None,
+                 cache_dir: str | None = None,
                  cache_max_entries: int | None = None):
         self.ctx = ctx
         self.fingerprint = ctx.fingerprint()
@@ -125,11 +137,7 @@ class ShardServer:
                                  max_entries=cache_max_entries,
                                  counter_prefix="shard.cache") \
             if cache_dir else None
-        armed = faults.crash_threshold("shard")
-        if armed is not None:
-            chaos_exit_after = armed if chaos_exit_after is None \
-                else min(chaos_exit_after, armed)
-        self.chaos_exit_after = chaos_exit_after
+        self.crash_after_rounds = faults.crash_threshold("shard")
         self._rounds_executed = 0
         self._chaos_lock = threading.Lock()
         prewarm_all(ctx)
@@ -172,80 +180,55 @@ class ShardServer:
             self.close()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            with conn:
+        with conn:
+            try:
                 # Same rationale as the client side: this thread waits
                 # on a blocking recv, so a client host that vanishes
                 # silently must be reaped by OS keepalive or it would
                 # pin the thread and fd for the shard's lifetime.
                 protocol.enable_keepalive(conn)
-                if not self._handshake(conn):
-                    return
+                if self._handshake(conn):
+                    self._serve_chunks(conn)
+            except (protocol.ProtocolError, LookupError, TypeError,
+                    ValueError) as exc:
+                # A frame this shard cannot act on: name the fault, then
+                # hang up (after a refused header the next frame
+                # boundary is unknown).
                 try:
-                    peer = "%s:%s" % conn.getpeername()[:2]
+                    protocol.send_message(
+                        conn, protocol.reject(f"protocol error: {exc}"))
                 except OSError:
-                    peer = "?"
-                with telemetry.trace_span("shard.connection", peer=peer):
-                    while not self._shutdown.is_set():
-                        try:
-                            message = protocol.recv_message(conn)
-                        except protocol.ConnectionClosed:
-                            return
-                        if not self._dispatch(conn, message):
-                            return
-        except (protocol.ProtocolError, ConnectionError, OSError):
-            return  # a broken client never takes the shard down
+                    pass
+            except (ConnectionError, OSError):
+                pass  # a broken client never takes the shard down
+
+    def _serve_chunks(self, conn: socket.socket) -> None:
+        try:
+            peer = "%s:%s" % conn.getpeername()[:2]
+        except OSError:
+            peer = "?"
+        with telemetry.trace_span("shard.connection", peer=peer):
+            while not self._shutdown.is_set():
+                try:
+                    message = protocol.recv_message(conn)
+                except protocol.ConnectionClosed:
+                    return
+                if not self._dispatch(conn, message):
+                    return
 
     def _handshake(self, conn: socket.socket) -> bool:
-        message = protocol.recv_message(conn)
-        if message.get("type") == "cache-info":
-            # Pre-handshake stats probe: answer and close (the prober
-            # does not know — and does not learn — this shard's
-            # context beyond what the stats expose post-auth).
-            self._answer_cache_info(conn, message)
-            return False
-        if message.get("type") == "telemetry-info":
-            # Same pre-handshake pattern for live metrics
-            # (repro-cluster stats); old shards hit the reject below.
-            self._answer_telemetry_info(conn, message)
-            return False
-        if message.get("type") != "hello":
-            protocol.send_message(conn, protocol.reject(
-                f"expected hello, got {message.get('type')!r}"))
-            return False
-        reason = None
-        auth = message.get("auth")
-        if self.secret:
-            # Auth first: an unauthenticated client learns nothing
-            # about this shard's context from the refusal.
-            if auth is None:
-                reason = ("auth required: shard holds a "
-                          "REPRO_CLUSTER_SECRET but the hello carries "
-                          "no auth digest")
-            elif not protocol.verify_auth(
-                    self.secret, "client",
-                    str(message.get("fingerprint")),
-                    int(message.get("schema") or 0), auth):
-                reason = ("auth failed: the hello's digest does not "
-                          "match this shard's REPRO_CLUSTER_SECRET")
-        elif auth is not None:
-            reason = ("auth mismatch: client presented an auth digest "
-                      "but this shard holds no REPRO_CLUSTER_SECRET")
-        if reason is None and \
-                message.get("protocol") != protocol.PROTOCOL_VERSION:
-            reason = (f"protocol version mismatch: shard speaks "
-                      f"v{protocol.PROTOCOL_VERSION}, client "
-                      f"v{message.get('protocol')}")
-        elif message.get("schema") != self.schema:
-            reason = (f"cache schema mismatch: shard at v{self.schema}, "
-                      f"client at v{message.get('schema')} — the two builds "
-                      f"disagree on round identity")
-        elif message.get("fingerprint") != self.fingerprint:
-            reason = (f"context fingerprint mismatch: shard holds "
-                      f"{self.fingerprint[:12]}…, client asked for "
-                      f"{str(message.get('fingerprint'))[:12]}…")
+        """Answer the connection's first frame, read under the
+        pre-handshake cap: ``True`` once a ``hello`` is welcomed; an
+        ``info`` probe is answered and the connection ends (the prober
+        learns nothing of this shard's context beyond its stats)."""
+        message = protocol.recv_message(conn, protocol.MAX_HANDSHAKE_BYTES)
+        reason = self._refusal(message)
         if reason is not None:
             protocol.send_message(conn, protocol.reject(reason))
+            return False
+        if message["type"] == "info":
+            protocol.send_message(conn, protocol.info_report(
+                self.cache_stats(), self.telemetry_stats()))
             return False
         protocol.send_message(conn, protocol.welcome(
             self.fingerprint, host=self.host, pid=os.getpid(),
@@ -253,60 +236,51 @@ class ShardServer:
             secret=self.secret, token=telemetry.process_token()))
         return True
 
-    def _answer_cache_info(self, conn: socket.socket, message: dict) -> None:
-        """Answer a pre-handshake ``cache-info`` probe (auth-gated)."""
+    def _refusal(self, message: dict) -> str | None:
+        """Why a ``hello`` or ``info`` frame is refused (``None``: it is
+        accepted)."""
+        kind = message["type"]
+        if kind not in ("hello", "info"):
+            return f"expected hello or info, got {kind!r}"
+        fingerprint = protocol.INFO_FINGERPRINT if kind == "info" \
+            else message.get("fingerprint")
+        schema = message.get("schema")
+        if not isinstance(fingerprint, str) or type(schema) is not int:
+            return (f"malformed {kind}: needs a string fingerprint and an "
+                    f"integer schema, got {fingerprint!r} and {schema!r}")
         auth = message.get("auth")
-        reason = None
         if self.secret:
-            if not protocol.verify_auth(
-                    self.secret, "client", protocol.CACHE_INFO_FINGERPRINT,
-                    int(message.get("schema") or 0), auth):
-                reason = ("auth failed: the cache-info probe carries no "
-                          "digest matching this shard's "
-                          "REPRO_CLUSTER_SECRET")
+            # Auth first: an unauthenticated client learns nothing
+            # about this shard's context from the refusal.
+            if auth is None:
+                return (f"auth required: shard holds a "
+                        f"REPRO_CLUSTER_SECRET but the {kind} carries no "
+                        f"auth digest")
+            if not protocol.verify_auth(self.secret, "client", fingerprint,
+                                        schema, auth):
+                return (f"auth failed: the {kind}'s digest does not match "
+                        f"this shard's REPRO_CLUSTER_SECRET")
         elif auth is not None:
-            reason = ("auth mismatch: probe presented an auth digest but "
-                      "this shard holds no REPRO_CLUSTER_SECRET")
-        if reason is None and \
-                message.get("protocol") != protocol.PROTOCOL_VERSION:
-            reason = (f"protocol version mismatch: shard speaks "
-                      f"v{protocol.PROTOCOL_VERSION}, probe "
-                      f"v{message.get('protocol')}")
-        if reason is not None:
-            protocol.send_message(conn, protocol.reject(reason))
-            return
-        protocol.send_message(
-            conn, protocol.cache_report([], self.cache_stats()))
-
-    def _answer_telemetry_info(self, conn: socket.socket,
-                               message: dict) -> None:
-        """Answer a pre-handshake ``telemetry-info`` probe (auth-gated)."""
-        auth = message.get("auth")
-        reason = None
-        if self.secret:
-            if not protocol.verify_auth(
-                    self.secret, "client",
-                    protocol.TELEMETRY_INFO_FINGERPRINT,
-                    int(message.get("schema") or 0), auth):
-                reason = ("auth failed: the telemetry-info probe carries "
-                          "no digest matching this shard's "
-                          "REPRO_CLUSTER_SECRET")
-        elif auth is not None:
-            reason = ("auth mismatch: probe presented an auth digest but "
-                      "this shard holds no REPRO_CLUSTER_SECRET")
-        if reason is None and \
-                message.get("protocol") != protocol.PROTOCOL_VERSION:
-            reason = (f"protocol version mismatch: shard speaks "
-                      f"v{protocol.PROTOCOL_VERSION}, probe "
-                      f"v{message.get('protocol')}")
-        if reason is not None:
-            protocol.send_message(conn, protocol.reject(reason))
-            return
-        protocol.send_message(
-            conn, protocol.telemetry_report(self.telemetry_stats()))
+            return (f"auth mismatch: the {kind} presented an auth digest "
+                    f"but this shard holds no REPRO_CLUSTER_SECRET")
+        if message.get("protocol") != protocol.PROTOCOL_VERSION:
+            return (f"protocol version mismatch: shard speaks "
+                    f"v{protocol.PROTOCOL_VERSION}, peer "
+                    f"v{message.get('protocol')}")
+        if kind == "info":
+            return None
+        if schema != self.schema:
+            return (f"cache schema mismatch: shard at v{self.schema}, "
+                    f"client at v{schema} — the two builds disagree on "
+                    f"round identity")
+        if fingerprint != self.fingerprint:
+            return (f"context fingerprint mismatch: shard holds "
+                    f"{self.fingerprint[:12]}…, client asked for "
+                    f"{fingerprint[:12]}…")
+        return None
 
     def telemetry_stats(self) -> dict:
-        """Live metrics for ``telemetry-report`` replies."""
+        """Live metrics for ``info-report`` replies."""
         stats = {
             "enabled": telemetry.enabled(),
             "fingerprint": self.fingerprint,
@@ -317,7 +291,7 @@ class ShardServer:
         return stats
 
     def cache_stats(self) -> dict:
-        """Cache-tier telemetry for ``cache-report`` replies."""
+        """Cache-tier stats for ``cache-report`` and ``info-report``."""
         stats = {
             "enabled": self.cache is not None,
             "fingerprint": self.fingerprint,
@@ -353,7 +327,12 @@ class ShardServer:
             return True
         if kind == "run":
             chunk_id = int(message.get("chunk_id", -1))
-            specs = message.get("specs", [])
+            try:
+                specs = [round_from_obj(obj) for obj in message["specs"]]
+            except Exception as exc:  # a malformed chunk is refused by name
+                protocol.send_message(conn, protocol.chunk_error(
+                    chunk_id, f"undecodable round spec: {exc!r}"))
+                return True
             try:
                 with telemetry.trace_span("shard.chunk", chunk=chunk_id,
                                           rounds=len(specs)):
@@ -371,7 +350,8 @@ class ShardServer:
                 return False
             protocol.send_message(
                 conn, protocol.chunk_result(
-                    chunk_id, outcomes, cache_hits=cache_hits,
+                    chunk_id, [outcome_to_dict(o) for o in outcomes],
+                    cache_hits=cache_hits,
                     telemetry=telemetry.flush_delta()))
             return True
         protocol.send_message(conn, protocol.chunk_error(
@@ -413,7 +393,7 @@ class ShardServer:
         """Execute ``specs``, calling ``land(offset, outcome)`` per round
         as it lands; honours the chaos crash hook.  Returns outcomes in
         order (for the cache-less path)."""
-        if self.chaos_exit_after is None:
+        if self.crash_after_rounds is None:
             collected = [None] * len(specs)
             for offset, outcome in self._rounds(specs):
                 self._rounds_executed += 1
@@ -426,7 +406,7 @@ class ShardServer:
         collected = []
         for offset, spec in enumerate(specs):
             with self._chaos_lock:
-                if self._rounds_executed >= self.chaos_exit_after:
+                if self._rounds_executed >= self.crash_after_rounds:
                     os._exit(CHAOS_EXIT_CODE)
                 self._rounds_executed += 1
             [(_, outcome)] = self._rounds([spec])
@@ -454,8 +434,8 @@ class ShardServer:
 
 
 def serve(ctx, *, host: str = "127.0.0.1", port: int = 0,
-          jobs: int | None = None, chaos_exit_after: int | None = None,
-          secret: str | None = None, cache_dir: str | None = None,
+          jobs: int | None = None, secret: str | None = None,
+          cache_dir: str | None = None,
           cache_max_entries: int | None = None,
           announce: bool = True) -> None:
     """Construct a :class:`ShardServer` for ``ctx`` and serve forever.
@@ -463,14 +443,13 @@ def serve(ctx, *, host: str = "127.0.0.1", port: int = 0,
     Installs a SIGTERM handler so an orchestrator's ordinary terminate
     shuts the shard down *gracefully* — the worker pool exits and the
     shared-memory segment is unlinked, instead of leaking both (the
-    chaos hook's ``os._exit`` deliberately bypasses this: it simulates
+    crash hook's ``os._exit`` deliberately bypasses this: it simulates
     the host crash where no cleanup can run).
     """
     import signal
 
     server = ShardServer(ctx, host=host, port=port, jobs=jobs,
-                         chaos_exit_after=chaos_exit_after, secret=secret,
-                         cache_dir=cache_dir,
+                         secret=secret, cache_dir=cache_dir,
                          cache_max_entries=cache_max_entries)
 
     def _terminate(signum, frame):
@@ -486,17 +465,18 @@ def serve(ctx, *, host: str = "127.0.0.1", port: int = 0,
         signal.signal(signal.SIGTERM, previous)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster",
-        description="Serve evaluation rounds for one experiment context.",
-    )
+def add_shard_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the shard flags, the one set behind both
+    ``python -m repro.cluster`` and ``repro repro-cluster``."""
+    parser.add_argument("--context", type=str, default="spambase",
+                        choices=("spambase", "synthetic"),
+                        help="construct the served context by name "
+                             "(default spambase)")
     parser.add_argument("--context-file", type=str, default=None,
-                        help="pickled ExperimentContext to serve (see "
-                             "repro.experiments.runner.save_context)")
-    parser.add_argument("--context", type=str, default=None,
-                        choices=("synthetic", "spambase"),
-                        help="construct the context by name instead")
+                        help="serve a pickled ExperimentContext instead "
+                             "(written by repro.experiments.runner."
+                             "save_context); the file is unpickled, so "
+                             "pass only one you trust")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-samples", type=int, default=None)
     parser.add_argument("--host", type=str, default="127.0.0.1")
@@ -506,13 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes per shard (default 1: "
                              "in-process execution)")
-    parser.add_argument("--chaos-exit-after", type=int, default=None,
-                        help="failure injection: hard-exit mid-chunk "
-                             "after N rounds (tests/failover drills)")
     parser.add_argument("--faults", type=str, default=None,
                         help="arm a fault plan (see repro.resilience), "
-                             "e.g. 'chunk_reply:drop_first=1;seed=7'; "
-                             "overrides REPRO_FAULTS")
+                             "e.g. 'chunk_reply:drop_first=1;seed=7' or "
+                             "'shard:crash_after_rounds=3'; overrides "
+                             "REPRO_FAULTS")
     parser.add_argument("--secret", type=str, default=None,
                         help="shared handshake secret (defaults to "
                              "REPRO_CLUSTER_SECRET)")
@@ -527,34 +505,42 @@ def build_parser() -> argparse.ArgumentParser:
                              "tier (defaults to "
                              "REPRO_SHARD_CACHE_MAX_ENTRIES; "
                              "0/unset = unbounded)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.cluster",
+        description="Serve evaluation rounds for one experiment context.",
+    )
+    add_shard_arguments(parser)
     return parser
 
 
-def context_from_args(args):
+def serve_from_args(args) -> int:
+    """Start a shard from parsed :func:`add_shard_arguments` flags: arm
+    ``--faults``, build the context, :func:`serve` it."""
     from repro.experiments.runner import load_context, make_context
 
-    if args.context_file:
-        return load_context(args.context_file)
-    if args.context:
-        kwargs = {"seed": args.seed}
-        if args.n_samples is not None:
-            kwargs["n_samples"] = args.n_samples
-        return make_context(args.context, **kwargs)
-    raise SystemExit("pass --context-file or --context")
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     if args.faults is not None:
         try:
             faults.install(args.faults)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}") from None
-    serve(context_from_args(args), host=args.host, port=args.port,
-          jobs=args.jobs, chaos_exit_after=args.chaos_exit_after,
+    if args.context_file:
+        ctx = load_context(args.context_file)
+    else:
+        kwargs = {"seed": args.seed}
+        if args.n_samples is not None:
+            kwargs["n_samples"] = args.n_samples
+        ctx = make_context(args.context, **kwargs)
+    serve(ctx, host=args.host, port=args.port, jobs=args.jobs,
           secret=args.secret, cache_dir=args.cache_dir,
           cache_max_entries=args.cache_max_entries)
     return 0
+
+
+def main(argv=None) -> int:
+    return serve_from_args(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

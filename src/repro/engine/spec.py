@@ -10,8 +10,9 @@ which seed.  Two properties follow:
   stable identity for the round's result, so identical rounds are
   never recomputed (see :mod:`repro.engine.cache`);
 * **portability** — specs are tiny frozen dataclasses that pickle
-  cheaply, so any backend (in-process, process pool, and future
-  sharded/async executors) can run them (see
+  cheaply for the process pool and round-trip through plain JSON
+  (:func:`round_to_obj`) for study documents, archives and cluster
+  shards, so any backend can run them (see
   :mod:`repro.engine.backends`).
 
 Each axis of the scenario space is a registry keyed by the spec's
@@ -45,6 +46,16 @@ __all__ = [
     "parse_attack_spec",
     "parse_defense_spec",
     "parse_victim_spec",
+    "params_to_obj",
+    "params_from_obj",
+    "attack_to_obj",
+    "attack_from_obj",
+    "defense_to_obj",
+    "defense_from_obj",
+    "victim_to_obj",
+    "victim_from_obj",
+    "round_to_obj",
+    "round_from_obj",
     "register_attack_builder",
     "register_attack_prewarmer",
     "registered_attack_kinds",
@@ -440,6 +451,146 @@ def parse_victim_spec(text: "str | None") -> "VictimSpec | None":
         raise ValueError(f"unknown victim kind {kind!r}; registered: "
                          f"{registered_victim_kinds()}")
     return VictimSpec(kind, _parse_params(params_part))
+
+
+# -- JSON codecs ---------------------------------------------------------------
+# The one serialised form of a spec: study documents, archive and
+# checkpoint rows, and the cluster protocol's ``run`` frames all carry
+# specs as these plain JSON objects.
+
+
+def params_to_obj(params: tuple) -> dict:
+    """Canonical params tuple -> plain JSON mapping.
+
+    Only the *top* level becomes a JSON object (it is sorted by
+    ``check_canonical_params`` at construction, so the mapping order is
+    stable); every nested value — including a tuple of pairs such as
+    table1's ``"algorithm"`` kwargs — dumps as plain nested lists.
+    Dumping values as objects would force an order on reload and drift
+    the fingerprint of any spec whose pair-tuple value was not sorted.
+    """
+    return {k: _value_to_obj(v) for k, v in params}
+
+
+def _value_to_obj(value):
+    if isinstance(value, tuple):
+        return [_value_to_obj(v) for v in value]
+    return value
+
+
+def _value_from_obj(obj):
+    if isinstance(obj, dict):
+        return tuple(sorted((str(k), _value_from_obj(v))
+                            for k, v in obj.items()))
+    if isinstance(obj, list):
+        return tuple(_value_from_obj(v) for v in obj)
+    return obj
+
+
+def params_from_obj(obj, *, name: str) -> tuple:
+    """Inverse of :func:`params_to_obj` (``None`` reads as no params)."""
+    if obj is None:
+        return ()
+    if isinstance(obj, dict):
+        return check_canonical_params(
+            {k: _value_from_obj(v) for k, v in obj.items()}, name=name)
+    return check_canonical_params(_tuplify(obj), name=name)
+
+
+def defense_from_obj(obj):
+    """A :class:`DefenseSpec` from its JSON form, a spec string or a spec."""
+    if obj is None:
+        return None
+    if isinstance(obj, DefenseSpec):
+        return obj
+    if isinstance(obj, str):
+        return parse_defense_spec(obj)
+    if isinstance(obj, dict):
+        return DefenseSpec(obj.get("kind", "radius"),
+                           float(obj.get("percentile", 0.0)),
+                           params_from_obj(obj.get("params"),
+                                           name="defense params"))
+    raise TypeError(f"cannot read a DefenseSpec from {obj!r}")
+
+
+def attack_from_obj(obj):
+    """An :class:`AttackSpec` from its JSON form, a spec string or a spec."""
+    if obj is None:
+        return None
+    if isinstance(obj, AttackSpec):
+        return obj
+    if isinstance(obj, str):
+        return parse_attack_spec(obj)
+    if isinstance(obj, dict):
+        return AttackSpec(obj.get("kind", "boundary"),
+                          float(obj.get("percentile", 0.0)),
+                          params_from_obj(obj.get("params"),
+                                          name="attack params"))
+    raise TypeError(f"cannot read an AttackSpec from {obj!r}")
+
+
+def victim_from_obj(obj):
+    """A :class:`VictimSpec` from its JSON form, a spec string or a spec."""
+    if obj is None:
+        return None
+    if isinstance(obj, VictimSpec):
+        return obj
+    if isinstance(obj, str):
+        return parse_victim_spec(obj)
+    if isinstance(obj, dict):
+        return VictimSpec(obj.get("kind", "svm"),
+                          params_from_obj(obj.get("params"),
+                                          name="victim params"))
+    raise TypeError(f"cannot read a VictimSpec from {obj!r}")
+
+
+def defense_to_obj(spec: DefenseSpec | None):
+    """JSON form of a defence spec (``None`` passes through)."""
+    if spec is None:
+        return None
+    return {"kind": spec.kind, "percentile": float(spec.percentile),
+            "params": params_to_obj(spec.params)}
+
+
+def attack_to_obj(spec: AttackSpec | None):
+    """JSON form of an attack spec (``None`` passes through)."""
+    if spec is None:
+        return None
+    return {"kind": spec.kind, "percentile": float(spec.percentile),
+            "params": params_to_obj(spec.params)}
+
+
+def victim_to_obj(spec: VictimSpec | None):
+    """JSON form of a victim spec (``None`` passes through)."""
+    if spec is None:
+        return None
+    return {"kind": spec.kind, "params": params_to_obj(spec.params)}
+
+
+def round_to_obj(spec: RoundSpec) -> dict:
+    """JSON form of a round spec, exact enough to rebuild an equal one.
+
+    An undefended round also carries its ``filter_percentile``
+    spelling (``0.0`` or ``None``), which its outcome echoes.
+    """
+    obj = {"defense": defense_to_obj(spec.defense),
+           "attack": attack_to_obj(spec.attack),
+           "victim": victim_to_obj(spec.victim),
+           "poison_fraction": float(spec.poison_fraction),
+           "seed": int(spec.seed)}
+    if spec.defense is None:
+        obj["filter_percentile"] = spec.filter_percentile
+    return obj
+
+
+def round_from_obj(obj: dict) -> RoundSpec:
+    """Inverse of :func:`round_to_obj`; raises on a malformed object."""
+    return RoundSpec(filter_percentile=obj.get("filter_percentile"),
+                     attack=attack_from_obj(obj["attack"]),
+                     poison_fraction=float(obj["poison_fraction"]),
+                     seed=obj["seed"],
+                     defense=defense_from_obj(obj["defense"]),
+                     victim=victim_from_obj(obj["victim"]))
 
 
 # -- registries -------------------------------------------------------------

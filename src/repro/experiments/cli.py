@@ -342,48 +342,64 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _shard_cache_info(args) -> int:
-    """Probe running shards for their cache-tier stats (repro-cache
-    info --shard).  Uses the pre-handshake ``cache-info`` message, so
-    it needs no context — only the address (and the secret, if the
-    fleet has one)."""
+def _probe_shards(addresses: str, secret, render) -> int:
+    """Send each shard the pre-handshake ``info`` probe and print
+    ``render(name, reply)`` for each ``info-report``.  It needs no
+    context, only the addresses (and the fleet's secret, if it has
+    one).  Returns the exit code: 1 if any shard was unreachable or
+    refused."""
     import socket as socketlib
 
     from repro.cluster import protocol
     from repro.cluster.backend import parse_shard_addresses
     from repro.engine import cache_schema_version
 
-    secret = args.secret or os.environ.get("REPRO_CLUSTER_SECRET") or None
-    schema = cache_schema_version()
+    secret = secret or os.environ.get("REPRO_CLUSTER_SECRET") or None
+    probe = protocol.info(cache_schema_version(), secret=secret)
     failures = 0
-    for host, port in parse_shard_addresses(args.shard):
+    for host, port in parse_shard_addresses(addresses):
         name = f"{host}:{port}"
         try:
             with socketlib.create_connection((host, port),
                                              timeout=10.0) as sock:
-                protocol.send_message(
-                    sock, protocol.cache_info(schema, secret=secret))
+                protocol.send_message(sock, probe)
                 reply = protocol.recv_message(sock)
         except (OSError, protocol.ProtocolError) as exc:
             print(f"{name}: unreachable ({exc})")
             failures += 1
             continue
-        if reply.get("type") != "cache-report":
-            print(f"{name}: refused "
-                  f"({reply.get('reason', reply.get('type'))})")
+        if reply["type"] != "info-report":
+            print(f"{name}: refused ({reply.get('reason', reply['type'])})")
             failures += 1
             continue
-        stats = reply.get("stats", {})
-        if not stats.get("enabled"):
-            print(f"{name}: cache tier disabled "
-                  f"(schema v{stats.get('schema_version')})")
-            continue
-        print(f"{name}: {stats.get('entry_count', 0)} entries, "
-              f"{stats.get('total_bytes', 0)} bytes on disk, "
-              f"schema v{stats.get('schema_version')}, "
-              f"{stats.get('hits', 0)} hits / "
-              f"{stats.get('stores', 0)} stores")
+        print(render(name, reply))
     return 1 if failures else 0
+
+
+def _render_shard_cache(name: str, reply: dict) -> str:
+    """``repro-cache info --shard``: one line of cache-tier stats."""
+    stats = reply.get("cache", {})
+    if not stats.get("enabled"):
+        return (f"{name}: cache tier disabled "
+                f"(schema v{stats.get('schema_version')})")
+    return (f"{name}: {stats.get('entry_count', 0)} entries, "
+            f"{stats.get('total_bytes', 0)} bytes on disk, "
+            f"schema v{stats.get('schema_version')}, "
+            f"{stats.get('hits', 0)} hits / "
+            f"{stats.get('stores', 0)} stores")
+
+
+def _render_shard_metrics(name: str, reply: dict) -> str:
+    """``repro-cluster stats``: a head line plus the non-zero counters."""
+    stats = reply.get("metrics", {})
+    counters = stats.get("counters", {}) or {}
+    lines = [f"{name}: pid {stats.get('pid', '?')}, "
+             f"{stats.get('rounds_executed', 0)} rounds executed, "
+             f"telemetry "
+             f"{'enabled' if stats.get('enabled') else 'disabled'}"]
+    lines += [f"  {counter} = {counters[counter]}"
+              for counter in sorted(counters) if counters[counter]]
+    return "\n".join(lines)
 
 
 def cmd_repro_cache(args) -> int:
@@ -393,7 +409,7 @@ def cmd_repro_cache(args) -> int:
         if args.action != "info":
             raise SystemExit("--shard supports the info action only "
                              "(prune a shard's cache on its own host)")
-        return _shard_cache_info(args)
+        return _probe_shards(args.shard, args.secret, _render_shard_cache)
     if not args.cache_dir:
         raise SystemExit("one of --cache-dir or --shard is required")
     if not os.path.isdir(args.cache_dir):
@@ -414,77 +430,16 @@ def cmd_repro_cache(args) -> int:
     return 0
 
 
-def _shard_fleet_stats(args) -> int:
-    """Probe running shards for live telemetry (repro-cluster stats).
+def cmd_repro_cluster(args) -> int:
+    from repro.cluster.server import serve_from_args
 
-    Uses the pre-handshake ``telemetry-info`` message — like
-    ``repro-cache info --shard`` it needs only addresses (and the
-    fleet's secret).  Old shards that predate the verb answer
-    ``reject``; they are reported as not supporting telemetry rather
-    than failing the sweep."""
-    import socket as socketlib
-
-    from repro.cluster import protocol
-    from repro.cluster.backend import parse_shard_addresses
-    from repro.engine import cache_schema_version
-
+    if args.action == "serve":
+        return serve_from_args(args)
     addresses = args.shards or os.environ.get("REPRO_CLUSTER_SHARDS")
     if not addresses:
         raise SystemExit("stats needs --shards host:port[,host:port...] "
                          "(or REPRO_CLUSTER_SHARDS)")
-    secret = args.secret or os.environ.get("REPRO_CLUSTER_SECRET") or None
-    schema = cache_schema_version()
-    failures = 0
-    for host, port in parse_shard_addresses(addresses):
-        name = f"{host}:{port}"
-        try:
-            with socketlib.create_connection((host, port),
-                                             timeout=10.0) as sock:
-                protocol.send_message(
-                    sock, protocol.telemetry_info(schema, secret=secret))
-                reply = protocol.recv_message(sock)
-        except (OSError, protocol.ProtocolError) as exc:
-            print(f"{name}: unreachable ({exc})")
-            failures += 1
-            continue
-        if reply.get("type") != "telemetry-report":
-            # An old shard rejects the unknown probe ("expected
-            # hello..."); that is "no telemetry support", not an error.
-            print(f"{name}: no telemetry support "
-                  f"({reply.get('reason', reply.get('type'))})")
-            continue
-        stats = reply.get("metrics", {})
-        counters = stats.get("counters", {}) or {}
-        head = (f"{name}: pid {stats.get('pid', '?')}, "
-                f"{stats.get('rounds_executed', 0)} rounds executed, "
-                f"telemetry "
-                f"{'enabled' if stats.get('enabled') else 'disabled'}")
-        print(head)
-        for counter in sorted(counters):
-            if counters[counter]:
-                print(f"  {counter} = {counters[counter]}")
-    return 1 if failures else 0
-
-
-def cmd_repro_cluster(args) -> int:
-    # Same args shape as `python -m repro.cluster`, so the two entry
-    # points share one context dispatcher.
-    from repro.cluster.server import context_from_args, serve
-
-    if args.action == "stats":
-        return _shard_fleet_stats(args)
-    if args.faults is not None:
-        from repro.resilience import faults
-
-        try:
-            faults.install(args.faults)
-        except ValueError as exc:
-            raise SystemExit(f"--faults: {exc}") from None
-    serve(context_from_args(args), host=args.host, port=args.port,
-          jobs=args.jobs, chaos_exit_after=args.chaos_exit_after,
-          secret=args.secret, cache_dir=args.cache_dir,
-          cache_max_entries=args.cache_max_entries)
-    return 0
+    return _probe_shards(addresses, args.secret, _render_shard_metrics)
 
 
 def cmd_serve(args) -> int:
@@ -866,6 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(defaults to REPRO_CLUSTER_SECRET)")
             continue
         if name == "repro-cluster":
+            from repro.cluster.server import add_shard_arguments
+
             p.add_argument("action", choices=("serve", "stats"),
                            help="serve: run a shard server for one "
                                 "context; stats: probe running shards "
@@ -874,39 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="stats: comma-separated host:port shard "
                                 "servers to probe (also via "
                                 "REPRO_CLUSTER_SHARDS)")
-            p.add_argument("--context", type=str, default="spambase",
-                           choices=("spambase", "synthetic"),
-                           help="construct the served context by name")
-            p.add_argument("--context-file", type=str, default=None,
-                           help="serve a pickled context instead (see "
-                                "repro.experiments.runner.save_context)")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--n-samples", type=int, default=None)
-            p.add_argument("--host", type=str, default="127.0.0.1")
-            p.add_argument("--port", type=int, default=0,
-                           help="0 binds a free port (announced on the "
-                                "READY line)")
-            p.add_argument("--jobs", type=int, default=None,
-                           help="worker processes on this shard "
-                                "(default 1: in-process)")
-            p.add_argument("--chaos-exit-after", type=int, default=None,
-                           help="failure injection: hard-exit mid-chunk "
-                                "after N rounds (failover drills)")
-            p.add_argument("--faults", type=str, default=None,
-                           help="arm a fault plan on this shard, e.g. "
-                                "'chunk_reply:drop_first=1' (overrides "
-                                "REPRO_FAULTS)")
-            p.add_argument("--secret", type=str, default=None,
-                           help="shared handshake secret (defaults to "
-                                "REPRO_CLUSTER_SECRET)")
-            p.add_argument("--cache-dir", type=str, default=None,
-                           help="shard-local result-cache disk tier "
-                                "(defaults to REPRO_SHARD_CACHE_DIR; "
-                                "unset = no cache)")
-            p.add_argument("--cache-max-entries", type=int, default=None,
-                           help="LRU cap for the shard cache's in-memory "
-                                "tier (defaults to "
-                                "REPRO_SHARD_CACHE_MAX_ENTRIES)")
+            add_shard_arguments(p)
     return parser
 
 

@@ -441,6 +441,10 @@ def make_context(name: str, **kwargs) -> ExperimentContext:
 def save_context(ctx: ExperimentContext, path: str) -> str:
     """Pickle ``ctx`` (fingerprint pre-computed) to ``path``.
 
+    This file, a shard's ``--context-file``, is the one pickle left on
+    the cluster path (its wire frames are JSON): the autospawn pool
+    writes it to a ``mkstemp`` file of its own for its shards to load.
+
     Forces the fingerprint first so the saved copy answers
     ``fingerprint()`` with the original's value even for opaque
     (salted) factories — the cluster handshake depends on the two
@@ -465,7 +469,11 @@ def save_context(ctx: ExperimentContext, path: str) -> str:
 
 
 def load_context(path: str) -> ExperimentContext:
-    """Inverse of :func:`save_context`."""
+    """Inverse of :func:`save_context`.
+
+    Unpickling runs whatever code the file names: load only a file you
+    wrote or otherwise trust.
+    """
     import pickle
 
     with open(path, "rb") as fh:

@@ -26,8 +26,8 @@ point           fires                            knobs
                 (a drop closes the connection    ``drop_prob``,
                 without replying)                ``drop_first``
 ``shard``       shard, per executed round        ``crash_after_rounds``
-                (``os._exit`` mid-chunk — the
-                ``--chaos-exit-after`` profile)
+                (``os._exit`` mid-chunk, the
+                shard's only crash hook)
 =============== ================================ =========================
 
 Every decision is **deterministic**: the n-th firing of a point fails

@@ -30,12 +30,12 @@ import numpy as np
 from repro import telemetry
 from repro.data.spambase import spambase_source
 from repro.engine.cache import cache_schema_version, round_key
+from repro.engine.spec import attack_to_obj, defense_to_obj, victim_to_obj
 from repro.resilience import env_int
 from repro.study import drivers
 from repro.study.checkpoint import StudyCheckpointer, load_checkpoint
 from repro.study.result import StudyResult, utc_timestamp
-from repro.study.spec import (ContextSpec, StudySpec, attack_to_obj,
-                              defense_to_obj, victim_to_obj)
+from repro.study.spec import ContextSpec, StudySpec
 from repro.utils.rng import derive_seed
 
 __all__ = [

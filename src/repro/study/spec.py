@@ -33,9 +33,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.engine.spec import (AttackSpec, DefenseSpec, VictimSpec,
-                               _tuplify, parse_attack_spec,
-                               parse_defense_spec, parse_victim_spec)
+from repro.engine.spec import (VictimSpec, attack_from_obj, attack_to_obj,
+                               defense_from_obj, defense_to_obj,
+                               params_from_obj, params_to_obj,
+                               victim_from_obj, victim_to_obj)
 from repro.utils.validation import (check_canonical_params, check_fraction,
                                     check_positive_int)
 
@@ -60,110 +61,6 @@ STUDY_KINDS = frozenset({
     "figure1", "mixed_eval", "table1", "empirical_game", "cross_game",
     "multi_seed", "grid",
 })
-
-
-def _params_to_obj(params: tuple) -> dict:
-    """Canonical params tuple -> plain JSON mapping.
-
-    Only the *top* level becomes a JSON object (it is sorted by
-    ``check_canonical_params`` at construction, so the mapping order is
-    stable); every nested value — including a tuple of pairs such as
-    table1's ``"algorithm"`` kwargs — dumps as plain nested lists.
-    Dumping values as objects would force an order on reload and drift
-    the fingerprint of any spec whose pair-tuple value was not sorted.
-    """
-    return {k: _value_to_obj(v) for k, v in params}
-
-
-def _value_to_obj(value):
-    if isinstance(value, tuple):
-        return [_value_to_obj(v) for v in value]
-    return value
-
-
-def _value_from_obj(obj):
-    if isinstance(obj, dict):
-        return tuple(sorted((str(k), _value_from_obj(v))
-                            for k, v in obj.items()))
-    if isinstance(obj, list):
-        return tuple(_value_from_obj(v) for v in obj)
-    return obj
-
-
-def _params_from_obj(obj, *, name: str) -> tuple:
-    if obj is None:
-        return ()
-    if isinstance(obj, dict):
-        return check_canonical_params(
-            {k: _value_from_obj(v) for k, v in obj.items()}, name=name)
-    return check_canonical_params(_tuplify(obj), name=name)
-
-
-def _defense_from_obj(obj):
-    if obj is None:
-        return None
-    if isinstance(obj, DefenseSpec):
-        return obj
-    if isinstance(obj, str):
-        return parse_defense_spec(obj)
-    if isinstance(obj, dict):
-        return DefenseSpec(obj.get("kind", "radius"),
-                           float(obj.get("percentile", 0.0)),
-                           _params_from_obj(obj.get("params"),
-                                            name="defense params"))
-    raise TypeError(f"cannot read a DefenseSpec from {obj!r}")
-
-
-def _attack_from_obj(obj):
-    if obj is None:
-        return None
-    if isinstance(obj, AttackSpec):
-        return obj
-    if isinstance(obj, str):
-        return parse_attack_spec(obj)
-    if isinstance(obj, dict):
-        return AttackSpec(obj.get("kind", "boundary"),
-                          float(obj.get("percentile", 0.0)),
-                          _params_from_obj(obj.get("params"),
-                                           name="attack params"))
-    raise TypeError(f"cannot read an AttackSpec from {obj!r}")
-
-
-def _victim_from_obj(obj):
-    if obj is None:
-        return None
-    if isinstance(obj, VictimSpec):
-        return obj
-    if isinstance(obj, str):
-        return parse_victim_spec(obj)
-    if isinstance(obj, dict):
-        return VictimSpec(obj.get("kind", "svm"),
-                          _params_from_obj(obj.get("params"),
-                                           name="victim params"))
-    raise TypeError(f"cannot read a VictimSpec from {obj!r}")
-
-
-def defense_to_obj(spec: DefenseSpec | None):
-    """JSON form of a defence spec (``None`` passes through)."""
-    if spec is None:
-        return None
-    return {"kind": spec.kind, "percentile": float(spec.percentile),
-            "params": _params_to_obj(spec.params)}
-
-
-def attack_to_obj(spec: AttackSpec | None):
-    """JSON form of an attack spec (``None`` passes through)."""
-    if spec is None:
-        return None
-    return {"kind": spec.kind, "percentile": float(spec.percentile),
-            "params": _params_to_obj(spec.params)}
-
-
-def victim_to_obj(spec: VictimSpec | None):
-    """JSON form of a victim spec (``None`` passes through)."""
-    if spec is None:
-        return None
-    return {"kind": spec.kind, "params": _params_to_obj(spec.params)}
 
 
 @dataclass(frozen=True)
@@ -218,7 +115,7 @@ class ContextSpec:
     def to_obj(self) -> dict:
         return {"name": self.name, "seed": int(self.seed),
                 "n_samples": self.n_samples,
-                "params": _params_to_obj(self.params)}
+                "params": params_to_obj(self.params)}
 
     @classmethod
     def from_obj(cls, obj) -> "ContextSpec":
@@ -229,8 +126,8 @@ class ContextSpec:
         return cls(name=obj.get("name", "spambase"),
                    seed=int(obj.get("seed", 0)),
                    n_samples=obj.get("n_samples"),
-                   params=_params_from_obj(obj.get("params"),
-                                           name="context params"))
+                   params=params_from_obj(obj.get("params"),
+                                          name="context params"))
 
 
 @dataclass(frozen=True)
@@ -271,13 +168,13 @@ class ScenarioGrid:
             check_fraction(float(p), name="grid percentile")
             for p in self.percentiles))
         object.__setattr__(self, "defenses", tuple(
-            _defense_from_obj(d) for d in self.defenses))
+            defense_from_obj(d) for d in self.defenses))
         object.__setattr__(self, "attacks", tuple(
-            _attack_from_obj(a) for a in self.attacks))
+            attack_from_obj(a) for a in self.attacks))
         victims = self.victims if isinstance(self.victims, (list, tuple)) \
             else (self.victims,)
         object.__setattr__(self, "victims", tuple(
-            _victim_from_obj(v) for v in victims))
+            victim_from_obj(v) for v in victims))
         if not self.victims:
             object.__setattr__(self, "victims", (None,))
         fractions = self.fractions if isinstance(self.fractions, (list, tuple)) \
@@ -330,7 +227,7 @@ class ScenarioGrid:
             "fractions": [float(f) for f in self.fractions],
             "n_repeats": int(self.n_repeats),
             "defense_kind": self.defense_kind,
-            "defense_params": _params_to_obj(self.defense_params),
+            "defense_params": params_to_obj(self.defense_params),
         }
 
     @classmethod
@@ -345,8 +242,8 @@ class ScenarioGrid:
             fractions=tuple(obj.get("fractions", (0.2,))),
             n_repeats=int(obj.get("n_repeats", 1)),
             defense_kind=obj.get("defense_kind", "radius"),
-            defense_params=_params_from_obj(obj.get("defense_params"),
-                                            name="defense params"),
+            defense_params=params_from_obj(obj.get("defense_params"),
+                                           name="defense params"),
         )
 
 
@@ -465,7 +362,7 @@ class StudySpec:
             "kind": self.kind,
             "context": None if self.context is None else self.context.to_obj(),
             "grid": self.grid.to_obj(),
-            "solver": _params_to_obj(self.solver),
+            "solver": params_to_obj(self.solver),
             "engine": None if self.engine is None else self.engine.to_obj(),
         }
 
@@ -485,7 +382,7 @@ class StudySpec:
             kind=obj.get("kind", ""),
             context=None if context is None else ContextSpec.from_obj(context),
             grid=ScenarioGrid.from_obj(obj.get("grid", {})),
-            solver=_params_from_obj(obj.get("solver"), name="solver params"),
+            solver=params_from_obj(obj.get("solver"), name="solver params"),
             engine=(None if obj.get("engine") is None
                     else EngineConfig.from_obj(obj["engine"])),
         )

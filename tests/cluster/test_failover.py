@@ -69,8 +69,8 @@ class TestShardDeath:
         survivor, chaotic = None, None
         try:
             survivor, addr_a = _spawn_shard(ctx_file)
-            chaotic, addr_b = _spawn_shard(ctx_file,
-                                           "--chaos-exit-after", "3")
+            chaotic, addr_b = _spawn_shard(
+                ctx_file, "--faults", "shard:crash_after_rounds=3")
             backend = ClusterBackend(shards=[addr_a, addr_b],
                                      max_chunk=4)
             engine = EvaluationEngine(backend, cache=False)

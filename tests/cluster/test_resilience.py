@@ -175,7 +175,8 @@ class TestGracefulDegradation:
 
         ctx_file = str(tmp_path / "ctx.pkl")
         save_context(cluster_ctx, ctx_file)
-        proc, address = _spawn_shard(ctx_file, "--chaos-exit-after", "3")
+        proc, address = _spawn_shard(ctx_file, "--faults",
+                                     "shard:crash_after_rounds=3")
         try:
             backend = ClusterBackend(shards=[address], max_chunk=2,
                                      retries=1, backoff=0.05)

@@ -1,6 +1,6 @@
 """Shard cache tier and cache-aware placement (PR 8 tentpole).
 
-Three layers: the ``cache-query`` / ``cache-info`` protocol messages,
+Three layers: the ``cache-query`` / ``info`` protocol messages,
 the shard-side disk tier (streaming per-round landing, restart
 persistence), and the scheduler's locality-aware placement — including
 its composition with the PR 7 fault plans, where every run must stay
@@ -35,11 +35,10 @@ def _client(address, ctx):
 
 
 def _probe(address, schema=None, secret=None):
-    """Raw pre-handshake cache-info round trip."""
+    """Raw pre-handshake info round trip."""
     schema = cache_schema_version() if schema is None else schema
     with socket.create_connection(address, timeout=5.0) as sock:
-        protocol.send_message(sock,
-                              protocol.cache_info(schema, secret=secret))
+        protocol.send_message(sock, protocol.info(schema, secret=secret))
         return protocol.recv_message(sock)
 
 
@@ -120,8 +119,8 @@ class TestCacheInfoProbe:
         finally:
             client.close()
         reply = _probe(address)
-        assert reply["type"] == "cache-report"
-        stats = reply["stats"]
+        assert reply["type"] == "info-report"
+        stats = reply["cache"]
         assert stats["enabled"]
         assert stats["schema_version"] == cache_schema_version()
         assert stats["fingerprint"] == cluster_ctx.fingerprint()
@@ -131,8 +130,8 @@ class TestCacheInfoProbe:
     def test_probe_on_cacheless_shard(self, shard_farm):
         [address] = shard_farm(1)
         reply = _probe(address)
-        assert reply["type"] == "cache-report"
-        assert reply["stats"]["enabled"] is False
+        assert reply["type"] == "info-report"
+        assert reply["cache"]["enabled"] is False
 
     def test_probe_auth_is_enforced(self, shard_farm, tmp_path):
         [address] = shard_farm(1, secret="tier-secret",
@@ -140,7 +139,7 @@ class TestCacheInfoProbe:
         assert _probe(address)["type"] == "reject"
         assert _probe(address, secret="wrong")["type"] == "reject"
         assert _probe(address, secret="tier-secret")["type"] == \
-            "cache-report"
+            "info-report"
 
     def test_secretless_shard_rejects_authed_probe(self, shard_farm):
         [address] = shard_farm(1)
@@ -195,19 +194,28 @@ class TestPlacement:
             len(sweep_batch(n=4, seeds=3))
         assert counts["cluster.shard_cache_hits"] > 0
 
-    def test_placement_toggle_off_still_hits_shard_cache(
+    def test_queue_routed_rounds_still_hit_shard_cache(
             self, cluster_ctx, shard_farm, reference, tmp_path):
+        """A scheduler given no placement map routes every round
+        through the shared queue, and each shard still serves what its
+        tier holds."""
         addresses = shard_farm(2, cache_dir=str(tmp_path / "shared"))
         self._run(cluster_ctx, addresses)
-        warm, counts = self._run(cluster_ctx, addresses,
-                                 placement=False)
-        assert warm == reference
+        specs = sweep_batch(n=4, seeds=3)
+        clients = [_client(address, cluster_ctx) for address in addresses]
+        try:
+            landed = dict(ClusterScheduler(clients, max_chunk=4)
+                          .run_iter(specs))
+        finally:
+            for client in clients:
+                client.close()
+        counts = self.counters()
+        assert [landed[i] for i in range(len(specs))] == reference
         assert counts.get("cluster.placed_rounds", 0) == 0
         assert counts.get("cluster.placement_hits", 0) == 0
         # The shards still answer from their tier — placement only
         # decides *routing*, the cache serves either way.
-        assert counts["cluster.shard_cache_hits"] == \
-            len(sweep_batch(n=4, seeds=3))
+        assert counts["cluster.shard_cache_hits"] == len(specs)
 
     def test_study_archives_its_cluster_counts(self, cluster_ctx,
                                                shard_farm, tmp_path):
@@ -293,7 +301,8 @@ class TestPlacementUnderChaos:
         # queue chunk, so that chunk is the first: two rounds, and the
         # crash, whichever shard then takes the rest.
         chaotic, addr_a = _spawn_shard(ctx_file, "--cache-dir", tier,
-                                       "--chaos-exit-after", "1")
+                                       "--faults",
+                                       "shard:crash_after_rounds=1")
         survivor, addr_b = _spawn_shard(ctx_file)
         chaotic_name = f"{addr_a[0]}:{addr_a[1]}"
         chaos_computes = threading.Event()
@@ -347,7 +356,7 @@ class TestPlacementUnderChaos:
         # Fixed chunks of 2 with a crash after 3 computed rounds: the
         # second chunk lands its first round in the tier, then dies —
         # a genuinely partial chunk.
-        first, address = spawn(0, "--chaos-exit-after", "3")
+        first, address = spawn(0, "--faults", "shard:crash_after_rounds=3")
 
         def respawner():
             first.wait()
@@ -384,7 +393,8 @@ class TestPlacementUnderChaos:
         save_context(cluster_ctx, ctx_file)
         proc, address = _spawn_shard(ctx_file, "--cache-dir",
                                      str(tmp_path / "tier"),
-                                     "--chaos-exit-after", "3")
+                                     "--faults",
+                                     "shard:crash_after_rounds=3")
         try:
             backend = ClusterBackend(shards=[address], max_chunk=2,
                                      retries=1, backoff=0.05)
