@@ -1,8 +1,6 @@
 """``python -m repro.cluster`` — run a shard server.
 
-Thin alias for :mod:`repro.cluster.server`'s CLI that avoids the
-double-import runpy warning of ``-m repro.cluster.server`` (the
-package ``__init__`` already imports the server module).
+Thin alias for :mod:`repro.cluster.server`'s CLI.
 """
 
 import sys

@@ -8,9 +8,9 @@ Registered under ``"cluster"`` (``EvaluationEngine("cluster")``,
   :mod:`repro.cluster.server`).
 * with **no shards configured**, the backend autospawns ``jobs``
   (default 2) local shard servers on the loopback interface, one
-  process per shard, handing each the context as a pickle file it
-  writes with ``mkstemp`` (``--context-file``, the one pickle a shard
-  loads; frames on the wire are JSON) — so
+  process per shard, handing each the context as an ``.npz`` file it
+  writes with ``mkstemp`` (``--context-file``, arrays plus a JSON
+  header, see :func:`~repro.experiments.runner.save_context`) — so
   ``REPRO_BACKEND=cluster`` works out of the box on one machine and
   the CI localhost job needs no orchestration.  The pool is keyed by
   context fingerprint: a new context tears the old shards down and
@@ -66,6 +66,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 
@@ -130,7 +131,7 @@ class LocalShardPool:
         self.processes: list[subprocess.Popen] = []
         self.addresses: list[tuple[str, int]] = []
         fd, self._context_file = tempfile.mkstemp(
-            prefix="repro-cluster-ctx-", suffix=".pkl")
+            prefix="repro-cluster-ctx-", suffix=".npz")
         os.close(fd)
         atexit.register(self.close)
         try:
@@ -216,8 +217,11 @@ class LocalShardPool:
 # Autospawned pools are shared process-wide, keyed by context
 # fingerprint, so N engines over the same context reuse one set of
 # localhost shards instead of each leaking its own.  Small LRU: old
-# contexts' pools are torn down as new ones arrive.
+# contexts' pools are torn down as new ones arrive.  One lock covers
+# lookup, spawn and store, so threads starting on one new context
+# share one fleet.
 _LOCAL_POOLS: "dict[str, LocalShardPool]" = {}
+_LOCAL_POOLS_LOCK = threading.Lock()
 _MAX_LOCAL_POOLS = 2
 
 
@@ -225,26 +229,28 @@ def shared_local_pool(ctx, n_shards: int,
                       secret: str | None = None) -> LocalShardPool:
     """The process-wide autospawned pool for ``ctx`` (created on miss)."""
     fingerprint = ctx.fingerprint()
-    pool = _LOCAL_POOLS.get(fingerprint)
-    if pool is not None:
-        if len(pool.addresses) >= n_shards and \
-                all(p.poll() is None for p in pool.processes):
-            return pool
-        pool.close()
-        del _LOCAL_POOLS[fingerprint]
-    pool = LocalShardPool(ctx, n_shards, secret=secret)
-    _LOCAL_POOLS[fingerprint] = pool
-    while len(_LOCAL_POOLS) > _MAX_LOCAL_POOLS:
-        oldest = next(iter(_LOCAL_POOLS))
-        _LOCAL_POOLS.pop(oldest).close()
-    return pool
+    with _LOCAL_POOLS_LOCK:
+        pool = _LOCAL_POOLS.get(fingerprint)
+        if pool is not None:
+            if len(pool.addresses) >= n_shards and \
+                    all(p.poll() is None for p in pool.processes):
+                return pool
+            pool.close()
+            del _LOCAL_POOLS[fingerprint]
+        pool = LocalShardPool(ctx, n_shards, secret=secret)
+        _LOCAL_POOLS[fingerprint] = pool
+        while len(_LOCAL_POOLS) > _MAX_LOCAL_POOLS:
+            oldest = next(iter(_LOCAL_POOLS))
+            _LOCAL_POOLS.pop(oldest).close()
+        return pool
 
 
 def close_local_pools() -> None:
     """Tear down every autospawned localhost pool now (atexit otherwise)."""
-    while _LOCAL_POOLS:
-        _, pool = _LOCAL_POOLS.popitem()
-        pool.close()
+    with _LOCAL_POOLS_LOCK:
+        while _LOCAL_POOLS:
+            _, pool = _LOCAL_POOLS.popitem()
+            pool.close()
 
 
 class ClusterBackend(EvaluationBackend):

@@ -34,15 +34,18 @@ A :class:`ShardServer` owns exactly one
    bit-identical content for every admitted client.
 
 Run one with the CLI (``python -m repro repro-cluster serve ...``) or
-directly; both read the flags of :func:`add_shard_arguments` and start
-through :func:`serve_from_args`::
+directly; both read the flags of
+:func:`~repro.cluster.add_shard_arguments` and start through
+:func:`serve_from_args`::
 
-    python -m repro.cluster --context-file ctx.pkl --port 7781
+    python -m repro.cluster --context-file ctx.npz --port 7781
 
-``--context-file`` is the one pickle left on a shard: it names a
-context written by :func:`~repro.experiments.runner.save_context` (the
-autospawn pool writes it to a ``mkstemp`` file of its own) and is
-unpickled at start-up, so pass only a file you trust.  Everything
+``--context-file`` names a context written by
+:func:`~repro.experiments.runner.save_context` (the autospawn pool
+writes it to a ``mkstemp`` file of its own): an ``.npz`` of the
+context's arrays plus a JSON header, read without unpickling, whose
+fingerprint the shard recomputes from what the file holds.  A file
+that is not one stops the shard before its READY line.  Everything
 that crosses the socket is JSON.
 
 On startup the server prints a single ``READY host=... port=...
@@ -67,15 +70,14 @@ import sys
 import threading
 
 from repro import telemetry
-from repro.cluster import protocol
+from repro.cluster import add_shard_arguments, protocol
 from repro.engine.backends import SerialBackend, WorkerPool
 from repro.engine.cache import (ResultCache, cache_schema_version,
                                 outcome_to_dict, round_keys)
 from repro.engine.spec import prewarm_all, round_from_obj
 from repro.resilience import env_int, faults
 
-__all__ = ["ShardServer", "serve", "add_shard_arguments", "serve_from_args",
-           "main"]
+__all__ = ["ShardServer", "serve", "serve_from_args", "main"]
 
 # Exit code of a chaos-triggered mid-chunk crash (distinguishable from
 # ordinary failures in tests and process tables).
@@ -465,48 +467,6 @@ def serve(ctx, *, host: str = "127.0.0.1", port: int = 0,
         signal.signal(signal.SIGTERM, previous)
 
 
-def add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    """Declare the shard flags, the one set behind both
-    ``python -m repro.cluster`` and ``repro repro-cluster``."""
-    parser.add_argument("--context", type=str, default="spambase",
-                        choices=("spambase", "synthetic"),
-                        help="construct the served context by name "
-                             "(default spambase)")
-    parser.add_argument("--context-file", type=str, default=None,
-                        help="serve a pickled ExperimentContext instead "
-                             "(written by repro.experiments.runner."
-                             "save_context); the file is unpickled, so "
-                             "pass only one you trust")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-samples", type=int, default=None)
-    parser.add_argument("--host", type=str, default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="0 (default) binds a free port; the READY "
-                             "line reports the choice")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes per shard (default 1: "
-                             "in-process execution)")
-    parser.add_argument("--faults", type=str, default=None,
-                        help="arm a fault plan (see repro.resilience), "
-                             "e.g. 'chunk_reply:drop_first=1;seed=7' or "
-                             "'shard:crash_after_rounds=3'; overrides "
-                             "REPRO_FAULTS")
-    parser.add_argument("--secret", type=str, default=None,
-                        help="shared handshake secret (defaults to "
-                             "REPRO_CLUSTER_SECRET)")
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="shard-local result-cache disk tier: "
-                             "computed rounds stream here as they land "
-                             "and repeat rounds are served without "
-                             "recompute (defaults to "
-                             "REPRO_SHARD_CACHE_DIR; unset = no cache)")
-    parser.add_argument("--cache-max-entries", type=int, default=None,
-                        help="LRU cap for the shard cache's in-memory "
-                             "tier (defaults to "
-                             "REPRO_SHARD_CACHE_MAX_ENTRIES; "
-                             "0/unset = unbounded)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster",
@@ -517,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def serve_from_args(args) -> int:
-    """Start a shard from parsed :func:`add_shard_arguments` flags: arm
-    ``--faults``, build the context, :func:`serve` it."""
+    """Start a shard from parsed
+    :func:`~repro.cluster.add_shard_arguments` flags: arm ``--faults``,
+    build or load the context, :func:`serve` it."""
     from repro.experiments.runner import load_context, make_context
 
     if args.faults is not None:
@@ -527,7 +488,10 @@ def serve_from_args(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}") from None
     if args.context_file:
-        ctx = load_context(args.context_file)
+        try:
+            ctx = load_context(args.context_file)
+        except ValueError as exc:
+            raise SystemExit(f"--context-file: {exc}") from None
     else:
         kwargs = {"seed": args.seed}
         if args.n_samples is not None:

@@ -63,17 +63,6 @@ class CertificateResult:
     weights: np.ndarray | None = None
 
 
-def _hinge_grad(X, y_signed, w, reg):
-    scores = X @ w
-    active = (y_signed * scores) < 1.0
-    grad = reg * w
-    if np.any(active):
-        grad = grad - (y_signed[active, None] * X[active]).mean(axis=0) * (
-            active.mean()
-        )
-    return grad
-
-
 def certify_radius_defense(
     X,
     y,

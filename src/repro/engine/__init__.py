@@ -24,7 +24,6 @@ from repro.engine.spec import (
     registered_defense_kinds,
     materialize_defense,
     register_victim_builder,
-    register_victim_prewarmer,
     registered_victim_kinds,
     materialize_victim,
     prewarm_all,
@@ -75,7 +74,6 @@ __all__ = [
     "registered_defense_kinds",
     "materialize_defense",
     "register_victim_builder",
-    "register_victim_prewarmer",
     "registered_victim_kinds",
     "materialize_victim",
     "prewarm_all",

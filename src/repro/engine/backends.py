@@ -13,16 +13,16 @@ Built-ins:
 * ``serial`` — in-process loop; zero overhead, the reference semantics.
 * ``process`` — deals each batch over a long-lived :class:`WorkerPool`
   per context (a small LRU keyed by context fingerprint), with
-  **zero-copy context transport**: the context's data arrays are
-  published once into a ``multiprocessing.shared_memory`` block that
-  every worker maps read-only, and only a small metadata blob (array
-  layout, scalar fields, the picklable victim factory, and the round
-  kernel's fitted attack direction) is pickled into the pool
-  initializer.  A context's first batch packs and forks; later
-  batches reuse the workers, whose kernel memos and fit probes stay
-  warm.  Contexts that do not look like experiment contexts fall back
-  to whole-object pickling.  The cluster's shard server holds the
-  same pool for its lifetime.
+  **zero-copy context transport**: the context's four data arrays
+  (:func:`~repro.experiments.runner.context_to_parts`), plus the round
+  kernel's fitted attack direction, are published once into a
+  ``multiprocessing.shared_memory`` block that every worker maps
+  read-only, and the pool initializer receives only a small JSON blob
+  (the block's layout and the context's header).  Workers rebuild the
+  context with :func:`~repro.experiments.runner.context_from_parts`.
+  A context's first batch packs and forks; later batches reuse the
+  workers, whose kernel memos and fit probes stay warm.  The
+  cluster's shard server holds the same pool for its lifetime.
 * ``cluster`` — fans chunks out to shard servers over TCP (see
   :mod:`repro.cluster`); autospawns localhost shards when none are
   configured.  Registered lazily so the engine package stays light.
@@ -37,8 +37,8 @@ New backends register with :func:`register_backend`.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import threading
 import weakref
 from abc import ABC, abstractmethod
@@ -71,11 +71,6 @@ __all__ = [
 # enough to span a grid study's repeat and defence axes, small enough
 # to keep the window's prepared rounds resident.
 _FIT_WINDOW = 32
-
-# Fields of an ExperimentContext large enough to be worth publishing in
-# shared memory instead of pickling.  The radius map's sorted distance
-# vector travels in the same block, as "map_distances".
-_SHARED_ARRAY_FIELDS = ("X_train", "y_train", "X_test", "y_test")
 
 
 def deal_chunks(n: int, workers: int, window: int) -> list[range]:
@@ -287,20 +282,25 @@ class SerialBackend(EvaluationBackend):
 
 
 def _pack_context(ctx):
-    """Split ``ctx`` into (small metadata dict, shared-memory block).
+    """Lay ``ctx`` out for pool workers: ``(meta, shm)``.
 
-    The metadata is what actually gets pickled to workers; the block
-    holds the data arrays.  Returns ``(meta, shm)`` with ``shm=None``
-    for contexts that don't expose the expected array fields (those
-    travel whole, as before).  The caller owns the block and must
-    ``close()``/``unlink()`` it once the pool is done.
+    The shared-memory block ``shm`` holds the context's four arrays
+    (:func:`~repro.experiments.runner.context_to_parts`) and, once the
+    parent has fitted it, the round kernel's attack direction; ``meta``
+    is JSON bytes holding the context's header, the block's layout and
+    whether the direction was computed (a computed ``None`` has no
+    array, but is not refitted either).  The caller owns the block and
+    must ``close()``/``unlink()`` it once the pool is done.  A context
+    that cannot be written down raises ``TypeError`` before any block
+    is made.
     """
-    if not all(hasattr(ctx, f) for f in _SHARED_ARRAY_FIELDS + ("radius_map",)):
-        return {"mode": "pickle", "ctx": ctx}, None
+    from repro.experiments.runner import context_to_parts
 
-    arrays = {f: np.ascontiguousarray(getattr(ctx, f))
-              for f in _SHARED_ARRAY_FIELDS}
-    arrays["map_distances"] = np.ascontiguousarray(ctx.radius_map.distances)
+    header, arrays = context_to_parts(ctx)
+    kernel = ctx.__dict__.get("_kernel")
+    direction_computed = kernel is not None and kernel.direction_computed
+    if direction_computed and kernel.direction is not None:
+        arrays["direction"] = kernel.direction
 
     layout = {}
     offset = 0
@@ -313,34 +313,25 @@ def _pack_context(ctx):
         off = layout[name][0]
         view = np.frombuffer(shm.buf, dtype=arr.dtype, count=arr.size, offset=off)
         view[:] = arr.ravel()
-
-    state = ctx.__getstate__() if hasattr(ctx, "__getstate__") else dict(ctx.__dict__)
-    state = dict(state)
-    for f in _SHARED_ARRAY_FIELDS:
-        state.pop(f, None)
-    state.pop("radius_map", None)
-    kernel = ctx.__dict__.get("_kernel")
     meta = {
-        "mode": "shm",
         "shm_name": shm.name,
         "layout": layout,
-        "cls": type(ctx),
-        "state": state,
-        "kernel_state": kernel.export_state() if kernel is not None else None,
+        "header": header,
+        "direction_computed": direction_computed,
     }
-    return meta, shm
+    return json.dumps(meta).encode("utf-8"), shm
 
 
-def _unpack_context(meta):
+def _unpack_context(meta: bytes):
     """Rebuild a context in a worker from :func:`_pack_context` output.
 
     Array fields become read-only views of the shared block — nothing
     data-sized is copied.  Returns ``(ctx, shm)``; the shm handle must
     stay referenced for the arrays' lifetime.
     """
-    if meta["mode"] == "pickle":
-        return meta["ctx"], None
+    from repro.experiments.runner import context_from_parts
 
+    meta = json.loads(meta)
     shm = shared_memory.SharedMemory(name=meta["shm_name"])
     # The parent owns (and unlinks) the segment.  Attaching registers
     # the name with the resource tracker again, but under the default
@@ -356,24 +347,12 @@ def _unpack_context(meta):
         arr.flags.writeable = False
         views[name] = arr
 
-    from repro.data.geometry import RadiusPercentileMap
-
-    # Bypass __post_init__: the vector was sorted (and validated) by the
-    # parent; re-sorting would copy it out of shared memory.
-    radius_map = RadiusPercentileMap.__new__(RadiusPercentileMap)
-    radius_map.distances = views["map_distances"]
-
-    ctx = meta["cls"].__new__(meta["cls"])
-    ctx.__dict__.update(meta["state"])
-    for f in _SHARED_ARRAY_FIELDS:
-        setattr(ctx, f, views[f])
-    ctx.radius_map = radius_map
-
-    kernel_state = meta.get("kernel_state")
-    if kernel_state is not None:
+    ctx = context_from_parts(meta["header"], views)
+    if meta["direction_computed"]:
         from repro.experiments.kernel import build_context_kernel
 
-        ctx.__dict__["_kernel"] = build_context_kernel(ctx, state=kernel_state)
+        ctx.__dict__["_kernel"] = build_context_kernel(
+            ctx, direction=views.get("direction"))
     return ctx, shm
 
 
@@ -439,9 +418,8 @@ def _worker_init(meta_blob: bytes) -> None:
     global _WORKER_CTX, _WORKER_SHM
     import atexit
 
-    _WORKER_CTX, _WORKER_SHM = _unpack_context(pickle.loads(meta_blob))
-    if _WORKER_SHM is not None:
-        atexit.register(_worker_cleanup)
+    _WORKER_CTX, _WORKER_SHM = _unpack_context(meta_blob)
+    atexit.register(_worker_cleanup)
     threading.Thread(target=_exit_with_owner, args=(os.getppid(),),
                      name="owner-watch", daemon=True).start()
 
@@ -471,12 +449,12 @@ class WorkerPool:
 
     The context's data arrays go into one shared-memory block that
     every worker maps read-only; the pool initializer receives only a
-    small metadata blob, pickled once.  Every worker is started before
-    the constructor returns: a worker forked later, while its owner
-    holds an accepted socket, would inherit that fd — and if the owner
-    then died, the orphaned worker would keep the connection open,
-    turning a client's instant connection-reset into a full protocol
-    timeout.
+    small JSON blob (see :func:`_pack_context`).  Every worker is
+    started before the constructor returns: a worker forked later,
+    while its owner holds an accepted socket, would inherit that fd —
+    and if the owner then died, the orphaned worker would keep the
+    connection open, turning a client's instant connection-reset into
+    a full protocol timeout.
 
     Workers live as long as the pool, so everything they memoise (the
     round kernel's geometry, the batched trainer's probes) serves every
@@ -491,8 +469,11 @@ class WorkerPool:
     Parameters
     ----------
     ctx:
-        The context every chunk runs in (prewarm it first: whatever
-        the round kernel holds ships to the workers in the blob).
+        The context every chunk runs in (prewarm it first: the round
+        kernel's fitted attack direction ships to the workers in the
+        block).  Its ``model_factory`` must be an
+        :class:`~repro.experiments.runner.SVMVictimFactory`, or this
+        raises ``TypeError``.
     jobs:
         Worker process count.
     """
@@ -502,22 +483,9 @@ class WorkerPool:
         self._pool = None
         meta, self._shm = _pack_context(ctx)
         try:
-            # Pickling here, once, also surfaces unpicklable contexts
-            # (e.g. a lambda model_factory) as one clear error instead
-            # of a broken pool.
-            try:
-                meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                raise TypeError(
-                    "the experiment context cannot be pickled for the process "
-                    "backend (a lambda/closure model_factory is the usual "
-                    "culprit — use a picklable callable class such as "
-                    "repro.experiments.runner.SVMVictimFactory, or the serial "
-                    f"backend): {exc}"
-                ) from exc
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs, initializer=_worker_init,
-                initargs=(meta_blob,))
+                initargs=(meta,))
             for future in [self._pool.submit(os.getpid)
                            for _ in range(self.jobs)]:
                 future.result()
@@ -641,8 +609,8 @@ class ProcessPoolBackend(EvaluationBackend):
 
     A context's first batch runs every registered prewarmer on it
     (:func:`~repro.engine.spec.prewarm_all`, the shard server's
-    start-up policy), so whatever the round kernel holds ships in the
-    pool's metadata blob and no worker repeats it, then opens its pool.
+    start-up policy), so the fitted attack direction ships in the
+    pool's shared block and no worker repeats it, then opens its pool.
     Later batches on a context with the same fingerprint reuse that
     pool: no fork, no shared-memory packing, and warm workers.  At most
     ``_MAX_POOLS`` pools stay open, the least recently used evicted

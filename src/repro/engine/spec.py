@@ -65,7 +65,6 @@ __all__ = [
     "registered_defense_kinds",
     "materialize_defense",
     "register_victim_builder",
-    "register_victim_prewarmer",
     "registered_victim_kinds",
     "materialize_victim",
     "prewarm_all",
@@ -600,7 +599,6 @@ _ATTACK_PREWARMERS: dict[str, Callable] = {}
 _DEFENSE_BUILDERS: dict[str, Callable] = {}
 _DEFENSE_PREWARMERS: dict[str, Callable] = {}
 _VICTIM_BUILDERS: dict[str, Callable] = {}
-_VICTIM_PREWARMERS: dict[str, Callable] = {}
 
 
 def register_attack_builder(kind: str, builder: Callable) -> None:
@@ -664,14 +662,6 @@ def register_victim_builder(kind: str, builder: Callable) -> None:
     _VICTIM_BUILDERS[str(kind)] = builder
 
 
-def register_victim_prewarmer(kind: str, prewarmer: Callable) -> None:
-    """Register ``prewarmer(ctx)``, run once per context, for a kind
-    (see :func:`register_attack_prewarmer`)."""
-    if not callable(prewarmer):
-        raise TypeError(f"prewarmer for {kind!r} must be callable")
-    _VICTIM_PREWARMERS[str(kind)] = prewarmer
-
-
 def registered_attack_kinds() -> list[str]:
     """Sorted names of all registered attack families."""
     return sorted(_ATTACK_BUILDERS)
@@ -688,7 +678,7 @@ def registered_victim_kinds() -> list[str]:
 
 
 def prewarm_all(ctx) -> None:
-    """Run *every* registered prewarmer (all three registries) on ``ctx``.
+    """Run *every* registered prewarmer (attack and defence) on ``ctx``.
 
     Used by long-lived executors that cannot see their future specs —
     the process backend warms a context before opening its pool, and a
@@ -696,8 +686,7 @@ def prewarm_all(ctx) -> None:
     into shared memory, so no chunk ever pays for the surrogate fit or
     the clean geometry.
     """
-    for registry in (_ATTACK_PREWARMERS, _DEFENSE_PREWARMERS,
-                     _VICTIM_PREWARMERS):
+    for registry in (_ATTACK_PREWARMERS, _DEFENSE_PREWARMERS):
         for kind in sorted(registry):
             registry[kind](ctx)
 

@@ -821,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(defaults to REPRO_CLUSTER_SECRET)")
             continue
         if name == "repro-cluster":
-            from repro.cluster.server import add_shard_arguments
+            from repro.cluster import add_shard_arguments
 
             p.add_argument("action", choices=("serve", "stats"),
                            help="serve: run a shard server for one "

@@ -29,10 +29,10 @@ deterministic function of the clean split and the context seed.  The
 equivalence tests in ``tests/experiments/test_round_kernel.py`` enforce
 this against a from-scratch reference path.
 
-The kernel is deliberately *not* pickled with its context: it is
-derivable, and the engine's process backend instead ships the one
-expensive field (the fitted surrogate direction) in its tiny metadata
-blob — see :mod:`repro.engine.backends`.
+The kernel never leaves its process with the context: it is
+derivable, and the engine's process backend ships only the one
+expensive field (the fitted surrogate direction) beside the context's
+arrays in its shared block — see :mod:`repro.engine.backends`.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class ContextKernel:
         a copy — however equal — and any slice or transpose stay
         foreign, and a kernel-carrying attack applied to them silently
         falls back to the from-scratch path.  Object identity alone is
-        too strict: arrays unpickled from a saved context carry a
-        non-canonical dtype instance, so input validation's
+        too strict: for an array whose dtype equals float64 without
+        being its canonical instance, input validation's
         ``np.asarray(X, dtype=float)`` hands back a fresh view of the
         very same buffer rather than ``X_train`` itself.
         """
@@ -311,30 +311,16 @@ class ContextKernel:
             keep = d <= radius
         return ensure_class_survival(keep, y_mix)
 
-    # -- process-backend transport -------------------------------------------
 
-    def export_state(self) -> dict:
-        """Small picklable state worth shipping to worker processes.
-
-        Only the expensive-to-recompute field travels: the fitted
-        surrogate direction (and only if it has been materialised).
-        Geometry is cheap and rebuilt per worker from the shared
-        arrays.
-        """
-        state = {}
-        if self.direction_computed:
-            state["direction"] = self._direction
-        return state
-
-
-def build_context_kernel(ctx, *, state: dict | None = None) -> ContextKernel:
+def build_context_kernel(ctx, *, direction=_UNSET) -> ContextKernel:
     """Build the kernel for an experiment context.
 
-    ``state`` optionally pre-fills fields shipped from another process
-    (see :meth:`ContextKernel.export_state`).
+    ``direction`` pre-fills the attack direction fitted in another
+    process (``None`` included: a computed degenerate direction), so
+    this kernel never refits it.
     """
     centroid = compute_centroid(ctx.X_train, method=ctx.centroid_method)
-    kernel = ContextKernel(
+    return ContextKernel(
         X_train=ctx.X_train,
         y_train=ctx.y_train,
         centroid=centroid,
@@ -347,7 +333,5 @@ def build_context_kernel(ctx, *, state: dict | None = None) -> ContextKernel:
         # keep worker shared-memory views alive past refcount death).
         surrogate_factory=partial(ctx.model_factory,
                                   derive_seed(ctx.seed, "attack-surrogate")),
+        _direction=direction,
     )
-    if state and "direction" in state:
-        kernel._direction = state["direction"]
-    return kernel

@@ -28,8 +28,10 @@ contaminated-centroid estimate remains available through
 from __future__ import annotations
 
 import hashlib
+import json
 import uuid
-from dataclasses import dataclass
+import zipfile
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,6 +57,8 @@ __all__ = [
     "make_spambase_context",
     "make_synthetic_context",
     "make_context",
+    "context_to_parts",
+    "context_from_parts",
     "save_context",
     "load_context",
     "evaluate_configuration",
@@ -68,12 +72,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SVMVictimFactory:
-    """Picklable ``factory(seed) -> LinearSVM`` victim builder.
+    """``factory(seed) -> LinearSVM`` victim builder.
 
-    A plain dataclass (rather than a closure) so experiment contexts
-    can cross process boundaries for the engine's parallel backends,
-    and so the factory has a stable repr to fold into the context's
-    content fingerprint.
+    A plain dataclass (rather than a closure) so its hyperparameters
+    travel in a context's JSON header (:func:`context_to_parts`) to
+    pool workers and shards, and so the factory has a stable repr to
+    fold into the context's content fingerprint.
     """
 
     reg: float = 1e-4
@@ -188,9 +192,6 @@ def _factory_signature(factory) -> str | None:
     ``None`` tells the fingerprint to refuse any identity claim for
     them.
     """
-    sig = getattr(factory, "signature", None)
-    if callable(sig):
-        return str(sig())
     r = repr(factory)
     return None if " at 0x" in r else r
 
@@ -286,8 +287,7 @@ class ExperimentContext:
 
     def __getstate__(self):
         # The kernel is derivable; never ship it inside a pickled
-        # context.  Parallel backends forward its one expensive field
-        # separately — see ContextKernel.export_state.
+        # context.
         state = dict(self.__dict__)
         state.pop("_kernel", None)
         return state
@@ -335,6 +335,13 @@ _SCALERS = {"robust": RobustScaler, "standard": StandardScaler,
             "none": _IdentityScaler}
 
 
+def _radius_map(X_train, centroid_method: str) -> RadiusPercentileMap:
+    """The genuine radius map: every clean row's distance to the clean
+    centroid."""
+    centroid = compute_centroid(X_train, method=centroid_method)
+    return RadiusPercentileMap(distances_to_centroid(X_train, centroid))
+
+
 def _build_context(X, y, *, seed, test_size, model_factory, centroid_method,
                    dataset_name, is_real, scaler="robust") -> ExperimentContext:
     X_train, X_test, y_train, y_test = train_test_split(
@@ -345,14 +352,12 @@ def _build_context(X, y, *, seed, test_size, model_factory, centroid_method,
     scaler = _SCALERS[scaler]().fit(X_train)
     X_train = scaler.transform(X_train)
     X_test = scaler.transform(X_test)
-    centroid = compute_centroid(X_train, method=centroid_method)
-    distances = distances_to_centroid(X_train, centroid)
     return ExperimentContext(
         X_train=X_train,
         y_train=y_train,
         X_test=X_test,
         y_test=y_test,
-        radius_map=RadiusPercentileMap(distances),
+        radius_map=_radius_map(X_train, centroid_method),
         model_factory=model_factory or _default_model_factory_for(X_train.shape[0]),
         centroid_method=centroid_method,
         seed=seed,
@@ -438,46 +443,86 @@ def make_context(name: str, **kwargs) -> ExperimentContext:
     return maker(**kwargs)
 
 
-def save_context(ctx: ExperimentContext, path: str) -> str:
-    """Pickle ``ctx`` (fingerprint pre-computed) to ``path``.
+# With the header of context_to_parts, exactly what
+# ExperimentContext.fingerprint hashes.
+_CONTEXT_ARRAYS = ("X_train", "y_train", "X_test", "y_test")
 
-    This file, a shard's ``--context-file``, is the one pickle left on
-    the cluster path (its wire frames are JSON): the autospawn pool
-    writes it to a ``mkstemp`` file of its own for its shards to load.
 
-    Forces the fingerprint first so the saved copy answers
-    ``fingerprint()`` with the original's value even for opaque
-    (salted) factories — the cluster handshake depends on the two
-    sides agreeing.  Unpicklable contexts (lambda factories) raise the
-    same clear ``TypeError`` as the process backend.
+def context_to_parts(ctx: ExperimentContext) -> tuple[dict, dict]:
+    """Split ``ctx`` into a JSON header and its four data arrays.
+
+    The one form in which a context leaves its process (pool workers
+    map the arrays from shared memory, a shard's ``--context-file`` is
+    an ``.npz`` of them); nothing derived travels.  A ``model_factory``
+    other than an :class:`SVMVictimFactory` cannot be written down and
+    raises ``TypeError``: such a context runs on the serial backend.
     """
-    import pickle
-
-    ctx.fingerprint()
-    try:
-        blob = pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
+    factory = ctx.model_factory
+    if type(factory) is not SVMVictimFactory:
         raise TypeError(
-            "the experiment context cannot be pickled for a shard server "
-            "(a lambda/closure model_factory is the usual culprit — use a "
-            "picklable callable class such as SVMVictimFactory): "
-            f"{exc}"
-        ) from exc
+            "the experiment context cannot leave its process: its "
+            f"model_factory {factory!r} is not an SVMVictimFactory (use "
+            "repro.experiments.runner.SVMVictimFactory, or the serial "
+            "backend)")
+    header = {
+        "centroid_method": ctx.centroid_method,
+        "seed": int(ctx.seed),
+        "dataset_name": ctx.dataset_name,
+        "is_real_data": bool(ctx.is_real_data),
+        "model_factory": asdict(factory),
+    }
+    arrays = {name: np.ascontiguousarray(getattr(ctx, name))
+              for name in _CONTEXT_ARRAYS}
+    return header, arrays
+
+
+def context_from_parts(header: dict, arrays) -> ExperimentContext:
+    """Inverse of :func:`context_to_parts`.
+
+    The context holds ``arrays`` as given (shared-memory views stay
+    views) and recomputes everything derived: the radius map here, the
+    fingerprint and the round kernel on demand.  A copy therefore
+    cannot disagree with its fingerprint.
+    """
+    fields = dict(header)
+    factory = SVMVictimFactory(**fields.pop("model_factory"))
+    return ExperimentContext(
+        **{name: arrays[name] for name in _CONTEXT_ARRAYS},
+        radius_map=_radius_map(arrays["X_train"], fields["centroid_method"]),
+        model_factory=factory, **fields)
+
+
+def save_context(ctx: ExperimentContext, path: str) -> str:
+    """Write ``ctx`` to ``path`` as an ``.npz`` of
+    :func:`context_to_parts` (a shard's ``--context-file``).
+
+    Written through an open handle, so ``path`` keeps its name
+    (``np.savez`` appends ``.npz`` to a string path).
+    """
+    header, arrays = context_to_parts(ctx)
     with open(path, "wb") as fh:
-        fh.write(blob)
+        np.savez(fh, header=np.array(json.dumps(header)), **arrays)
     return path
 
 
 def load_context(path: str) -> ExperimentContext:
     """Inverse of :func:`save_context`.
 
-    Unpickling runs whatever code the file names: load only a file you
-    wrote or otherwise trust.
+    Reads arrays and JSON only (``allow_pickle=False``), so a file
+    runs no code; one that is not a saved context raises
+    ``ValueError``.  Its fingerprint is recomputed from what it
+    holds: a file edited after saving answers with a different one.
     """
-    import pickle
-
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            header = json.loads(npz["header"].item())
+            arrays = {name: npz[name] for name in _CONTEXT_ARRAYS}
+        return context_from_parts(header, arrays)
+    except (EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"{path!r} is not a context file written by save_context: "
+            f"{exc}") from exc
 
 
 @dataclass(frozen=True)

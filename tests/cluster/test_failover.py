@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from repro.cluster.backend import ClusterBackend
 from repro.cluster.server import CHAOS_EXIT_CODE
 from repro.engine import AttackSpec, EvaluationEngine, RoundSpec
-from repro.experiments.runner import save_context
+from repro.experiments.runner import make_synthetic_context, save_context
 
 
 def _spawn_shard(ctx_file, *extra):
@@ -108,3 +109,42 @@ class TestAutospawn:
         finally:
             engine.backend.close()
         assert all(p.poll() is not None for p in procs)
+
+    def test_concurrent_first_use_spawns_one_fleet(self, monkeypatch):
+        """Two threads released together on one new context share one
+        autospawned pool of ``n_shards`` processes; none is left that
+        ``close_local_pools`` cannot reach."""
+        from repro.cluster import backend as cluster_backend
+
+        ctx = make_synthetic_context(seed=23, n_samples=100, n_features=3)
+        built = []
+        real_pool = cluster_backend.LocalShardPool
+
+        def counting_pool(*args, **kwargs):
+            pool = real_pool(*args, **kwargs)
+            built.append(pool)
+            return pool
+
+        monkeypatch.setattr(cluster_backend, "LocalShardPool", counting_pool)
+        barrier = threading.Barrier(2)
+        got = [None, None]
+
+        def start(slot):
+            barrier.wait()
+            got[slot] = cluster_backend.shared_local_pool(ctx, 2)
+
+        threads = [threading.Thread(target=start, args=(slot,))
+                   for slot in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(built) == 1
+            assert got[0] is got[1] is built[0]
+            assert len(built[0].processes) == 2
+        finally:
+            cluster_backend.close_local_pools()
+            for pool in built:
+                pool.close()

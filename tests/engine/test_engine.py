@@ -16,7 +16,7 @@ from repro.engine import (
     resolve_engine,
     set_default_engine,
 )
-from repro.experiments.runner import make_synthetic_context
+from repro.experiments.runner import make_synthetic_context, save_context
 from repro.ml.ridge import RidgeClassifier
 from repro.study import run_study, studies
 
@@ -53,14 +53,17 @@ class TestBackendParity:
         assert EvaluationEngine(cache=False).evaluate_batch(ctx, specs) == \
             EvaluationEngine(cache=True).evaluate_batch(ctx, specs)
 
-    def test_unpicklable_context_fails_clearly(self):
+    def test_unpicklable_context_fails_clearly(self, tmp_path):
         bad_ctx = make_synthetic_context(
             seed=3, n_samples=80, n_features=3,
             model_factory=lambda seed: RidgeClassifier(reg=1e-2),
         )
         engine = EvaluationEngine("process", jobs=2, cache=False)
-        with pytest.raises(TypeError, match="pickled"):
+        with pytest.raises(TypeError, match="model_factory"):
             engine.evaluate_batch(bad_ctx, batch(n_percentiles=1))
+        with pytest.raises(TypeError, match="model_factory"):
+            save_context(bad_ctx, str(tmp_path / "ctx.npz"))
+        assert not (tmp_path / "ctx.npz").exists()
 
 
 class TestCaching:

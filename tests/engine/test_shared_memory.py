@@ -1,11 +1,12 @@
 """Zero-copy context transport for the process backend.
 
-The acceptance property: worker initialisation no longer pickles the
-context's data arrays — the pickled metadata blob stays small and
-constant-size while the arrays travel through shared memory.
+The acceptance property: worker initialisation never ships the
+context's data arrays in its blob — the JSON metadata blob stays small
+and constant-size while the arrays travel through shared memory.
 """
 
 import gc
+import json
 import pickle
 
 import numpy as np
@@ -23,8 +24,7 @@ def big_ctx():
 
 def pack(ctx):
     meta, shm = _pack_context(ctx)
-    blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-    return meta, shm, blob
+    return meta, shm, meta  # the metadata is already the shipped bytes
 
 
 def close_after_views(shm):
@@ -67,7 +67,7 @@ class TestRoundTrip:
         meta, shm, blob = pack(big_ctx)
 
         def check():
-            rebuilt, worker_shm = _unpack_context(pickle.loads(blob))
+            rebuilt, worker_shm = _unpack_context(blob)
             for f in ("X_train", "y_train", "X_test", "y_test"):
                 original = getattr(big_ctx, f)
                 restored = getattr(rebuilt, f)
@@ -89,13 +89,15 @@ class TestRoundTrip:
     def test_prewarmed_direction_ships_in_blob(self, big_ctx):
         direction = big_ctx.kernel().direction  # force the surrogate fit
         meta, shm, blob = pack(big_ctx)
+        assert "direction" in json.loads(blob)["layout"]  # in the block
 
         def check():
-            rebuilt, worker_shm = _unpack_context(pickle.loads(blob))
+            rebuilt, worker_shm = _unpack_context(blob)
             kernel = rebuilt.__dict__.get("_kernel")
             assert kernel is not None
             assert kernel.direction_computed  # no refit needed in the worker
             np.testing.assert_array_equal(kernel.direction, direction)
+            assert not kernel.direction.flags.writeable  # a view of the block
             return worker_shm
 
         try:
@@ -104,13 +106,25 @@ class TestRoundTrip:
             shm.close()
             shm.unlink()
 
-    def test_foreign_context_falls_back_to_pickle(self):
-        class Opaque:
-            pass
+    def test_computed_none_direction_is_not_refitted(self, big_ctx):
+        # A degenerate context's direction is a computed None: it has no
+        # array to ship, but the workers must not refit it either.
+        big_ctx.kernel()._direction = None
+        meta, shm, blob = pack(big_ctx)
+        assert "direction" not in json.loads(blob)["layout"]
 
-        meta, shm = _pack_context(Opaque())
-        assert shm is None
-        assert meta["mode"] == "pickle"
+        def check():
+            rebuilt, worker_shm = _unpack_context(blob)
+            kernel = rebuilt.__dict__["_kernel"]
+            assert kernel.direction_computed
+            assert kernel.direction is None
+            return worker_shm
+
+        try:
+            close_after_views(check())
+        finally:
+            shm.close()
+            shm.unlink()
 
 
 class TestEndToEnd:

@@ -143,10 +143,11 @@ class TestAttackPrecomputedParity:
         ctx = make_synthetic_context(seed=11, n_samples=160, n_features=4)
         if transport == "reloaded":
             # The shard path: a context saved for `--context-file` and
-            # loaded back.  Its unpickled arrays carry non-canonical
-            # dtype instances, so the kernel guard must look past
-            # object identity to keep serving the surrogate direction.
-            ctx = load_context(save_context(ctx, str(tmp_path / "ctx.pkl")))
+            # loaded back from its npz arrays.  The kernel guard must
+            # recognise those arrays behind input validation's
+            # `np.asarray(X, dtype=float)` to keep serving the
+            # surrogate direction.
+            ctx = load_context(save_context(ctx, str(tmp_path / "ctx.npz")))
         engine = EvaluationEngine("serial", cache=False)
         specs = [kernel_spec(0.1, 0.05, seed) for seed in range(4)]
         engine.evaluate_batch(ctx, specs)
