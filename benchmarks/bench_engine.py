@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.engine import AttackSpec, EvaluationEngine, RoundSpec
 from repro.experiments.runner import evaluate_configuration, make_synthetic_context
 from repro.study.drivers import pure_strategy_sweep, table1_rows
@@ -35,6 +36,7 @@ def engine_ctx():
 
 def test_table1_cached_rerun(benchmark, engine_ctx):
     engine = EvaluationEngine("serial")
+    before = telemetry.snapshot()
     sweep = pure_strategy_sweep(engine_ctx, poison_fraction=0.2,
                                 n_repeats=1, engine=engine)
 
@@ -49,12 +51,15 @@ def test_table1_cached_rerun(benchmark, engine_ctx):
         rounds=3, iterations=1,
     )
     warm_seconds = benchmark.stats.stats.mean
+    counts = telemetry.diff_snapshots(before,
+                                      telemetry.snapshot())["counters"]
 
     print()
-    print(f"cold run:    {cold_seconds:.3f}s ({engine.rounds_computed} rounds trained)")
+    print(f"cold run:    {cold_seconds:.3f}s "
+          f"({counts.get('engine.rounds_computed', 0)} rounds trained)")
     print(f"cached rerun: {warm_seconds:.3f}s "
           f"(speedup {cold_seconds / warm_seconds:.1f}x, "
-          f"{engine.cache.stats.hits} cache hits)")
+          f"{counts.get('cache.memory.hits', 0)} cache hits)")
 
     for c, w in zip(cold, warm):
         assert c.accuracy == w.accuracy

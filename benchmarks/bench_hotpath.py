@@ -94,12 +94,6 @@ RONI_FAST_FLOOR = 3.0
 # pass is bounded by round trips and JSON reads, not training
 # (measured: ~5-15x at grid scale; floor keeps CI headroom).
 CLUSTER_LOCALITY_FLOOR = 3.0
-# PR 9 telemetry: the armed (metrics-only) path on the batched-fit
-# sweep must stay within 3% of the disabled path.  The instruments are
-# a handful of span context managers and counter increments per round
-# against ~ms-scale stages (measured overhead: well under 1%); the
-# interleaved min-of-N timing keeps shared-CI noise out of the ratio.
-TELEMETRY_OVERHEAD_CEILING = 1.03
 SWEEP_PERCENTILES = np.array([0.0, 0.02, 0.05, 0.10, 0.20, 0.30, 0.50])
 
 
@@ -763,11 +757,9 @@ def test_cluster_locality(spambase_ctx):
     close_local_pools()  # force a fresh spawn that inherits the tier
     try:
         shared_local_pool(grid_ctx, 2)  # spawn outside the timed legs
-        # Metrics-only telemetry, armed after the spawn so the shards
-        # stay unarmed: a pass's cluster counts are the diff of the
-        # client's counters around it.
-        telemetry.configure(metrics_only=True)
 
+        # A pass's cluster counts are the diff of the client's
+        # counters around it.
         def cluster_pass():
             before = telemetry.snapshot()
             backend = ClusterBackend(2)
@@ -788,8 +780,6 @@ def test_cluster_locality(spambase_ctx):
         serial_outcomes = EvaluationEngine(
             "serial", cache=False).evaluate_batch(fresh(grid_ctx), specs)
     finally:
-        telemetry.configure()  # disarm and scrub the exported env
-        telemetry.reset()
         close_local_pools()
         if saved is None:
             os.environ.pop("REPRO_SHARD_CACHE_DIR", None)
@@ -828,65 +818,3 @@ def test_cluster_locality(spambase_ctx):
     assert warm_stats["shard_cache_hits"] == len(specs)
     assert warm_stats["placed_rounds"] == len(specs)
     assert speedup >= CLUSTER_LOCALITY_FLOOR
-
-
-def test_telemetry_overhead_on_batched_fit_sweep():
-    """PR 9 guard: armed telemetry costs < 3% on the batched-fit sweep.
-
-    Runs the uncached grid-scale repeat sweep (the batched-fit floor's
-    workload) with telemetry disabled and armed metrics-only,
-    interleaved min-of-N on each leg.  Spans/counters fire on every
-    round — attack, defense, fit, payoff, batch plus the cache
-    counters — so this measures the full instrumented hot path, not a
-    single call site.  Outcomes must match exactly before the ratio
-    counts.
-    """
-    from repro import telemetry
-    from repro.experiments.runner import make_synthetic_context
-
-    ctx = make_synthetic_context(seed=0, n_samples=260, n_features=4)
-    specs = sweep_specs(ctx, SWEEP_PERCENTILES, n_repeats=8)
-
-    def run():
-        return EvaluationEngine("serial", cache=False).evaluate_batch(
-            fresh(ctx), specs)
-
-    timings = {"off": np.inf, "on": np.inf}
-    outcomes = {}
-    telemetry.reset()
-    try:
-        for _ in range(5):
-            for key in ("off", "on"):
-                if key == "on":
-                    telemetry.configure(metrics_only=True)
-                else:
-                    telemetry.configure()
-                start = time.perf_counter()
-                outcomes[key] = run()
-                timings[key] = min(timings[key],
-                                   time.perf_counter() - start)
-        armed_rounds = telemetry.snapshot()["counters"].get(
-            "engine.rounds_total", 0)
-    finally:
-        telemetry.configure()  # disarm and scrub the exported env
-        telemetry.reset()
-
-    overhead = timings["on"] / timings["off"]
-    path = write_results({
-        "telemetry_overhead": {
-            "n_rounds": len(specs),
-            "disabled_seconds": timings["off"],
-            "enabled_seconds": timings["on"],
-            "overhead_ratio": overhead,
-        },
-    })
-
-    print()
-    print(f"telemetry off: {timings['off'] * 1e3:8.1f} ms   "
-          f"on: {timings['on'] * 1e3:8.1f} ms   "
-          f"(overhead {(overhead - 1) * 100:+.2f}%)")
-    print(f"telemetry overhead timings written to {path}")
-
-    assert outcomes["on"] == outcomes["off"]  # armed path stays exact
-    assert armed_rounds >= len(specs)  # the instruments really fired
-    assert overhead <= TELEMETRY_OVERHEAD_CEILING

@@ -12,9 +12,9 @@ Registered under ``"cluster"`` (``EvaluationEngine("cluster")``,
   writes with ``mkstemp`` (``--context-file``, arrays plus a JSON
   header, see :func:`~repro.experiments.runner.save_context`) — so
   ``REPRO_BACKEND=cluster`` works out of the box on one machine and
-  the CI localhost job needs no orchestration.  The pool is keyed by
-  context fingerprint: a new context tears the old shards down and
-  spawns matching ones.
+  the CI localhost job needs no orchestration.  Pools are keyed by
+  context fingerprint and shared process-wide; the two most recently
+  used stay up, and one a batch runs on is never torn down under it.
 * ``REPRO_CLUSTER_TIMEOUT`` (connect + handshake; chunk results are
   waited for on a blocking keepalive socket — see
   :class:`~repro.cluster.scheduler.ShardClient`) /
@@ -66,7 +66,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import warnings
 
@@ -79,7 +78,8 @@ from repro.cluster.scheduler import (
     ShardError,
     ShardRejected,
 )
-from repro.engine.backends import EvaluationBackend, SerialBackend
+from repro.engine.backends import EvaluationBackend, PoolCache, \
+    SerialBackend
 from repro.engine.cache import cache_schema_version, round_keys
 from repro.resilience import RetryPolicy, env_bool, env_float, env_int
 
@@ -216,41 +216,36 @@ class LocalShardPool:
 
 # Autospawned pools are shared process-wide, keyed by context
 # fingerprint, so N engines over the same context reuse one set of
-# localhost shards instead of each leaking its own.  Small LRU: old
-# contexts' pools are torn down as new ones arrive.  One lock covers
-# lookup, spawn and store, so threads starting on one new context
-# share one fleet.
-_LOCAL_POOLS: "dict[str, LocalShardPool]" = {}
-_LOCAL_POOLS_LOCK = threading.Lock()
-_MAX_LOCAL_POOLS = 2
+# localhost shards instead of each leaking its own.  A small LRU: the
+# least recently used fleet is torn down as new contexts arrive, but
+# never while a batch runs on it.
+_LOCAL_POOLS = PoolCache(max_pools=2)
+
+
+def _acquire_local_pool(ctx, n_shards: int,
+                        secret: str | None) -> LocalShardPool:
+    """The fleet for ``ctx``, held until ``_LOCAL_POOLS.release``; one
+    with fewer than ``n_shards`` shards, or a dead one, is replaced."""
+    return _LOCAL_POOLS.acquire(
+        ctx.fingerprint(),
+        lambda: LocalShardPool(ctx, n_shards, secret=secret),
+        fits=lambda pool: len(pool.addresses) >= n_shards and
+        all(proc.poll() is None for proc in pool.processes))
 
 
 def shared_local_pool(ctx, n_shards: int,
                       secret: str | None = None) -> LocalShardPool:
-    """The process-wide autospawned pool for ``ctx`` (created on miss)."""
-    fingerprint = ctx.fingerprint()
-    with _LOCAL_POOLS_LOCK:
-        pool = _LOCAL_POOLS.get(fingerprint)
-        if pool is not None:
-            if len(pool.addresses) >= n_shards and \
-                    all(p.poll() is None for p in pool.processes):
-                return pool
-            pool.close()
-            del _LOCAL_POOLS[fingerprint]
-        pool = LocalShardPool(ctx, n_shards, secret=secret)
-        _LOCAL_POOLS[fingerprint] = pool
-        while len(_LOCAL_POOLS) > _MAX_LOCAL_POOLS:
-            oldest = next(iter(_LOCAL_POOLS))
-            _LOCAL_POOLS.pop(oldest).close()
-        return pool
+    """The process-wide autospawned pool for ``ctx`` (created on miss),
+    now the most recently used."""
+    pool = _acquire_local_pool(ctx, n_shards, secret)
+    _LOCAL_POOLS.release(pool)
+    return pool
 
 
 def close_local_pools() -> None:
-    """Tear down every autospawned localhost pool now (atexit otherwise)."""
-    with _LOCAL_POOLS_LOCK:
-        while _LOCAL_POOLS:
-            _, pool = _LOCAL_POOLS.popitem()
-            pool.close()
+    """Tear down every autospawned localhost pool: idle ones now, one a
+    batch runs on when that batch ends (atexit otherwise)."""
+    _LOCAL_POOLS.close()
 
 
 class ClusterBackend(EvaluationBackend):
@@ -313,13 +308,6 @@ class ClusterBackend(EvaluationBackend):
 
     # -- shard management --------------------------------------------------
 
-    def _addresses(self, ctx) -> list[tuple[str, int]]:
-        if self.shards:
-            return self.shards
-        self._pool = shared_local_pool(ctx, self.jobs or 2,
-                                       secret=self.secret)
-        return self._pool.addresses
-
     def _connect_one(self, address, fingerprint, schema) -> ShardClient:
         """One connect + handshake attempt; the client is closed on
         handshake failure (no half-open sockets leak out of here)."""
@@ -354,12 +342,12 @@ class ClusterBackend(EvaluationBackend):
                 raise last
             time.sleep(delay)
 
-    def _connect(self, ctx) -> list[ShardClient]:
+    def _connect(self, ctx, addresses) -> list[ShardClient]:
         fingerprint = ctx.fingerprint()
         schema = cache_schema_version()
         clients: list[ShardClient] = []
         failures: list[ShardError] = []
-        for address in self._addresses(ctx):
+        for address in addresses:
             try:
                 clients.append(self._connect_with_retry(
                     address, fingerprint, schema))
@@ -394,9 +382,25 @@ class ClusterBackend(EvaluationBackend):
         specs = list(specs)
         if not specs:
             return
+        if self.shards:
+            yield from self._run_on(ctx, specs, self.shards)
+            return
+        try:
+            pool = _acquire_local_pool(ctx, self.jobs or 2, self.secret)
+        except ClusterError as exc:  # the fleet never came up
+            yield from self._degrade_or_raise(ctx, specs, set(), exc)
+            return
+        self._pool = pool
+        try:
+            yield from self._run_on(ctx, specs, pool.addresses)
+        finally:
+            _LOCAL_POOLS.release(pool)
+
+    def _run_on(self, ctx, specs, addresses):
+        """:meth:`run_iter` over the shards at ``addresses``."""
         done: set[int] = set()
         try:
-            clients = self._connect(ctx)
+            clients = self._connect(ctx, addresses)
         except ClusterError as exc:
             yield from self._degrade_or_raise(ctx, specs, done, exc)
             return
@@ -438,7 +442,7 @@ class ClusterBackend(EvaluationBackend):
         held_by: list[set] = []
         for client in clients:
             try:
-                held, _ = client.query_cache(keys)
+                held = client.query_cache(keys)
             except ShardError:
                 held = set()
             held_by.append(held)

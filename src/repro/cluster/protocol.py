@@ -52,13 +52,12 @@ Message shapes (all JSON objects with a ``"type"`` key):
 * ``cache-query`` — client -> shard, post-handshake: ``{keys}``, a
   list of canonical round keys (see
   :func:`~repro.engine.cache.round_keys`).  Answered by
-  ``cache-report`` (``{held, stats}``): the subset of the keys the
-  shard's local result-cache tier already holds, plus the tier's
-  operator stats.  Because the handshake already pinned the context
-  fingerprint *and* the cache schema version, a held key names
-  bit-identical content on both ends — that is what lets the scheduler
-  route held rounds to the holding shard and serve them from its disk
-  tier without recomputing.  A shard without a cache tier answers with
+  ``cache-report`` (``{held}``): the subset of the keys the shard's
+  local result-cache tier already holds.  Because the handshake
+  already pinned the context fingerprint *and* the cache schema
+  version, a held key names bit-identical content on both ends — that
+  is what lets the scheduler route held rounds to the holding shard
+  and serve them from its disk tier without recomputing.  A shard without a cache tier answers with
   an empty ``held`` list.
 * ``info`` — a *pre-handshake* alternative to ``hello``: the operator
   tools (``repro-cache info --shard``, ``repro-cluster stats``) asking
@@ -305,10 +304,9 @@ def cache_query(keys) -> dict:
     return {"type": "cache-query", "keys": [str(k) for k in keys]}
 
 
-def cache_report(held, stats: dict) -> dict:
-    """The shard's answer: held-key subset plus cache-tier stats."""
-    return {"type": "cache-report", "held": [str(k) for k in held],
-            "stats": dict(stats)}
+def cache_report(held) -> dict:
+    """The shard's answer: the held subset of the queried keys."""
+    return {"type": "cache-report", "held": [str(k) for k in held]}
 
 
 # -- operator probe ----------------------------------------------------------

@@ -203,10 +203,10 @@ class ShardClient:
             telemetry.process_token() else reply.get("telemetry")
         return [outcome_from_dict(outcome) for outcome in outcomes]
 
-    def query_cache(self, keys) -> tuple[set, dict]:
+    def query_cache(self, keys) -> set:
         """Ask the shard which of these round keys its cache tier holds.
 
-        Returns ``(held, stats)``; a failed query or any reply but a
+        Returns the held keys; a failed query or any reply but a
         ``cache-report`` raises :class:`ShardError`.
         """
         try:
@@ -218,7 +218,7 @@ class ShardClient:
         if reply.get("type") != "cache-report":
             raise ShardError(f"shard {self.name} answered a cache query "
                              f"out of protocol: {reply.get('type')!r}")
-        return set(reply.get("held", [])), dict(reply.get("stats", {}))
+        return set(reply.get("held", []))
 
     def close(self) -> None:
         try:

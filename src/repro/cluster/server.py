@@ -284,7 +284,6 @@ class ShardServer:
     def telemetry_stats(self) -> dict:
         """Live metrics for ``info-report`` replies."""
         stats = {
-            "enabled": telemetry.enabled(),
             "fingerprint": self.fingerprint,
             "pid": os.getpid(),
             "rounds_executed": self._rounds_executed,
@@ -293,7 +292,8 @@ class ShardServer:
         return stats
 
     def cache_stats(self) -> dict:
-        """Cache-tier stats for ``cache-report`` and ``info-report``."""
+        """Cache-tier stats for ``info-report``: the tier's contents,
+        plus its hits and stores from the ``shard.cache.*`` counters."""
         stats = {
             "enabled": self.cache is not None,
             "fingerprint": self.fingerprint,
@@ -301,13 +301,15 @@ class ShardServer:
         }
         if self.cache is not None:
             info = self.cache.describe()
+            counters = telemetry.snapshot()["counters"]
             stats.update(
                 cache_dir=info["disk_dir"],
                 entry_count=info["entry_count"],
                 total_bytes=info["total_bytes"],
                 memory_entries=info["memory_entries"],
-                hits=self.cache.stats.hits,
-                stores=self.cache.stats.stores,
+                hits=counters.get("shard.cache.memory.hits", 0)
+                + counters.get("shard.cache.disk.hits", 0),
+                stores=counters.get("shard.cache.stores", 0),
             )
         return stats
 
@@ -324,8 +326,7 @@ class ShardServer:
             keys = message.get("keys", [])
             held = self.cache.held_keys(keys) if self.cache is not None \
                 else []
-            protocol.send_message(
-                conn, protocol.cache_report(held, self.cache_stats()))
+            protocol.send_message(conn, protocol.cache_report(held))
             return True
         if kind == "run":
             chunk_id = int(message.get("chunk_id", -1))

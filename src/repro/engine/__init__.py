@@ -33,7 +33,6 @@ from repro.engine.spec import (
     parse_victim_spec,
 )
 from repro.engine.cache import (
-    CacheStats,
     ResultCache,
     round_key,
     round_keys,
@@ -81,7 +80,6 @@ __all__ = [
     "parse_attack_spec",
     "parse_defense_spec",
     "parse_victim_spec",
-    "CacheStats",
     "ResultCache",
     "round_key",
     "round_keys",

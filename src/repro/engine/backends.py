@@ -424,23 +424,23 @@ def _worker_init(meta_blob: bytes) -> None:
                      name="owner-watch", daemon=True).start()
 
 
-def _worker_run_chunk(specs, arming):
+def _worker_run_chunk(specs, trace_dir):
     """The pool workers' one entry point: a chunk's outcomes, in chunk
     order, plus this worker's telemetry delta.
 
-    ``arming`` is the pool owner's telemetry setting
+    ``trace_dir`` is the pool owner's span sink directory
     (:func:`repro.telemetry.arming`), applied before the chunk runs: a
     worker outlives many batches, so it follows the owner's current
-    setting rather than the one it was forked with.  The delta
-    (``None`` when telemetry is disabled or nothing changed) carries
-    the stage histograms and counters the chunk accumulated in the
-    worker process; the pool owner merges it into its own registry so
-    its summaries cover the whole pool.  Spans still land in the
-    worker's own JSONL file — only metrics travel back.
+    directory rather than the one it was forked with.  The delta
+    (``None`` when nothing changed) carries the stage histograms and
+    counters the chunk accumulated in the worker process; the pool
+    owner merges it into its own registry so its summaries cover the
+    whole pool.  Spans still land in the worker's own JSONL file —
+    only metrics travel back.
     """
     from repro import telemetry
 
-    telemetry.rearm(arming)
+    telemetry.rearm(trace_dir)
     return execute_rounds(_WORKER_CTX, specs), telemetry.flush_delta()
 
 
@@ -505,9 +505,10 @@ class WorkerPool:
         from repro import telemetry
 
         specs = list(specs)
-        arming = telemetry.arming()
+        trace_dir = telemetry.arming()
         futures = {self._pool.submit(_worker_run_chunk,
-                                     [specs[i] for i in chunk], arming): chunk
+                                     [specs[i] for i in chunk],
+                                     trace_dir): chunk
                    for chunk in deal_chunks(len(specs), self.jobs,
                                             _FIT_WINDOW)}
         try:
@@ -536,40 +537,54 @@ class WorkerPool:
 _MAX_POOLS = 2
 
 
-class _PoolCache:
-    """A backend's open pools: an LRU keyed by context fingerprint.
+class PoolCache:
+    """Open pools keyed by context fingerprint, least recently used
+    evicted first.
 
     Counts the batches running on each pool, so a pool that leaves the
-    LRU (evicted, found broken, or closed) while a batch runs on it
-    closes when its last batch ends, never under one.  Holds no
-    reference to its backend, so the backend's finalizer can close it.
+    LRU (evicted, found unfit or broken, or closed) while a batch runs
+    on it closes when its last batch ends, never under one.  One lock
+    covers lookup, opening and store, so threads starting on one new
+    context share one pool.  Holds no reference to its owner, so the
+    owner's finalizer can close it.  A pool is anything with a
+    ``close()``: each :class:`ProcessPoolBackend` keeps its
+    :class:`WorkerPool`\\ s here, and the cluster backend its
+    process-wide autospawned shard fleets.
     """
 
-    def __init__(self, jobs: int):
-        self.jobs = jobs
+    def __init__(self, max_pools: int):
+        self.max_pools = max_pools
         self._lock = threading.Lock()
         self._open: OrderedDict = OrderedDict()  # fingerprint -> pool
         self._users: dict = {}  # pool -> batches running on it
 
-    def acquire(self, ctx) -> WorkerPool:
-        """The open pool for ``ctx`` (prewarmed and opened on a miss),
-        counted as in use until :meth:`release`."""
-        from repro.engine.spec import prewarm_all
+    def acquire(self, fingerprint: str, open_pool, fits=None):
+        """The open pool for ``fingerprint``, now the most recently
+        used, counted as in use until :meth:`release`.
 
-        fingerprint = ctx.fingerprint()
-        with self._lock:
-            pool = self._open.get(fingerprint)
-            if pool is None:
-                prewarm_all(ctx)
-                pool = self._open[fingerprint] = WorkerPool(ctx, self.jobs)
-            self._open.move_to_end(fingerprint)
-            self._users[pool] = self._users.get(pool, 0) + 1
-            idle = self._drop(list(self._open.values())[:-_MAX_POOLS])
-        for old in idle:
-            old.close()
+        On a miss, or when ``fits(pool)`` rejects the open one (which
+        leaves the LRU), ``open_pool()`` opens a new pool.
+        """
+        idle: list = []
+        try:
+            with self._lock:
+                pool = self._open.get(fingerprint)
+                if pool is not None and fits is not None and \
+                        not fits(pool):
+                    idle += self._drop([pool])
+                    pool = None
+                if pool is None:
+                    pool = self._open[fingerprint] = open_pool()
+                self._open.move_to_end(fingerprint)
+                self._users[pool] = self._users.get(pool, 0) + 1
+                idle += self._drop(
+                    list(self._open.values())[:-self.max_pools])
+        finally:
+            for old in idle:
+                old.close()
         return pool
 
-    def release(self, pool: WorkerPool) -> None:
+    def release(self, pool) -> None:
         """End one batch on ``pool``; close it if it has left the LRU
         and this was its last batch."""
         with self._lock:
@@ -581,7 +596,7 @@ class _PoolCache:
                 return
         pool.close()
 
-    def discard(self, pool: WorkerPool) -> None:
+    def discard(self, pool) -> None:
         """Take a broken ``pool`` out of the LRU (its batches still
         hold it; the last :meth:`release` closes it)."""
         with self._lock:
@@ -601,6 +616,13 @@ class _PoolCache:
         for fingerprint in [f for f, p in self._open.items() if p in pools]:
             del self._open[fingerprint]
         return [pool for pool in pools if not self._users.get(pool)]
+
+
+def _open_worker_pool(ctx, jobs: int) -> WorkerPool:
+    from repro.engine.spec import prewarm_all
+
+    prewarm_all(ctx)
+    return WorkerPool(ctx, jobs)
 
 
 class ProcessPoolBackend(EvaluationBackend):
@@ -636,7 +658,7 @@ class ProcessPoolBackend(EvaluationBackend):
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self._pools = _PoolCache(self.jobs)
+        self._pools = PoolCache(_MAX_POOLS)
         weakref.finalize(self, self._pools.close)
 
     def run_iter(self, ctx, specs):
@@ -645,7 +667,9 @@ class ProcessPoolBackend(EvaluationBackend):
             return
         landed = False
         for attempt in (1, 2):
-            pool = self._pools.acquire(ctx)
+            pool = self._pools.acquire(
+                ctx.fingerprint(),
+                lambda: _open_worker_pool(ctx, self.jobs))
             try:
                 for index, outcome in pool.run_iter(specs):
                     landed = True

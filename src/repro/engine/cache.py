@@ -27,10 +27,9 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 __all__ = [
-    "CacheStats",
     "ResultCache",
     "round_key",
     "round_keys",
@@ -193,24 +192,6 @@ def prune_cache_dir(disk_dir: str | os.PathLike) -> dict:
     return {"removed": removed, **manifest}
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting (exposed for tests and benchmarks)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class ResultCache:
     """In-memory (plus optional on-disk) store of round outcomes.
 
@@ -250,7 +231,6 @@ class ResultCache:
         self._manifest: dict | None = None  # incremental tally, lazy-seeded
         self._lock = threading.RLock()
         self._prefix = counter_prefix
-        self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -268,7 +248,6 @@ class ResultCache:
 
             while len(self._memory) > self._max_entries:
                 self._memory.popitem(last=False)
-                self.stats.evictions += 1
                 telemetry.counter(f"{self._prefix}.evictions").inc()
 
     # -- internal disk tier ----------------------------------------------
@@ -355,7 +334,7 @@ class ResultCache:
         """The subset of ``keys`` served by either tier, in input order.
 
         Batched :meth:`contains` — same side-effect-free semantics (no
-        stats, no LRU refresh, no disk promotion).  This is what a shard
+        counters, no LRU refresh, no disk promotion).  This is what a shard
         answers a ``cache-query`` message with.
         """
         return [key for key in keys if self.contains(key)]
@@ -436,10 +415,8 @@ class ResultCache:
                     self._remember(key, entry)  # promote for next time
                     telemetry.counter(f"{self._prefix}.disk.hits").inc()
             if entry is None:
-                self.stats.misses += 1
                 telemetry.counter(f"{self._prefix}.misses").inc()
                 return None
-            self.stats.hits += 1
         return outcome_from_dict(entry)
 
     def put(self, key: str, outcome) -> None:
@@ -450,7 +427,6 @@ class ResultCache:
         with self._lock:
             self._remember(key, entry)
             self._disk_put(key, entry)
-            self.stats.stores += 1
         telemetry.counter(f"{self._prefix}.stores").inc()
 
     def clear(self, *, disk: bool = False) -> None:

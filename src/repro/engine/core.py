@@ -25,7 +25,6 @@ explicit engine, so existing call sites gain caching transparently.
 from __future__ import annotations
 
 import os
-import threading
 import time
 
 from repro import telemetry
@@ -81,12 +80,6 @@ class EvaluationEngine:
                                      max_entries=cache_max_entries)
         else:
             self.cache = None
-        # Lifetime totals, folded once per batch: concurrent streams
-        # (a `repro serve` replica's workers) may share one engine.
-        self._totals_lock = threading.Lock()
-        self.rounds_computed = 0
-        self._batches_run = 0
-        self._batch_seconds = 0.0
 
     # -- evaluation -------------------------------------------------------
 
@@ -187,11 +180,6 @@ class EvaluationEngine:
             telemetry.counter("engine.rounds_total").inc(len(specs))
             telemetry.counter("engine.rounds_computed").inc(computed)
             telemetry.counter("engine.batches_total").inc()
-            seconds = time.perf_counter() - start
-            with self._totals_lock:
-                self.rounds_computed += computed
-                self._batches_run += 1
-                self._batch_seconds += seconds
             if batches is not None:
                 batches.append({
                     "batch": len(batches) + 1,
@@ -200,41 +188,17 @@ class EvaluationEngine:
                     "n_unique": len(positions),
                     "computed": computed,
                     "cache_hits": len(positions) - len(to_run),
-                    "seconds": seconds,
+                    "seconds": time.perf_counter() - start,
                 })
 
     def _commit(self, key: str, outcome) -> None:
         if self.cache is not None:
             self.cache.put(key, outcome)
 
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def stats(self) -> dict:
-        """Lifetime totals: computed rounds, batches run and their wall
-        time, plus the cache's hit/miss tallies.  (A study archives its
-        own batch records; cluster counts live in telemetry.)"""
-        with self._totals_lock:
-            out = {
-                "backend": self.backend.name,
-                "rounds_computed": self.rounds_computed,
-                "batches_run": self._batches_run,
-                "batch_seconds": self._batch_seconds,
-            }
-        if self.cache is not None:
-            out.update(
-                cache_hits=self.cache.stats.hits,
-                cache_misses=self.cache.stats.misses,
-                cache_evictions=self.cache.stats.evictions,
-                cache_entries=len(self.cache),
-                cache_hit_rate=self.cache.stats.hit_rate,
-            )
-        return out
-
     def __repr__(self) -> str:
         cache = "off" if self.cache is None else f"{len(self.cache)} entries"
         return (f"{type(self).__name__}(backend={self.backend.name!r}, "
-                f"cache={cache}, rounds_computed={self.rounds_computed})")
+                f"cache={cache})")
 
 
 # -- process-wide default ---------------------------------------------------

@@ -266,11 +266,12 @@ def _study_engine(args, spec):
 
 
 def cmd_run(args) -> int:
+    from repro import telemetry
     from repro.study import run_study
 
     spec = _study_from_args(args)
     engine = _study_engine(args, spec)
-    batches_before = engine.stats["batches_run"]
+    batches_before = telemetry.counter("engine.batches_total").value
     try:
         result = run_study(spec, engine=engine,
                            progress=_progress_for(args, f"run:{spec.kind}"),
@@ -279,7 +280,7 @@ def cmd_run(args) -> int:
                            checkpoint_every=args.checkpoint_every)
     except ValueError as exc:  # unknown context maker, invalid grid, ...
         raise SystemExit(f"cannot run study: {exc}") from None
-    fresh = engine.stats["batches_run"] > batches_before
+    fresh = telemetry.counter("engine.batches_total").value > batches_before
     print(result.render())
     if fresh:
         _print_engine_stats(engine, result)
@@ -324,8 +325,8 @@ def cmd_report(args) -> int:
         summary = result.extras.get("telemetry")
         print()
         if summary is None:
-            print("(no telemetry in this result — run the study with "
-                  "--telemetry-dir or REPRO_TELEMETRY_DIR armed)")
+            print("(no telemetry in this result — it was archived "
+                  "before every study recorded its telemetry)")
         else:
             print(format_telemetry_summary(summary))
     return 0
@@ -394,9 +395,7 @@ def _render_shard_metrics(name: str, reply: dict) -> str:
     stats = reply.get("metrics", {})
     counters = stats.get("counters", {}) or {}
     lines = [f"{name}: pid {stats.get('pid', '?')}, "
-             f"{stats.get('rounds_executed', 0)} rounds executed, "
-             f"telemetry "
-             f"{'enabled' if stats.get('enabled') else 'disabled'}"]
+             f"{stats.get('rounds_executed', 0)} rounds executed"]
     lines += [f"  {counter} = {counters[counter]}"
               for counter in sorted(counters) if counters[counter]]
     return "\n".join(lines)
@@ -653,10 +652,10 @@ def _add_engine_args(p) -> None:
                         "drills, e.g. 'connect:fail_prob=0.3;seed=7' "
                         "(see repro.resilience; overrides REPRO_FAULTS)")
     p.add_argument("--telemetry-dir", type=str, default=None,
-                   help="arm telemetry and write span/metrics JSONL "
-                        "trace files (one per process) under this "
-                        "directory; view with 'repro trace <dir>' "
-                        "(also via REPRO_TELEMETRY_DIR)")
+                   help="write span/metrics JSONL trace files (one "
+                        "per process) under this directory; view with "
+                        "'repro trace <dir>' (also via "
+                        "REPRO_TELEMETRY_DIR)")
 
 
 def _add_study_args(p, name: str | None = None) -> None:
@@ -725,8 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "'repro run --out' or --archive-dir")
             p.add_argument("--telemetry", action="store_true",
                            help="append the run's per-stage time "
-                                "breakdown and counters (present when "
-                                "the study ran with telemetry armed)")
+                                "breakdown and counters")
             continue
         if name == "trace":
             p.add_argument("trace_dir", type=str,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import telemetry
 from repro.experiments.results import MixedStrategyResult, PureSweepResult
 
 __all__ = ["ascii_table", "format_pure_sweep", "format_table1", "ascii_series",
@@ -94,27 +95,35 @@ def format_pure_sweep(result: PureSweepResult) -> str:
 def format_engine_stats(engine, batches=()) -> str:
     """Engine telemetry for an experiment summary.
 
-    One summary block (the engine's lifetime totals: backend, rounds
-    computed, batches, cache hits/misses/evictions) plus a per-batch
-    table of ``batches`` — a study's own records
-    (``result.engine_stats["batches"]``) — with each batch's backend
-    and wall time, so a report always says how its numbers were
-    produced.
+    One summary block (the engine's backend, then this process's
+    ``engine.*`` and ``cache.*`` counters and ``span.batch.seconds``
+    total from the telemetry registry: rounds computed, batches, cache
+    hits/misses/evictions) plus a per-batch table of ``batches`` — a
+    study's own records (``result.engine_stats["batches"]``) — with
+    each batch's backend and wall time, so a report always says how
+    its numbers were produced.
     """
-    stats = engine.stats
+    snap = telemetry.snapshot()
+    counters = snap["counters"]
+    batch_seconds = snap["histograms"].get("span.batch.seconds",
+                                           {}).get("sum", 0.0)
     rows = [
-        ("backend", stats["backend"]),
-        ("rounds computed", str(stats["rounds_computed"])),
-        ("batches run", str(stats["batches_run"])),
-        ("total batch wall time", f"{stats['batch_seconds']:.3f}s"),
+        ("backend", engine.backend.name),
+        ("rounds computed", str(counters.get("engine.rounds_computed", 0))),
+        ("batches run", str(counters.get("engine.batches_total", 0))),
+        ("total batch wall time", f"{batch_seconds:.3f}s"),
     ]
-    if "cache_hits" in stats:
+    if engine.cache is not None:
+        hits = counters.get("cache.memory.hits", 0) + \
+            counters.get("cache.disk.hits", 0)
+        misses = counters.get("cache.misses", 0)
+        lookups = hits + misses
         rows += [
-            ("cache hits", str(stats["cache_hits"])),
-            ("cache misses", str(stats["cache_misses"])),
-            ("cache evictions", str(stats["cache_evictions"])),
-            ("cache entries", str(stats["cache_entries"])),
-            ("cache hit rate", f"{stats['cache_hit_rate']:.1%}"),
+            ("cache hits", str(hits)),
+            ("cache misses", str(misses)),
+            ("cache evictions", str(counters.get("cache.evictions", 0))),
+            ("cache entries", str(len(engine.cache))),
+            ("cache hit rate", f"{hits / lookups if lookups else 0.0:.1%}"),
         ]
     else:
         rows.append(("cache", "off"))

@@ -20,7 +20,9 @@
                                       terminal state
 ``GET /studies/{fp}/result``          the archived StudyResult JSON
 ``GET /studies/{fp}/report``          the rendered report text
-``GET /health``                       liveness + queue counts + workers
+``GET /health``                       liveness + queue counts + this
+                                      replica's studies completed and
+                                      failed + workers
 ``GET /queue``                        full queue listing + service counters
 ====================================  =======================================
 
@@ -138,14 +140,13 @@ class ReproService:
         return self
 
     def stop(self) -> None:
-        """Graceful shutdown: stop accepting, checkpoint, flush, exit.
+        """Graceful shutdown: stop accepting, checkpoint, exit.
 
         Ordering matters and mirrors the SIGTERM contract: (1) the
         listener closes and in-flight connections are cancelled, so no
         new work arrives; (2) workers stop — the running study's
         progress callback raises, ``run_study`` flushes its checkpoint,
-        the lease is released and the entry stays queued; (3) the queue
-        manifest is written, the one snapshot of the queue left behind.
+        the lease is released and the entry stays queued.
         """
         if self._stopped:
             return
@@ -165,7 +166,6 @@ class ReproService:
         for worker in self.workers:
             if worker.is_alive():
                 worker.join(timeout=30.0)
-        self.queue.flush_manifest()
 
     def serve_forever(self) -> int:
         """Run until SIGTERM/SIGINT, then shut down gracefully (exit 0)."""
@@ -429,16 +429,17 @@ class ReproService:
                              f"does not exist yet")
 
     def _health(self, request: Request) -> Response:
+        counters = telemetry.snapshot()["counters"]
         return json_response({
             "status": "ok",
             "pid": os.getpid(),
             "auth": self.auth.enabled,
             "archive_dir": self.config.archive_dir,
             "queue": self.queue.counts(),
+            "studies": {state: counters.get(f"service.studies.{state}", 0)
+                        for state in ("completed", "failed")},
             "workers": [{"name": w.name, "alive": w.is_alive(),
-                         "running": w.running_fingerprint,
-                         "completed": w.studies_completed,
-                         "failed": w.studies_failed}
+                         "running": w.running_fingerprint}
                         for w in self.workers],
         })
 

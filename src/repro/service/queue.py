@@ -26,12 +26,6 @@ directory see the same queue** and survive each other's crashes:
     *stale*: the holder is presumed dead, any worker may break the
     lease and adopt the study, resuming from its checkpoint.
 
-``queue-manifest.json``
-    A roll-up of the counts by state, written atomically by
-    :meth:`StudyQueue.flush_manifest` when a service shuts down — a
-    snapshot of the queue it left.  Mutations do not rewrite it; the
-    live roll-up is the service's ``GET /queue``.
-
 State model: an entry stays ``queued`` while it is leased and running
 — so a daemon killed hard leaves exactly the files a recovering worker
 needs (queued entry + stale lease), and recovery is the normal path,
@@ -421,19 +415,6 @@ class StudyQueue:
                 f"re-leased and resumed from its checkpoint",
                 stacklevel=2)
         return reclaimed
-
-    # -- manifest ----------------------------------------------------------
-
-    def flush_manifest(self) -> None:
-        """Atomically write the queue's counts to ``queue-manifest.json``
-        (the service's shutdown snapshot)."""
-        doc = {"type": "StudyQueueManifest",
-               "schema": QUEUE_SCHEMA_VERSION,
-               "counts": self.counts(),
-               "updated_at": _utc_now()}
-        atomic_write_text(os.path.join(self.directory,
-                                       "queue-manifest.json"),
-                          json.dumps(doc))
 
     # -- status resolution -------------------------------------------------
 

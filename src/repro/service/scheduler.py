@@ -101,8 +101,6 @@ class SchedulerWorker(threading.Thread):
         # (entry, done, total) of the study this worker runs, replaced
         # whole so a reader on another thread sees one consistent tuple.
         self._running: tuple[QueueEntry, int, int] | None = None
-        self.studies_completed = 0
-        self.studies_failed = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -163,11 +161,20 @@ class SchedulerWorker(threading.Thread):
 
     def _lease_and_run_one(self) -> bool:
         """Lease the highest-priority eligible study and run it."""
-        for entry in self.queue.pending():
+        for listed in self.queue.pending():
             if self._stop_event.is_set():
                 return False
-            if not self.queue.acquire_lease(entry.fingerprint,
+            if not self.queue.acquire_lease(listed.fingerprint,
                                             owner=self.name):
+                continue
+            # The listing may be stale: another worker may have run and
+            # removed the study, or failed and backed it off, and
+            # released its lease since.  Under the lease, this read is
+            # current.
+            entry = self.queue.get(listed.fingerprint)
+            if entry is None or entry.state != "queued" or \
+                    entry.not_before > time.time():
+                self.queue.release_lease(listed.fingerprint)
                 continue
             self._idle.clear()
             self._running = (entry, 0, 0)
@@ -229,7 +236,6 @@ class SchedulerWorker(threading.Thread):
             self._requeue_or_fail(entry, exc)
             return
         self.queue.remove(fingerprint)
-        self.studies_completed += 1
         telemetry.counter("service.studies.completed").inc()
 
     def _engine_for(self, spec: StudySpec):
@@ -255,7 +261,6 @@ class SchedulerWorker(threading.Thread):
             telemetry.counter("retry.attempts").inc()
         else:
             entry.state = "failed"
-            self.studies_failed += 1
             telemetry.counter("service.studies.failed").inc()
         self.queue.update(entry)
 
@@ -263,6 +268,5 @@ class SchedulerWorker(threading.Thread):
         entry = self.queue.get(entry.fingerprint) or entry
         entry.state = "failed"
         entry.last_error = reason
-        self.studies_failed += 1
         telemetry.counter("service.studies.failed").inc()
         self.queue.update(entry)

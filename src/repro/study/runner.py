@@ -395,15 +395,16 @@ def run_study(
         its blocks.  If anything fails before the archive lands, the
         checkpoint keeps every completed row for a resume.
 
-    When telemetry is enabled (:func:`repro.telemetry.configure` or
-    ``REPRO_TELEMETRY_DIR``) the result's ``extras["telemetry"]``
-    carries a schema-versioned summary of the run's counters and
-    per-stage timings.  The key is absent when telemetry is off, and
-    the study fingerprint never covers it — archived results stay
-    bit-identical either way.
+    The result's ``extras["telemetry"]`` carries a schema-versioned
+    summary of the run's counters and per-stage timings.  The study
+    fingerprint never covers it, so archived scenarios and payloads
+    stay bit-identical whatever it holds.  It is a diff of the
+    process-wide registry around the run: studies that run at the same
+    time in one process (threads sharing an engine, a ``repro serve``
+    replica with two or more workers) count into each other's summary.
     """
     started = time.perf_counter()
-    tel_since = telemetry.snapshot() if telemetry.enabled() else None
+    tel_since = telemetry.snapshot()
     if spec.kind not in _DISPATCH:
         raise ValueError(f"unknown study kind {spec.kind!r}")
 
@@ -486,8 +487,7 @@ def run_study(
                                payload, started)
         if resumed_rows:
             result.extras["resumed_scenarios"] = len(resumed_rows)
-        if tel_since is not None:
-            result.extras["telemetry"] = telemetry.summary(since=tel_since)
+        result.extras["telemetry"] = telemetry.summary(since=tel_since)
         if getattr(engine, "cache", None) is not None:
             engine.cache.annotate_study(fingerprint)
         if archive_dir is not None:

@@ -1,22 +1,22 @@
 """repro.telemetry — unified metrics, tracing and profiling.
 
-One observability layer for every tier: the engine's stage timings,
-both cache tiers' hit counters, the cluster scheduler's placement and
-requeue behaviour, shard-side chunk spans, and retry attempts all flow
-through this module.  It is **disabled by default** and the disabled
-path is a no-op — shared singleton instruments, no allocation, no
-I/O — so the hot-path benchmark floors are unaffected.
+One observability layer for every tier, and the one place anything
+is counted: the engine's rounds, batches and stage timings, both cache
+tiers' hit counters, the cluster scheduler's placement and requeue
+behaviour, shard-side chunk spans, the service's studies, and retry
+attempts all flow through this module.  Metrics are always on: every
+counter, histogram and span timing records, in every process, with
+no switch to turn them off.
 
-Enabling
---------
-``REPRO_TELEMETRY_DIR=<dir>`` (or ``--telemetry-dir``) arms metrics
-*and* the JSONL trace sink: every process — client, pool workers
-(they follow their owner's :func:`arming`, shipped with each chunk),
-autospawned shards (they inherit the environment) — writes spans to
-its own ``trace-<pid>-*.jsonl`` under the directory.  ``repro trace
-<dir>`` renders the merged tree.  ``REPRO_TELEMETRY=1`` arms metrics
-alone (counters, histograms, study provenance summaries) with no disk
-I/O.
+Trace sink
+----------
+The one setting is where span events go.  ``REPRO_TELEMETRY_DIR=<dir>``
+(or ``--telemetry-dir``) opens the JSONL trace sink: every process —
+client, pool workers (they follow their owner's :func:`arming`,
+shipped with each chunk), autospawned shards (they inherit the
+environment) — writes spans to its own ``trace-<pid>-*.jsonl`` under
+the directory.  ``repro trace <dir>`` renders the merged tree.
+Without a directory nothing touches the disk.
 
 Aggregation
 -----------
@@ -45,10 +45,10 @@ from __future__ import annotations
 import os
 import threading
 
-from repro.telemetry.metrics import (DEFAULT_BUCKETS, MetricsRegistry,
-                                     NOOP_COUNTER, NOOP_GAUGE,
-                                     NOOP_HISTOGRAM, diff_snapshots)
-from repro.telemetry.tracing import NOOP_SPAN, Tracer
+from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
+                                     Histogram, MetricsRegistry,
+                                     diff_snapshots)
+from repro.telemetry.tracing import Tracer
 
 __all__ = [
     "SUMMARY_SCHEMA_VERSION",
@@ -56,7 +56,6 @@ __all__ = [
     "configure",
     "counter",
     "diff_snapshots",
-    "enabled",
     "flush_delta",
     "gauge",
     "histogram",
@@ -73,24 +72,20 @@ __all__ = [
 
 SUMMARY_SCHEMA_VERSION = 1
 
-_TRUTHY = {"1", "true", "on", "yes"}
-
 
 class _State:
-    __slots__ = ("enabled", "directory", "registry", "tracer", "sink")
+    __slots__ = ("directory", "registry", "tracer", "sink")
 
-    def __init__(self, enabled: bool, directory: str | None):
-        self.enabled = enabled
+    def __init__(self, directory: str | None):
         self.directory = directory
         self.registry = MetricsRegistry()
         self.sink = None
-        if enabled and directory:
+        if directory:
             from repro.telemetry.sink import JsonlSink
 
             self.sink = JsonlSink(directory)
             self.sink.register_atexit(self.registry.snapshot)
-        self.tracer = Tracer(self.registry, self.sink) if enabled \
-            else None
+        self.tracer = Tracer(self.registry, self.sink)
 
 
 _state: _State | None = None
@@ -103,10 +98,10 @@ def _after_fork() -> None:
     # A forked child's state is its parent's: a pool worker's first
     # flush_delta() would ship the parent's counts back to be merged a
     # second time.  Drop it without writing anything, so the child
-    # starts from an empty registry (re-armed from the environment)
-    # and opens its own sink file.  The lock is replaced, not taken:
-    # the fork may have copied it mid-hold.  The child is a new peer,
-    # so it draws its own token.
+    # starts from an empty registry (its sink directory re-read from
+    # the environment) and opens its own sink file.  The lock is
+    # replaced, not taken: the fork may have copied it mid-hold.  The
+    # child is a new peer, so it draws its own token.
     global _state, _state_lock, _token
     _state, _state_lock = None, threading.Lock()
     _token = os.urandom(8).hex()
@@ -122,59 +117,52 @@ def _ensure() -> _State:
         with _state_lock:
             state = _state
             if state is None:
-                directory = os.environ.get("REPRO_TELEMETRY_DIR") or None
-                armed = bool(directory) or (
-                    os.environ.get("REPRO_TELEMETRY", "").strip().lower()
-                    in _TRUTHY)
-                state = _state = _State(armed, directory)
+                state = _state = _State(
+                    os.environ.get("REPRO_TELEMETRY_DIR") or None)
     return state
 
 
 def configure(directory: str | None = None, *,
-              metrics_only: bool = False) -> None:
-    """Explicitly (re)arm telemetry, replacing any current state.
+              metrics_only: bool = False) -> MetricsRegistry:
+    """Replace the current state with a fresh registry, and return it.
 
-    ``directory`` arms metrics plus the JSONL sink; ``metrics_only``
-    arms metrics without disk I/O.  Also exports
-    ``REPRO_TELEMETRY_DIR`` so spawned workers and shards inherit the
-    setting.
+    ``directory`` also opens the JSONL span sink there and exports
+    ``REPRO_TELEMETRY_DIR`` so spawned workers and shards inherit it;
+    without one the variable is cleared and no process writes spans.
+    Metrics record either way, so ``metrics_only=True`` is the same as
+    passing no directory: the keyword stays because callers written
+    when it armed the registry (``e2ebench/run.py`` among them) still
+    pass it.
     """
     global _state
     with _state_lock:
         if directory:
             os.environ["REPRO_TELEMETRY_DIR"] = directory
-            _state = _State(True, directory)
-        elif metrics_only:
-            os.environ.pop("REPRO_TELEMETRY_DIR", None)
-            os.environ["REPRO_TELEMETRY"] = "1"
-            _state = _State(True, None)
         else:
             os.environ.pop("REPRO_TELEMETRY_DIR", None)
-            os.environ.pop("REPRO_TELEMETRY", None)
-            _state = _State(False, None)
+        _state = _State(directory or None)
+        return _state.registry
 
 
-def arming() -> tuple[bool, str | None]:
-    """This process's setting as ``(enabled, directory)``: what a pool
-    owner ships with each chunk, for :func:`rearm` in the worker."""
-    state = _ensure()
-    return state.enabled, state.directory
+def arming() -> str | None:
+    """This process's sink directory (``None``: no sink), which a pool
+    owner ships with each chunk for :func:`rearm` in the worker."""
+    return _ensure().directory
 
 
-def rearm(setting: tuple[bool, str | None]) -> None:
-    """Match :func:`arming`'s ``setting`` from another process.
+def rearm(directory: str | None) -> None:
+    """Match :func:`arming`'s ``directory`` from another process.
 
     A long-lived pool worker calls this before each chunk: its own
-    setting was copied at fork time, and the owner may have armed or
-    disarmed telemetry since.  A matching setting keeps the current
-    state (and registry); a different one closes it, as :func:`reset`
-    does, and re-arms.
+    directory was copied at fork time, and the owner may have
+    reconfigured since.  A matching directory keeps the current state
+    (and registry); a different one closes it, as :func:`reset` does,
+    and reconfigures.
     """
-    enabled, directory = setting
-    if arming() == (enabled, directory):
+    if arming() == directory:
         return
     reset()
-    configure(directory, metrics_only=enabled)
+    configure(directory)
 
 
 def reset() -> None:
@@ -195,65 +183,49 @@ def reset() -> None:
                           "metrics": state.registry.snapshot()})
 
 
-def enabled() -> bool:
-    """Whether telemetry (metrics at least) is armed."""
-    return _ensure().enabled
-
-
 def trace_dir() -> str | None:
-    """The armed JSONL directory, or ``None``."""
+    """The span sink's directory, or ``None``."""
     return _ensure().directory
 
 
 def registry() -> MetricsRegistry:
-    """The live process registry (a real one even when disabled, so
-    tests can inspect; instruments reached through it always record)."""
+    """The live process registry."""
     return _ensure().registry
 
 
-def counter(name: str):
-    """The named counter, or the shared no-op when disabled."""
-    state = _ensure()
-    return state.registry.counter(name) if state.enabled \
-        else NOOP_COUNTER
+def counter(name: str) -> Counter:
+    """The named counter (created on first use)."""
+    return _ensure().registry.counter(name)
 
 
-def gauge(name: str):
-    """The named gauge, or the shared no-op when disabled."""
-    state = _ensure()
-    return state.registry.gauge(name) if state.enabled else NOOP_GAUGE
+def gauge(name: str) -> Gauge:
+    """The named gauge (created on first use)."""
+    return _ensure().registry.gauge(name)
 
 
-def histogram(name: str, buckets: tuple = DEFAULT_BUCKETS):
-    """The named histogram, or the shared no-op when disabled."""
-    state = _ensure()
-    return state.registry.histogram(name, buckets) if state.enabled \
-        else NOOP_HISTOGRAM
+def histogram(name: str, buckets: tuple = DEFAULT_BUCKETS) -> Histogram:
+    """The named histogram (created with ``buckets`` on first use)."""
+    return _ensure().registry.histogram(name, buckets)
 
 
 def trace_span(name: str, **attrs):
-    """Context manager timing a named span (no-op when disabled)."""
-    state = _ensure()
-    if state.tracer is None:
-        return NOOP_SPAN
-    return state.tracer.span(name, attrs)
+    """Context manager timing a named span: it feeds the
+    ``span.<name>.seconds`` histogram, and the sink when one is open."""
+    return _ensure().tracer.span(name, attrs)
 
 
 def snapshot() -> dict:
-    """The registry's full snapshot (empty shapes when disabled)."""
+    """The registry's full snapshot."""
     return _ensure().registry.snapshot()
 
 
 def flush_delta() -> dict | None:
     """Ship-and-reset delta for cross-process piggybacking.
 
-    ``None`` when disabled or when nothing changed — callers omit the
-    field from replies entirely in both cases.
+    ``None`` when nothing changed — callers then omit the field from
+    replies entirely.
     """
-    state = _ensure()
-    if not state.enabled:
-        return None
-    return state.registry.flush_delta()
+    return _ensure().registry.flush_delta()
 
 
 def merge(delta: dict | None) -> None:

@@ -15,10 +15,8 @@ back piggybacked on its normal reply; the client calls
 :meth:`MetricsRegistry.merge` to fold it in.  Counters and histograms
 add; gauges are last-writer-wins and never travel in deltas.
 
-When telemetry is disabled the module-level no-op instruments
-(:data:`NOOP_COUNTER` et al.) stand in for the real ones: shared
-singletons whose methods do nothing, so the disabled hot path costs a
-method call and allocates nothing.
+The registry is always live: every instrument handed out records, so
+it is the one tally of anything the program counts.
 """
 
 from __future__ import annotations
@@ -31,9 +29,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NOOP_COUNTER",
-    "NOOP_GAUGE",
-    "NOOP_HISTOGRAM",
     "diff_snapshots",
 ]
 
@@ -105,38 +100,6 @@ class Histogram:
             self.counts[idx] += 1
             self.sum += value
             self.count += 1
-
-
-class _NoopCounter:
-    __slots__ = ()
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NoopGauge:
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NoopHistogram:
-    __slots__ = ()
-    buckets = ()
-    counts = ()
-    sum = 0.0
-    count = 0
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NOOP_COUNTER = _NoopCounter()
-NOOP_GAUGE = _NoopGauge()
-NOOP_HISTOGRAM = _NoopHistogram()
 
 
 class MetricsRegistry:

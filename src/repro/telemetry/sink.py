@@ -1,6 +1,6 @@
 """Crash-safe JSONL event sink: one file per process.
 
-Every telemetry-enabled process appends JSON events (one object per
+Every process with a sink directory appends JSON events (one object per
 line) to its own ``trace-<pid>-<token>.jsonl`` under the telemetry
 directory.  Writes are line-buffered and flushed per event, so a
 ``SIGKILL`` at any instant loses at most the final partial line — the

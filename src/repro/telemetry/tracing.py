@@ -1,23 +1,19 @@
 """Span-based tracing with thread-local parent/child nesting.
 
-``trace_span("fit", round_key=...)`` is a context manager.  On exit it
-emits one JSONL event carrying the span's name, ids, wall-clock start,
-duration and attributes — end-emission means children appear before
-their parents in the file, and the viewer rebuilds the tree from the
-``parent`` field.  Every span also feeds a ``span.<name>.seconds``
-histogram, so per-stage time breakdowns are available from metrics
-alone (and therefore from study provenance and shard deltas) even when
-no sink directory is configured.
+``trace_span("fit", round_key=...)`` is a context manager.  On exit
+every span feeds a ``span.<name>.seconds`` histogram, so per-stage
+time breakdowns are available from metrics alone (and therefore from
+study provenance and shard deltas) with no sink directory.  When a
+sink is open it also emits one JSONL event carrying the span's name,
+ids, wall-clock start, duration and attributes — end-emission means
+children appear before their parents in the file, and the viewer
+rebuilds the tree from the ``parent`` field.
 
 Span ids are small per-process integers; ``(pid, span)`` is globally
 unique within a trace directory because each process writes its own
 file.  The parent stack is thread-local: spans nest per thread, and
 cross-thread work (scheduler shard workers, server connection threads)
 starts fresh roots, which is the truthful shape.
-
-When tracing is disabled, :data:`NOOP_SPAN` — one shared reusable
-context manager — is returned instead, so a disabled call site costs a
-function call and no allocation beyond its kwargs.
 """
 
 from __future__ import annotations
@@ -27,20 +23,7 @@ import os
 import threading
 import time
 
-__all__ = ["Tracer", "NOOP_SPAN"]
-
-
-class _NoopSpan:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-NOOP_SPAN = _NoopSpan()
+__all__ = ["Tracer"]
 
 
 class _Span:

@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro import telemetry
 from repro.cluster.server import ShardServer
 from repro.experiments.runner import make_synthetic_context
 from repro.resilience import faults
@@ -23,34 +22,6 @@ def _disarm_faults():
     """No fault plan leaks between tests (the plan is process-wide)."""
     yield
     faults.install(None)
-
-
-@pytest.fixture()
-def counters():
-    """Arm metrics-only telemetry on a fresh registry for one test.
-
-    ``counters()`` returns the counter increments since its previous
-    call (or since arming), so a test reads one batch's counts.  The
-    environment ``configure`` exports is restored afterwards.
-    """
-    saved = {name: os.environ.get(name)
-             for name in ("REPRO_TELEMETRY_DIR", "REPRO_TELEMETRY")}
-    telemetry.configure(metrics_only=True)
-    last = telemetry.snapshot()
-
-    def read() -> dict:
-        nonlocal last
-        now = telemetry.snapshot()
-        counts = telemetry.diff_snapshots(last, now)["counters"]
-        last = now
-        return counts
-
-    yield read
-    telemetry.configure()
-    for name, value in saved.items():
-        if value is not None:
-            os.environ[name] = value
-    telemetry.reset()
 
 
 @pytest.fixture(scope="session")

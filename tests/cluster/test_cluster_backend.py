@@ -70,15 +70,17 @@ class TestClusterParity:
         assert serial.cache._memory == cluster.cache._memory
 
     def test_warm_cache_serves_without_shard_contact(self, cluster_ctx,
-                                                     shard_farm):
+                                                     shard_farm, counters):
         specs = batch(n=2)
         engine = EvaluationEngine(
             ClusterBackend(shards=shard_farm(1)), cache=True)
         first = engine.evaluate_batch(cluster_ctx, specs)
-        computed = engine.rounds_computed
+        counters()
         second = engine.evaluate_batch(cluster_ctx, specs)
         assert first == second
-        assert engine.rounds_computed == computed
+        counts = counters()
+        assert "engine.rounds_computed" not in counts
+        assert "shard.rounds_total" not in counts
 
     def test_mixed_families_run_remotely(self, cluster_ctx, shard_farm):
         """Non-radius defenses and victims materialise shard-side."""
@@ -108,7 +110,7 @@ class TestInProcessCounts:
                                   cache=False)
         engine.evaluate_batch(cluster_ctx, specs[:4])
         engine.evaluate_batch(cluster_ctx, specs[4:])
-        counts = telemetry.snapshot()["counters"]
+        counts = counters()
         assert counts["engine.rounds_computed"] == 7
         assert counts["engine.batches_total"] == 2
         assert counts["shard.rounds_total"] == 7
@@ -385,6 +387,7 @@ class TestScheduler:
         n = 500
         scheduler = ClusterScheduler(clients, max_chunk=3)
         delivered = []
+        before = telemetry.snapshot()
         runner = threading.Thread(
             target=lambda: delivered.extend(
                 scheduler.run_iter(list(range(n)))), daemon=True)
@@ -401,7 +404,8 @@ class TestScheduler:
                     if thread.name.startswith("shard-stress-")]
         assert sorted(i for i, _ in delivered) == list(range(n))
         # every dealt chunk landed once; each failed attempt was requeued
-        landed = telemetry.snapshot()["histograms"]["cluster.chunk.seconds"]
+        landed = telemetry.diff_snapshots(before, telemetry.snapshot())[
+            "histograms"]["cluster.chunk.seconds"]
         assert landed["count"] == 8 * -(-n // (8 * 3))
         assert counters().get("cluster.chunks_requeued", 0) == \
             len(scheduler.failures)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.backend import ClusterBackend
+from repro.cluster.scheduler import ClusterScheduler
 from repro.cluster.server import CHAOS_EXIT_CODE
 from repro.engine import AttackSpec, EvaluationEngine, RoundSpec
 from repro.experiments.runner import make_synthetic_context, save_context
@@ -59,7 +60,7 @@ def ctx_file(cluster_ctx, tmp_path):
 
 class TestShardDeath:
     def test_killed_shard_mid_sweep_loses_no_work(self, cluster_ctx,
-                                                  ctx_file):
+                                                  ctx_file, monkeypatch):
         """One shard hard-exits mid-chunk after 3 rounds; the survivor
         absorbs the requeued work and the sweep stays bit-identical."""
         specs = sweep_batch()
@@ -72,6 +73,26 @@ class TestShardDeath:
             survivor, addr_a = _spawn_shard(ctx_file)
             chaotic, addr_b = _spawn_shard(
                 ctx_file, "--faults", "shard:crash_after_rounds=3")
+            # The 12 rounds deal as 4 chunks of 3, and the chaotic
+            # shard crashes only as its 4th round would start: the
+            # survivor takes nothing until the chaotic shard has taken
+            # its second chunk, so the crash always comes.
+            chaotic_name = f"{addr_b[0]}:{addr_b[1]}"
+            chaotic_takes = []
+            second_taken = threading.Event()
+            real_take = ClusterScheduler._take
+
+            def take(scheduler, owner):
+                if owner != chaotic_name:
+                    second_taken.wait(timeout=30.0)
+                taken = real_take(scheduler, owner)
+                if owner == chaotic_name:
+                    chaotic_takes.append(taken)
+                    if len(chaotic_takes) == 2:
+                        second_taken.set()
+                return taken
+
+            monkeypatch.setattr(ClusterScheduler, "_take", take)
             backend = ClusterBackend(shards=[addr_a, addr_b],
                                      max_chunk=4)
             engine = EvaluationEngine(backend, cache=False)
@@ -148,3 +169,78 @@ class TestAutospawn:
             cluster_backend.close_local_pools()
             for pool in built:
                 pool.close()
+
+
+class _Alive:
+    def poll(self):
+        return None
+
+
+class _FakeFleet:
+    """Stands in for LocalShardPool: records its close, spawns nothing.
+
+    ``addresses_for`` maps a context fingerprint to real shard
+    addresses, for a fleet a batch actually runs on.
+    """
+
+    addresses_for: dict = {}
+
+    def __init__(self, ctx, n_shards, secret=None):
+        self.fingerprint = ctx.fingerprint()
+        self.addresses = self.addresses_for.get(
+            self.fingerprint, [("127.0.0.1", 1)] * n_shards)
+        self.processes = [_Alive() for _ in self.addresses]
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class _Ctx:
+    def __init__(self, name):
+        self.name = name
+
+    def fingerprint(self):
+        return self.name
+
+
+class TestLocalFleetCache:
+    @pytest.fixture()
+    def fleets(self, monkeypatch):
+        from repro.cluster import backend as cluster_backend
+
+        monkeypatch.setattr(cluster_backend, "LocalShardPool", _FakeFleet)
+        monkeypatch.setattr(_FakeFleet, "addresses_for", {})
+        yield cluster_backend
+        cluster_backend.close_local_pools()
+
+    def test_evicts_the_least_recently_used_fleet(self, fleets):
+        """Fleets used A, B, A, then C: B is the one torn down."""
+        a = fleets.shared_local_pool(_Ctx("a"), 2)
+        b = fleets.shared_local_pool(_Ctx("b"), 2)
+        assert fleets.shared_local_pool(_Ctx("a"), 2) is a
+        c = fleets.shared_local_pool(_Ctx("c"), 2)
+        assert b.closed
+        assert not a.closed and not c.closed
+
+    def test_fleet_evicted_mid_batch_closes_when_the_batch_ends(
+            self, fleets, cluster_ctx, shard_farm):
+        """Newer contexts push a fleet out of the cache while a batch
+        runs on it, and a bigger fleet replaces it: the batch keeps its
+        shards, and the evicted fleet closes once the batch ends."""
+        _FakeFleet.addresses_for[cluster_ctx.fingerprint()] = shard_farm(2)
+        specs = sweep_batch(n=2, seeds=2)
+        reference = EvaluationEngine("serial", cache=False).evaluate_batch(
+            cluster_ctx, specs)
+        backend = ClusterBackend(2, max_chunk=1)
+        stream = backend.run_iter(cluster_ctx, specs)
+        outcomes = dict([next(stream)])
+        running = backend._pool
+        grown = fleets.shared_local_pool(cluster_ctx, 3)
+        assert grown is not running
+        fleets.shared_local_pool(_Ctx("b"), 2)
+        fleets.shared_local_pool(_Ctx("c"), 2)
+        assert not running.closed
+        outcomes.update(stream)
+        assert running.closed
+        assert [outcomes[i] for i in range(len(specs))] == reference

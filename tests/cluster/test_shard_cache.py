@@ -50,12 +50,9 @@ class TestCacheQuery:
         keys = round_keys(cluster_ctx.fingerprint(), specs)
         client = _client(address, cluster_ctx)
         try:
-            held, stats = client.query_cache(keys)
-            assert held == set() and stats["enabled"]
+            assert client.query_cache(keys) == set()
             client.run_chunk(1, specs[:2])
-            held, stats = client.query_cache(keys)
-            assert held == set(keys[:2])
-            assert stats["entry_count"] == 2
+            assert client.query_cache(keys) == set(keys[:2])
         finally:
             client.close()
 
@@ -65,10 +62,9 @@ class TestCacheQuery:
         client = _client(address, cluster_ctx)
         try:
             client.run_chunk(1, specs)
-            held, stats = client.query_cache(
+            held = client.query_cache(
                 round_keys(cluster_ctx.fingerprint(), specs))
             assert held == set()
-            assert stats["enabled"] is False
         finally:
             client.close()
 
@@ -126,6 +122,36 @@ class TestCacheInfoProbe:
         assert stats["fingerprint"] == cluster_ctx.fingerprint()
         assert stats["entry_count"] == 2
         assert stats["total_bytes"] > 0
+
+    def test_cli_reports_the_shards_own_hits_and_stores(
+            self, cluster_ctx, tmp_path, capsys):
+        """``repro-cache info --shard`` prints the tier's hits and
+        stores, which the shard reads from its ``shard.cache.*``
+        counters (a subprocess shard: a registry of its own)."""
+        from repro.experiments.cli import main
+
+        ctx_file = str(tmp_path / "ctx.npz")
+        save_context(cluster_ctx, ctx_file)
+        proc, address = _spawn_shard(ctx_file, "--cache-dir",
+                                     str(tmp_path / "tier"))
+        try:
+            specs = sweep_batch(n=2, seeds=1)
+            client = _client(address, cluster_ctx)
+            try:
+                client.run_chunk(1, specs)
+                client.run_chunk(2, specs)  # served from the tier
+            finally:
+                client.close()
+            code = main(["repro-cache", "info", "--shard",
+                         f"{address[0]}:{address[1]}"])
+        finally:
+            proc.terminate()
+            proc.wait(timeout=5.0)
+            proc.stdout.close()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"{len(specs)} entries" in out
+        assert f"{len(specs)} hits / {len(specs)} stores" in out
 
     def test_probe_on_cacheless_shard(self, shard_farm):
         [address] = shard_farm(1)
@@ -247,7 +273,7 @@ class TestPlacement:
 class TestShardCacheCounters:
     def test_shard_cache_counts_under_its_own_names(
             self, cluster_ctx, reference, tmp_path, counters):
-        """An armed subprocess shard's cache tier counts as
+        """A subprocess shard's cache tier counts as
         ``shard.cache.*``: its piggybacked delta leaves a cacheless
         client's own ``cache.*`` counters at 0."""
         ctx_file = str(tmp_path / "ctx.pkl")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.game import PayoffCurves, PoisoningGame
 from repro.data.synthetic import make_gaussian_blobs
 from repro.experiments.runner import make_synthetic_context
@@ -11,6 +12,26 @@ from repro.experiments.runner import make_synthetic_context
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: spawns a real subprocess; seconds, not milliseconds")
+
+
+@pytest.fixture()
+def counters():
+    """Read the telemetry registry's counters as increments.
+
+    ``counters()`` returns the counter increments since its previous
+    call (or since the fixture was set up), so a test reads one
+    batch's counts; counters that did not move are absent.
+    """
+    last = telemetry.snapshot()
+
+    def read() -> dict:
+        nonlocal last
+        now = telemetry.snapshot()
+        counts = telemetry.diff_snapshots(last, now)["counters"]
+        last = now
+        return counts
+
+    return read
 
 
 @pytest.fixture(scope="session")

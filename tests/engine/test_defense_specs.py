@@ -153,14 +153,15 @@ class TestDefenseSpecParity:
         b = direct(ctx, SEED).mask(ctx.X_train, ctx.y_train)
         assert np.array_equal(a, b)
 
-    def test_cached_and_uncached_identical(self, ctx):
+    def test_cached_and_uncached_identical(self, ctx, counters):
         specs = [_round_spec(d) for d, _ in DEFENSE_CASES.values()]
         uncached = EvaluationEngine("serial", cache=False).evaluate_batch(ctx, specs)
+        counters()
         engine = EvaluationEngine("serial", cache=True)
         first = engine.evaluate_batch(ctx, specs)
         second = engine.evaluate_batch(ctx, specs)  # pure cache hits
         assert uncached == first == second
-        assert engine.rounds_computed == len(specs)
+        assert counters()["engine.rounds_computed"] == len(specs)
 
     def test_process_backend_parity(self, ctx):
         specs = [_round_spec(d) for d, _ in DEFENSE_CASES.values()]

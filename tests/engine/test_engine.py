@@ -67,38 +67,43 @@ class TestBackendParity:
 
 
 class TestCaching:
-    def test_repeat_batch_is_served_from_cache(self, ctx):
+    def test_repeat_batch_is_served_from_cache(self, ctx, counters):
         engine = EvaluationEngine("serial")
         specs = batch()
         first = engine.evaluate_batch(ctx, specs)
-        computed = engine.rounds_computed
+        counters()
         second = engine.evaluate_batch(ctx, specs)
         assert first == second
-        assert engine.rounds_computed == computed  # nothing recomputed
-        assert engine.cache.stats.hits == len(specs)
+        counts = counters()
+        assert "engine.rounds_computed" not in counts  # nothing recomputed
+        assert counts["cache.memory.hits"] == len(specs)
 
-    def test_in_batch_duplicates_computed_once(self, ctx):
+    def test_in_batch_duplicates_computed_once(self, ctx, counters):
         engine = EvaluationEngine("serial", cache=False)
         spec = RoundSpec(filter_percentile=0.1, attack=None, seed=9)
         outcomes = engine.evaluate_batch(ctx, [spec, spec, spec])
-        assert engine.rounds_computed == 1
+        assert counters()["engine.rounds_computed"] == 1
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
-    def test_cache_off_recomputes(self, ctx):
+    def test_cache_off_recomputes(self, ctx, counters):
         engine = EvaluationEngine("serial", cache=False)
         spec = RoundSpec(filter_percentile=0.1, attack=None, seed=9)
         engine.evaluate(ctx, spec)
         engine.evaluate(ctx, spec)
-        assert engine.rounds_computed == 2
+        assert counters()["engine.rounds_computed"] == 2
 
-    def test_disk_cache_survives_engine_restart(self, ctx, tmp_path):
+    def test_disk_cache_survives_engine_restart(self, ctx, tmp_path,
+                                                counters):
         spec = RoundSpec(filter_percentile=0.1, attack=None, seed=9)
         first = EvaluationEngine("serial", cache_dir=tmp_path / "cache")
         out1 = first.evaluate(ctx, spec)
+        counters()
         second = EvaluationEngine("serial", cache_dir=tmp_path / "cache")
         out2 = second.evaluate(ctx, spec)
         assert out1 == out2
-        assert second.rounds_computed == 0
+        counts = counters()
+        assert "engine.rounds_computed" not in counts
+        assert counts["cache.disk.hits"] == 1
 
 
 class TestDriverCacheReuse:
@@ -112,37 +117,41 @@ class TestDriverCacheReuse:
                             poison_fraction=poison_fraction, n_repeats=2),
             context=ctx, engine=engine).payload_object()
 
-    def test_sweep_rerun_is_fully_cached(self, ctx):
+    def test_sweep_rerun_is_fully_cached(self, ctx, counters):
         engine = EvaluationEngine("serial")
         first = self.sweep(ctx, engine, 0.2)
-        computed = engine.rounds_computed
+        counts = counters()
+        computed = counts["engine.rounds_computed"]
         assert computed == 2 * 2 * len(self.PERCENTILES)  # clean + attacked
+        assert "cache.memory.hits" not in counts
         second = self.sweep(ctx, engine, 0.2)
-        assert engine.rounds_computed == computed
-        assert engine.cache.stats.hits == computed
+        counts = counters()
+        assert "engine.rounds_computed" not in counts
+        assert counts["cache.memory.hits"] == computed
         assert second.acc_clean == first.acc_clean
         assert second.acc_attacked == first.acc_attacked
 
-    def test_clean_baselines_shared_across_poison_fractions(self, ctx):
+    def test_clean_baselines_shared_across_poison_fractions(self, ctx,
+                                                            counters):
         engine = EvaluationEngine("serial")
         self.sweep(ctx, engine, 0.2)
-        hits_before = engine.cache.stats.hits
+        counters()
         sweep = self.sweep(ctx, engine, 0.3)
         # Every clean cell (percentile x repeat) is identical work at any
         # contamination rate and must be a cache hit; only the attacked
         # cells are new.
         n_clean_cells = 2 * len(self.PERCENTILES)
-        assert engine.cache.stats.hits - hits_before == n_clean_cells
+        assert counters()["cache.memory.hits"] == n_clean_cells
         assert sweep.poison_fraction == 0.3
 
-    def test_mixed_defense_rerun_is_fully_cached(self, ctx):
+    def test_mixed_defense_rerun_is_fully_cached(self, ctx, counters):
         spec = studies.mixed_eval(context=None, percentiles=(0.05, 0.2),
                                   probabilities=(0.6, 0.4), n_repeats=1)
         engine = EvaluationEngine("serial")
         first = run_study(spec, context=ctx, engine=engine).payload_object()
-        computed = engine.rounds_computed
+        counters()
         second = run_study(spec, context=ctx, engine=engine).payload_object()
-        assert engine.rounds_computed == computed
+        assert "engine.rounds_computed" not in counters()
         assert np.array_equal(first.accuracy_matrix, second.accuracy_matrix)
 
 

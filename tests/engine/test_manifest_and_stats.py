@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro import telemetry
 from repro.engine import (
     AttackSpec,
     EvaluationEngine,
@@ -105,9 +106,9 @@ class TestBatchTelemetry:
                 RoundSpec(filter_percentile=0.1,
                           attack=AttackSpec("boundary", 0.1), seed=5)]
 
-    def test_streams_get_their_own_batch_records(self, ctx):
-        """A batch's record goes to the stream that ran it; the engine
-        keeps only lifetime totals."""
+    def test_streams_get_their_own_batch_records(self, ctx, counters):
+        """A batch's record goes to the stream that ran it; the
+        registry counts every batch."""
         engine = EvaluationEngine("serial")
         cold, warm = [], []
         list(engine._stream_indexed(ctx, self.specs(), cold))
@@ -118,13 +119,14 @@ class TestBatchTelemetry:
         assert first["computed"] == 2 and first["cache_hits"] == 0
         assert second["computed"] == 0 and second["cache_hits"] == 2
         assert first["seconds"] > 0.0 and second["seconds"] >= 0.0
-        assert engine.stats["batches_run"] == 2
-        assert engine.rounds_computed == 2
+        counts = counters()
+        assert counts["engine.batches_total"] == 2
+        assert counts["engine.rounds_computed"] == 2
 
-    def test_totals_survive_concurrent_streams(self, ctx):
+    def test_totals_survive_concurrent_streams(self, ctx, counters):
         """More streams than cores on one engine, switching often: the
-        lifetime totals lose no update and each stream keeps exactly
-        its own records."""
+        registry's counters lose no update and each stream keeps
+        exactly its own records."""
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -154,16 +156,18 @@ class TestBatchTelemetry:
         for batches in per_stream:
             assert [b["batch"] for b in batches] == list(range(1, 201))
             assert all(b["computed"] == len(specs) for b in batches)
-        assert engine.stats["batches_run"] == 8 * 200
-        assert engine.rounds_computed == 8 * 200 * len(specs)
+        counts = counters()
+        assert counts["engine.batches_total"] == 8 * 200
+        assert counts["engine.rounds_computed"] == 8 * 200 * len(specs)
 
     def test_stats_include_evictions_and_batches(self, ctx):
         engine = EvaluationEngine("serial", cache_max_entries=1)
+        before = telemetry.snapshot()
         engine.evaluate_batch(ctx, self.specs())
-        stats = engine.stats
-        assert stats["batches_run"] == 1
-        assert stats["cache_evictions"] == 1  # cap 1, two stores
-        assert stats["batch_seconds"] > 0.0
+        window = telemetry.diff_snapshots(before, telemetry.snapshot())
+        assert window["counters"]["engine.batches_total"] == 1
+        assert window["counters"]["cache.evictions"] == 1  # cap 1, 2 stores
+        assert window["histograms"]["span.batch.seconds"]["sum"] > 0.0
 
     def test_format_engine_stats_renders_both_tables(self, ctx):
         from repro.experiments.reporting import format_engine_stats

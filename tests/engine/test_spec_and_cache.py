@@ -151,7 +151,7 @@ class TestCanonicalParams:
 
 
 class TestLRUCap:
-    def test_oldest_entry_evicted(self):
+    def test_oldest_entry_evicted(self, counters):
         cache = ResultCache(max_entries=2)
         cache.put("a", outcome(accuracy=0.1))
         cache.put("b", outcome(accuracy=0.2))
@@ -159,7 +159,7 @@ class TestLRUCap:
         assert len(cache) == 2
         assert cache.get("a") is None
         assert cache.get("c").accuracy == 0.3
-        assert cache.stats.evictions == 1
+        assert counters()["cache.evictions"] == 1
 
     def test_get_refreshes_recency(self):
         cache = ResultCache(max_entries=2)
@@ -199,23 +199,25 @@ class TestLRUCap:
 
 
 class TestResultCache:
-    def test_memory_round_trip(self):
+    def test_memory_round_trip(self, counters):
         cache = ResultCache()
         assert cache.get("k") is None
         cache.put("k", outcome())
         assert cache.get("k") == outcome()
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
+        counts = counters()
+        assert counts["cache.misses"] == 1
+        assert counts["cache.memory.hits"] == 1
         assert len(cache) == 1
 
-    def test_disk_tier_persists_across_instances(self, tmp_path):
+    def test_disk_tier_persists_across_instances(self, tmp_path, counters):
         first = ResultCache(disk_dir=tmp_path / "store")
         first.put("deadbeef", outcome(accuracy=0.75))
+        counters()
         second = ResultCache(disk_dir=tmp_path / "store")
         restored = second.get("deadbeef")
         assert restored is not None
         assert restored.accuracy == 0.75
-        assert second.stats.hits == 1
+        assert counters()["cache.disk.hits"] == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         store = tmp_path / "store"

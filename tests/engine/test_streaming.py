@@ -69,16 +69,17 @@ class TestEvaluateStream:
 
     @pytest.mark.parametrize("backend", [SerialBackend, _ReversedBackend],
                              ids=["serial", "reversed"])
-    def test_cache_state_identical_to_batch(self, ctx, backend):
+    def test_cache_state_identical_to_batch(self, ctx, backend, counters):
         # The caches are OrderedDicts, so equality also pins LRU order:
         # entries commit in input order whatever order rounds land in.
         specs = batch()
         stream_engine = EvaluationEngine(backend())
         batch_engine = EvaluationEngine("serial")
         list(stream_engine.evaluate_stream(ctx, specs))
+        streamed = counters()
         batch_engine.evaluate_batch(ctx, specs)
         assert stream_engine.cache._memory == batch_engine.cache._memory
-        assert stream_engine.rounds_computed == batch_engine.rounds_computed
+        assert streamed == counters()
 
     def test_abandoned_stream_caches_every_landed_round(self, ctx):
         specs = batch()
@@ -100,22 +101,22 @@ class TestEvaluateStream:
         head = [spec for spec, _ in pairs[:len(warm)]]
         assert head == warm  # hits, in input order, before any compute
 
-    def test_streamed_duplicates_share_one_computation(self, ctx):
+    def test_streamed_duplicates_share_one_computation(self, ctx, counters):
         spec = batch(n_percentiles=1)[1]
         engine = EvaluationEngine("serial")
         pairs = list(engine.evaluate_stream(ctx, [spec, spec, spec]))
         assert len(pairs) == 3
-        assert engine.rounds_computed == 1
+        assert counters()["engine.rounds_computed"] == 1
         assert len({id(outcome) for _, outcome in pairs}) == 1
 
-    def test_stream_counts_one_batch(self, ctx):
+    def test_stream_counts_one_batch(self, ctx, counters):
         engine = EvaluationEngine("serial")
         specs = batch()
         list(engine.evaluate_stream(ctx, specs))
-        stats = engine.stats
-        assert stats["batches_run"] == 1
-        assert stats["rounds_computed"] == len(specs)
-        assert stats["cache_hits"] == 0
+        counts = counters()
+        assert counts["engine.batches_total"] == 1
+        assert counts["engine.rounds_computed"] == len(specs)
+        assert "cache.memory.hits" not in counts
 
     def test_empty_stream(self, ctx):
         engine = EvaluationEngine("serial")
@@ -145,15 +146,16 @@ class TestProgressCallback:
         assert got == plain.evaluate_batch(ctx, specs)
         assert calls == [(i + 1, len(specs)) for i in range(len(specs))]
 
-    def test_progress_counts_cache_hits(self, ctx):
+    def test_progress_counts_cache_hits(self, ctx, counters):
         engine = EvaluationEngine("serial")
         specs = batch()
         engine.evaluate_batch(ctx, specs)
+        counters()
         calls = []
         engine.evaluate_batch(ctx, specs,
                               progress=lambda d, t: calls.append((d, t)))
         assert calls[-1] == (len(specs), len(specs))
-        assert engine.rounds_computed == len(specs)  # nothing recomputed
+        assert "engine.rounds_computed" not in counters()  # nothing recomputed
 
 
 class TestClusterStream:

@@ -37,18 +37,17 @@ def contexts():
 
 
 @pytest.fixture
-def armable_telemetry():
-    """Start disarmed; restore the environment's setting afterwards."""
-    saved = {name: os.environ.get(name)
-             for name in ("REPRO_TELEMETRY_DIR", "REPRO_TELEMETRY")}
+def fresh_telemetry():
+    """Start from a fresh registry with no trace sink; restore the
+    environment's sink directory afterwards."""
+    saved = os.environ.get("REPRO_TELEMETRY_DIR")
     telemetry.configure()
     yield
     telemetry.reset()
-    for name, value in saved.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+    if saved is None:
+        os.environ.pop("REPRO_TELEMETRY_DIR", None)
+    else:
+        os.environ["REPRO_TELEMETRY_DIR"] = saved
 
 
 def specs(n, first_seed=0):
@@ -86,11 +85,10 @@ class TestReuse:
         assert second == serial(ctx, specs(4, first_seed=4))
 
     def test_each_worker_trains_one_window(self, contexts,
-                                           armable_telemetry):
+                                           fresh_telemetry):
         ctx = contexts[0]
         batch = specs(48)
         engine = EvaluationEngine("process", jobs=2, cache=False)
-        telemetry.configure(metrics_only=True)
         outcomes = engine.evaluate_batch(ctx, batch)
         stages = telemetry.summary()["stages"]
         # Two chunks of 24 rounds, each one lockstep fit group.
@@ -213,21 +211,26 @@ class TestRecovery:
         engine.backend.close()
 
     def test_telemetry_armed_after_the_pool_exists(self, contexts,
-                                                   armable_telemetry,
-                                                   monkeypatch):
+                                                   fresh_telemetry,
+                                                   monkeypatch, tmp_path):
         # Unbatched fits, so every stage counts once per round; the
         # pool forks after this, so its workers inherit the toggle.
         monkeypatch.setenv("REPRO_BATCH_FITS", "0")
         ctx = contexts[0]
         engine = EvaluationEngine("process", jobs=2, cache=False)
-        engine.evaluate_batch(ctx, specs(8))  # opens the pool, disarmed
-        telemetry.configure(metrics_only=True)
+        engine.evaluate_batch(ctx, specs(8))  # opens the pool, no sink
+        trace_dir = tmp_path / "trace"
+        telemetry.configure(str(trace_dir))  # a fresh registry and a sink
         outcomes = engine.evaluate_batch(ctx, specs(8, first_seed=8))
         stages = telemetry.summary()["stages"]
         for stage in ("attack", "defense", "fit", "payoff"):
             assert stages[stage]["count"] == 8, stage
         assert outcomes == serial(ctx, specs(8, first_seed=8))
         engine.backend.close()
+        # The workers followed the owner onto the sink: each wrote its
+        # own trace file beside the owner's.
+        writers = {name.split("-")[1] for name in os.listdir(trace_dir)}
+        assert writers - {str(os.getpid())}
 
 
 OWNER = """

@@ -183,21 +183,6 @@ def test_newer_schema_entry_is_skipped(tmp_path, tiny_spec):
         assert queue.entries() == []
 
 
-def test_manifest_rolls_up_counts(tmp_path, spec_maker):
-    """Mutations leave the manifest alone; flush_manifest (the service's
-    shutdown step) writes the roll-up."""
-    queue = StudyQueue(str(tmp_path))
-    queue.submit(spec_maker(seed_offset=1))
-    queue.submit(spec_maker(seed_offset=2))
-    path = os.path.join(str(tmp_path), "queue", "queue-manifest.json")
-    assert not os.path.exists(path)
-    queue.flush_manifest()
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    assert manifest["type"] == "StudyQueueManifest"
-    assert manifest["counts"]["queued"] == 2
-
-
 def test_study_state_resolution(tmp_path, tiny_spec):
     queue = StudyQueue(str(tmp_path))
     fp = tiny_spec.fingerprint()

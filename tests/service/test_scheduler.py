@@ -34,7 +34,7 @@ def _wait(predicate, timeout=60.0, message="condition"):
     raise AssertionError(f"timed out waiting for {message}")
 
 
-def test_worker_runs_queued_study_to_archive(tmp_path, tiny_spec):
+def test_worker_runs_queued_study_to_archive(tmp_path, tiny_spec, counters):
     queue = StudyQueue(str(tmp_path))
     queue.submit(tiny_spec)
     engine = EvaluationEngine("serial")
@@ -47,14 +47,14 @@ def test_worker_runs_queued_study_to_archive(tmp_path, tiny_spec):
     finally:
         worker.stop()
         worker.join(timeout=30.0)
-    assert worker.studies_completed == 1
+    assert counters()["service.studies.completed"] == 1
     assert queue.get(tiny_spec.fingerprint()) is None  # entry removed
     # The archived result is the real study, resumable by fingerprint.
     served = run_study(tiny_spec, archive_dir=str(tmp_path))
     assert served.study_fingerprint == tiny_spec.fingerprint()
 
 
-def test_submit_landing_mid_scan_is_not_lost(tmp_path, tiny_spec):
+def test_submit_landing_mid_scan_is_not_lost(tmp_path, tiny_spec, counters):
     """A submission (and its wake) that lands after a scan listed the
     queue but before the worker waits is picked up at once, not at the
     next poll, 60 s away."""
@@ -82,10 +82,10 @@ def test_submit_landing_mid_scan_is_not_lost(tmp_path, tiny_spec):
         worker.stop()
         worker.join(timeout=30.0)
     assert not worker.is_alive()
-    assert worker.studies_completed == 1
+    assert counters()["service.studies.completed"] == 1
 
 
-def test_failure_requeues_with_backoff_then_parks_failed(tmp_path):
+def test_failure_requeues_with_backoff_then_parks_failed(tmp_path, counters):
     bad_ctx = ContextSpec(name="no-such-context", seed=0)
     spec = studies.figure1(context=bad_ctx, percentiles=(0.05,),
                            n_repeats=1)
@@ -105,7 +105,30 @@ def test_failure_requeues_with_backoff_then_parks_failed(tmp_path):
     assert entry.state == "failed"
     assert entry.attempts == 2  # the first try + one retry
     assert "unknown context" in entry.last_error
-    assert worker.studies_failed == 1
+    assert counters()["service.studies.failed"] == 1
+
+
+def test_stale_listing_never_reruns_a_finished_study(tmp_path, tiny_spec,
+                                                     counters):
+    """A worker listed the queue before another worker ran a study to
+    its archive and released the lease: it takes the free lease, finds
+    the entry gone, and runs and counts nothing."""
+    queue = StudyQueue(str(tmp_path))
+    queue.submit(tiny_spec)
+    stale = queue.pending()
+    first = SchedulerWorker(queue, _config(tmp_path),
+                            engine=EvaluationEngine("serial"), name="first")
+    assert first._lease_and_run_one()
+    assert counters()["service.studies.completed"] == 1
+
+    queue.pending = lambda **kwargs: stale
+    late = SchedulerWorker(queue, _config(tmp_path),
+                           engine=EvaluationEngine("serial"), name="late")
+    assert not late._lease_and_run_one()
+    counts = counters()
+    assert "service.studies.completed" not in counts
+    assert "engine.batches_total" not in counts
+    assert queue.lease_info(tiny_spec.fingerprint()) is None
 
 
 def test_malformed_entry_parks_failed_without_retries(tmp_path, tiny_spec):
@@ -128,7 +151,8 @@ def test_malformed_entry_parks_failed_without_retries(tmp_path, tiny_spec):
 
 
 def test_interrupt_checkpoints_and_resumes_zero_recompute(tmp_path,
-                                                          ctx_spec):
+                                                          ctx_spec,
+                                                          counters):
     """The graceful-shutdown contract, end to end: a study aborted
     mid-run keeps every completed round in its checkpoint, and the
     next engine recomputes exactly the remainder."""
@@ -154,11 +178,12 @@ def test_interrupt_checkpoints_and_resumes_zero_recompute(tmp_path,
     rows = load_checkpoint(str(tmp_path), spec.fingerprint())
     assert len(rows) >= stop_after  # nothing completed was lost
 
+    counters()
     fresh = EvaluationEngine("serial")
     result = run_study(spec, engine=fresh, archive_dir=str(tmp_path),
                        resume=True, checkpoint_every=1)
     # Zero recompute: the fresh engine computed only the remainder.
-    assert fresh.rounds_computed == total - len(rows)
+    assert counters()["engine.rounds_computed"] == total - len(rows)
     assert result.study_fingerprint == spec.fingerprint()
 
 
@@ -182,7 +207,8 @@ class _GatedBackend(SerialBackend):
                 self.release.wait(timeout=60.0)
 
 
-def test_worker_stop_midstudy_leaves_resumable_entry(tmp_path, ctx_spec):
+def test_worker_stop_midstudy_leaves_resumable_entry(tmp_path, ctx_spec,
+                                                     counters):
     """stop() during a study: the entry stays queued, a checkpoint
     holds the finished rounds, and a second worker finishes the study
     without recomputing them (asserted via engine round counts)."""
@@ -208,6 +234,7 @@ def test_worker_stop_midstudy_leaves_resumable_entry(tmp_path, ctx_spec):
         gate.release.set()
         worker.join(timeout=30.0)
     assert not worker.is_alive()
+    first_computed = counters()["engine.rounds_computed"]
 
     assert queue.lease_info(fp) is None  # lease released on the way out
     entry = queue.get(fp)
@@ -227,12 +254,13 @@ def test_worker_stop_midstudy_leaves_resumable_entry(tmp_path, ctx_spec):
         second.join(timeout=30.0)
     # Zero recompute across the handover: first worker's rounds plus
     # the second's sum to exactly the study's total.
-    assert second_engine.rounds_computed == total - len(rows)
-    assert first_engine.rounds_computed + second_engine.rounds_computed \
-        == total
+    second_computed = counters()["engine.rounds_computed"]
+    assert second_computed == total - len(rows)
+    assert first_computed + second_computed == total
 
 
-def test_two_workers_never_run_the_same_study_twice(tmp_path, spec_maker):
+def test_two_workers_never_run_the_same_study_twice(tmp_path, spec_maker,
+                                                    counters):
     """N workers over one queue: every study runs exactly once (the
     O_EXCL lease is the only coordination)."""
     specs = [spec_maker(seed_offset=i) for i in range(1, 5)]
@@ -256,12 +284,15 @@ def test_two_workers_never_run_the_same_study_twice(tmp_path, spec_maker):
             worker.stop()
         for worker in workers:
             worker.join(timeout=30.0)
-    # Exactly-once execution: the fleet computed each round once.
-    assert sum(e.rounds_computed for e in engines) == total
-    assert sum(w.studies_completed for w in workers) == len(specs)
+    # Exactly-once execution: the fleet computed each round once (the
+    # registry sums both engines).
+    counts = counters()
+    assert counts["engine.rounds_computed"] == total
+    assert counts["service.studies.completed"] == len(specs)
 
 
-def test_two_workers_share_one_context_bit_identically(tmp_path, ctx_spec):
+def test_two_workers_share_one_context_bit_identically(tmp_path, ctx_spec,
+                                                       counters):
     """Scheduler threads share run_study's per-process context, kernel
     included; every study they archive matches a direct serial run."""
     from repro.study.runner import _study_context
@@ -293,7 +324,7 @@ def test_two_workers_share_one_context_bit_identically(tmp_path, ctx_spec):
             worker.stop()
         for worker in workers:
             worker.join(timeout=30.0)
-    assert sum(w.studies_completed for w in workers) == len(specs)
+    assert counters()["service.studies.completed"] == len(specs)
 
     _study_context.cache_clear()
     for spec in specs:
@@ -325,7 +356,7 @@ class _FakeTime:
 
 
 def test_lease_refreshes_every_quarter_ttl_through_a_long_study(
-        tmp_path, ctx_spec, monkeypatch):
+        tmp_path, ctx_spec, monkeypatch, counters):
     """Each round takes an eighth of the lease TTL of fake time, so the
     study spans three TTLs: the lease is refreshed every quarter TTL and
     a reaper with that TTL never breaks it."""
@@ -356,7 +387,7 @@ def test_lease_refreshes_every_quarter_ttl_through_a_long_study(
     assert worker._lease_and_run_one()
     assert clock.now - started == total * ttl / 8 > ttl
     assert reaped == []
-    assert worker.studies_completed == 1
+    assert counters()["service.studies.completed"] == 1
     assert queue.study_state(fp)["state"] == "done"
     refreshes = sorted(set(beats) | {started})
     assert all(later - earlier <= ttl / 4
@@ -366,10 +397,10 @@ def test_lease_refreshes_every_quarter_ttl_through_a_long_study(
 
 
 def test_served_studies_rewrite_no_lease_and_no_manifest(
-        tmp_path, spec_maker, client_class, monkeypatch):
+        tmp_path, spec_maker, client_class, monkeypatch, counters):
     """The scheduler's clock stands still, so every study is shorter than
-    a quarter of the lease TTL: no study replaces its lease file, none
-    replaces the queue manifest, and stop() writes the manifest once."""
+    a quarter of the lease TTL: no study replaces its lease file, and
+    nothing, stop() included, writes a queue manifest."""
     monkeypatch.setattr(scheduler_module, "time", _FakeTime(1_000_000.0))
     replaced = []
     real_replace = os.replace
@@ -394,7 +425,6 @@ def test_served_studies_rewrite_no_lease_and_no_manifest(
         served = list(replaced)
     finally:
         service.stop()
-    assert service.workers[0].studies_completed == len(specs)
+    assert counters()["service.studies.completed"] == len(specs)
     assert [name for name in served if name.startswith("lease-")] == []
-    assert "queue-manifest.json" not in served
-    assert replaced.count("queue-manifest.json") == 1
+    assert "queue-manifest.json" not in replaced

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.engine import EvaluationEngine, SerialBackend
 from repro.service import ReproService, ServiceConfig, StudyQueue
 from repro.service.queue import lease_path
@@ -85,7 +86,7 @@ def test_submit_stream_fetch_bit_identical(svc_client, tiny_spec,
 
 
 def test_concurrent_submits_one_computation(svc_client, svc, engine,
-                                            tiny_spec):
+                                            tiny_spec, counters):
     """Two simultaneous POSTs of one spec: exactly one computation,
     asserted through the engine's batch telemetry."""
     fp = tiny_spec.fingerprint()
@@ -109,12 +110,13 @@ def test_concurrent_submits_one_computation(svc_client, svc, engine,
 
     _wait_done(svc_client, fp)
     svc.workers[0].wait_idle(timeout=30.0)
+    served = counters()
     # One computation: every computed round is accounted to exactly one
     # batch pass over the study; a duplicate run would double it.
-    direct_engine = EvaluationEngine("serial")
-    run_study(tiny_spec, engine=direct_engine)
-    assert engine.rounds_computed == direct_engine.rounds_computed
-    assert engine.stats["batches_run"] == direct_engine.stats["batches_run"]
+    run_study(tiny_spec, engine=EvaluationEngine("serial"))
+    direct = counters()
+    for name in ("engine.rounds_computed", "engine.batches_total"):
+        assert served[name] == direct[name], name
 
 
 def batch_accounting(result) -> dict:
@@ -128,7 +130,7 @@ def batch_accounting(result) -> dict:
 
 
 def test_two_workers_sharing_an_engine_archive_only_their_batches(
-        tmp_path, spec_maker, client_class):
+        tmp_path, spec_maker, client_class, counters):
     """Two studies with disjoint rounds, run at once by one replica's two
     scheduler workers on one engine, archive what each runs alone."""
     specs = [spec_maker(percentiles=(0.05, 0.1)),
@@ -136,6 +138,7 @@ def test_two_workers_sharing_an_engine_archive_only_their_batches(
     solo = [batch_accounting(run_study(spec,
                                        engine=EvaluationEngine("serial")))
             for spec in specs]
+    counters()
     meet = threading.Barrier(2, timeout=60.0)
 
     class Overlapping(SerialBackend):
@@ -165,19 +168,18 @@ def test_two_workers_sharing_an_engine_archive_only_their_batches(
                                                   spec.fingerprint()))
               for spec in specs]
     assert [batch_accounting(result) for result in served] == solo
-    assert shared.rounds_computed == \
+    assert counters()["engine.rounds_computed"] == \
         sum(result.rounds_computed for result in served)
 
 
 def test_already_archived_submit_zero_recompute(svc_client, svc, engine,
-                                                tiny_spec):
+                                                tiny_spec, counters):
     fp = tiny_spec.fingerprint()
     status, first = svc_client.json("POST", "/studies", tiny_spec.to_obj())
     assert status == 202
     _wait_done(svc_client, fp)
     svc.workers[0].wait_idle(timeout=30.0)
-    rounds_after_first = engine.rounds_computed
-    batches_after_first = engine.stats["batches_run"]
+    counters()
 
     status, doc = svc_client.json("POST", "/studies", tiny_spec.to_obj())
     assert status == 200
@@ -185,8 +187,9 @@ def test_already_archived_submit_zero_recompute(svc_client, svc, engine,
     # The archive answered and nothing was queued — so no worker can
     # ever pick the study up, and nothing was (or will be) recomputed.
     assert svc.queue.get(fp) is None
-    assert engine.rounds_computed == rounds_after_first
-    assert engine.stats["batches_run"] == batches_after_first
+    counts = counters()
+    assert "engine.rounds_computed" not in counts
+    assert "engine.batches_total" not in counts
 
 
 def test_submit_racing_the_studys_completion_is_deduped(svc_client, svc,
@@ -311,33 +314,26 @@ def test_priority_wrapper_and_queue_route(svc_client, svc, spec_maker):
 
 def test_queue_route_counters_when_telemetry_armed(tmp_path, client_class,
                                                    spec_maker):
-    """/queue surfaces the service.* counters once telemetry is armed."""
-    from repro import telemetry
-
-    telemetry.configure(metrics_only=True)
+    """/queue surfaces the service.* counters (always recorded)."""
+    service = ReproService(ServiceConfig(
+        archive_dir=str(tmp_path / "archive"), poll_interval=0.05),
+        engine=EvaluationEngine("serial")).start()
     try:
-        service = ReproService(ServiceConfig(
-            archive_dir=str(tmp_path / "archive"), poll_interval=0.05),
-            engine=EvaluationEngine("serial")).start()
-        try:
-            client = client_class(service.host, service.port)
-            spec = spec_maker(seed_offset=31)
-            client.json("POST", "/studies", spec.to_obj())
-            _wait_done(client, spec.fingerprint())
-            # "done" is the archive; the worker counts the completion
-            # just after it lands.
-            assert service.workers[0].wait_idle(timeout=30.0)
-            status, listing = client.json("GET", "/queue")
-        finally:
-            service.stop()
-        assert status == 200
-        counters = listing["counters"]
-        assert counters["service.queue.submitted"] >= 1
-        assert counters["service.queue.leased"] >= 1
-        assert counters["service.studies.completed"] >= 1
+        client = client_class(service.host, service.port)
+        spec = spec_maker(seed_offset=31)
+        client.json("POST", "/studies", spec.to_obj())
+        _wait_done(client, spec.fingerprint())
+        # "done" is the archive; the worker counts the completion just
+        # after it lands.
+        assert service.workers[0].wait_idle(timeout=30.0)
+        status, listing = client.json("GET", "/queue")
     finally:
-        telemetry.configure()  # disarm
-        telemetry.reset()
+        service.stop()
+    assert status == 200
+    counters = listing["counters"]
+    assert counters["service.queue.submitted"] >= 1
+    assert counters["service.queue.leased"] >= 1
+    assert counters["service.studies.completed"] >= 1
 
 
 def test_result_before_done_is_a_named_404(svc_client, svc, tiny_spec):
@@ -356,13 +352,23 @@ def test_result_before_done_is_a_named_404(svc_client, svc, tiny_spec):
     assert "report" in doc["error"]
 
 
-def test_health_reports_workers(svc_client, svc):
+def test_health_reports_workers(svc_client, svc, tiny_spec):
+    svc_client.json("POST", "/studies", tiny_spec.to_obj())
+    _wait_done(svc_client, tiny_spec.fingerprint())
+    assert svc.workers[0].wait_idle(timeout=30.0)
     status, doc = svc_client.json("GET", "/health")
     assert status == 200
     assert doc["status"] == "ok"
     assert doc["auth"] is False
     assert len(doc["workers"]) == 1
     assert doc["workers"][0]["alive"] is True
+    assert set(doc["workers"][0]) == {"name", "alive", "running"}
+    # The replica's study tallies are the registry's counters.
+    counts = telemetry.snapshot()["counters"]
+    assert doc["studies"] == {
+        state: counts.get(f"service.studies.{state}", 0)
+        for state in ("completed", "failed")}
+    assert doc["studies"]["completed"] >= 1
 
 
 def test_submit_reply_is_the_state_at_acceptance(svc_client, svc, tiny_spec,
@@ -397,7 +403,7 @@ def _slow_poll_service(tmp_path, **kwargs):
 
 
 def test_submit_wakes_an_idle_worker_and_the_stream_is_pushed(
-        tmp_path, client_class, tiny_spec):
+        tmp_path, client_class, tiny_spec, counters):
     service = _slow_poll_service(tmp_path)
     try:
         # Idle: the worker's first scan is over, its next poll is 60 s
@@ -415,14 +421,14 @@ def test_submit_wakes_an_idle_worker_and_the_stream_is_pushed(
         # "done" is the archive; the worker counts the completion once
         # the entry and lease it held are gone.
         assert service.workers[0].wait_idle(timeout=20.0)
-        assert service.workers[0].studies_completed == 1
+        assert counters()["service.studies.completed"] == 1
     finally:
         service.stop()
     assert not service.workers[0].is_alive()
 
 
 def test_many_workers_many_streams_no_lost_wakeup(tmp_path, client_class,
-                                                  spec_maker):
+                                                  spec_maker, counters):
     """4 workers (more than the CPUs), 8 studies POSTed and streamed by
     8 client threads, a 60 s fallback poll and a tiny switch interval:
     a lost wake-up or event hangs a stream past its 20 s timeout, a
@@ -469,12 +475,12 @@ def test_many_workers_many_streams_no_lost_wakeup(tmp_path, client_class,
         dones = [c["done"] for c in counts]
         assert dones == sorted(dones)
         assert all(c["done"] <= c["total"] for c in counts)
-    assert sum(w.studies_completed for w in service.workers) == len(specs)
+    assert counters()["service.studies.completed"] == len(specs)
     assert not any(w.is_alive() for w in service.workers)
 
 
 def test_stream_falls_back_to_the_poll_for_another_replicas_run(
-        tmp_path, client_class, tiny_spec):
+        tmp_path, client_class, tiny_spec, counters):
     """Replica A (API only) and replica B (one worker) share an archive
     dir: A's submission reaches B by B's poll, and A's stream sees B's
     progress by its own poll — neither replica pushes to the other."""
@@ -496,4 +502,4 @@ def test_stream_falls_back_to_the_poll_for_another_replicas_run(
     finally:
         api.stop()
         runner.stop()
-    assert runner.workers[0].studies_completed == 1
+    assert counters()["service.studies.completed"] == 1

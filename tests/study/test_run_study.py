@@ -90,7 +90,7 @@ def batch_accounting(result) -> dict:
 
 class TestConcurrentStudies:
     def test_threads_sharing_an_engine_archive_only_their_batches(
-            self, ctx_spec):
+            self, ctx_spec, counters):
         """Two studies with disjoint rounds, both mid-batch at once on
         one engine, archive exactly what each runs alone."""
         from concurrent.futures import ThreadPoolExecutor
@@ -101,6 +101,7 @@ class TestConcurrentStudies:
         solo = [batch_accounting(run_study(
             spec, engine=EvaluationEngine("serial"))) for spec in specs]
 
+        counters()
         shared = EvaluationEngine("serial")
         # Each study waits after its first landed round until the other
         # has landed one too, so both batches are in flight together.
@@ -116,12 +117,12 @@ class TestConcurrentStudies:
         with ThreadPoolExecutor(2) as pool:
             results = list(pool.map(run, specs))
         assert [batch_accounting(r) for r in results] == solo
-        assert shared.rounds_computed == \
+        assert counters()["engine.rounds_computed"] == \
             sum(r.rounds_computed for r in results)
 
 
 class TestArchive:
-    def test_skip_if_done(self, ctx_spec, tmp_path):
+    def test_skip_if_done(self, ctx_spec, tmp_path, counters):
         spec = figure1_spec(ctx_spec)
         archive = str(tmp_path / "archive")
         engine = EvaluationEngine("serial")
@@ -129,9 +130,10 @@ class TestArchive:
         assert os.path.exists(archive_path(archive,
                                            spec.fingerprint()))
         # Second submission: served from the archive, nothing runs.
-        untouched = EvaluationEngine("serial")
-        second = run_study(spec, engine=untouched, archive_dir=archive)
-        assert untouched.stats["batches_run"] == 0  # it never saw a round
+        counters()
+        second = run_study(spec, engine=EvaluationEngine("serial"),
+                           archive_dir=archive)
+        assert "engine.batches_total" not in counters()  # no round seen
         assert second.to_json() == first.to_json()
         # force=True re-runs (fully cached on the same engine).
         third = run_study(spec, engine=engine, archive_dir=archive,

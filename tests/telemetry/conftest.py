@@ -1,10 +1,10 @@
 """Fixtures for the telemetry suite.
 
-Telemetry state is a process-wide lazy singleton driven by environment
-variables, so every test starts and ends from a clean slate: env vars
-scrubbed, module state dropped.  Tests that want telemetry armed call
-``telemetry.configure(...)`` themselves (which re-exports the env for
-any subprocesses they spawn).
+Telemetry state is a process-wide lazy singleton whose sink directory
+comes from the environment, so every test starts and ends from a clean
+slate: the variable scrubbed, module state dropped.  Tests that want a
+sink call ``telemetry.configure(...)`` themselves (which re-exports the
+variable for any subprocesses they spawn).
 """
 
 import os
@@ -18,13 +18,11 @@ from repro import telemetry
 def _clean_telemetry():
     """Scrub env + module state around every test (configure() writes
     os.environ directly, so monkeypatch alone would not cover it)."""
-    saved = {name: os.environ.pop(name, None)
-             for name in ("REPRO_TELEMETRY_DIR", "REPRO_TELEMETRY")}
+    saved = os.environ.pop("REPRO_TELEMETRY_DIR", None)
     telemetry.reset()
     yield
     telemetry.reset()
-    for name, value in saved.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+    if saved is None:
+        os.environ.pop("REPRO_TELEMETRY_DIR", None)
+    else:
+        os.environ["REPRO_TELEMETRY_DIR"] = saved

@@ -1,4 +1,4 @@
-"""Telemetry parity across backends, and bit-identity when disabled.
+"""Telemetry parity across backends, and bit-identity with a sink.
 
 The same StudySpec must produce the same *shape* of telemetry whether
 its rounds run serially, in a process pool (worker deltas merged by the
@@ -6,16 +6,20 @@ parent) or on the cluster (shard deltas piggybacked on chunk results).
 Stage counts for attack/defense/payoff are exact — one per computed
 round — while ``fit`` span *counts* legitimately differ: the batched
 fit_many path groups rounds per chunk, and chunking depends on the
-backend.  Disabled telemetry must leave no trace at all: no provenance
-key, no files, and a bit-identical StudyResult.
+backend.  Metrics are always on, with no switch to turn them off; an
+open trace sink must leave a StudyResult bit-identical.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import telemetry
-from repro.engine import EvaluationEngine
+from repro.engine import AttackSpec, EvaluationEngine, RoundSpec
+from repro.experiments.runner import make_synthetic_context
 from repro.study import run_study, studies
 
 CONTEXT = {"name": "synthetic", "n_samples": 240}
@@ -40,8 +44,7 @@ def _spec(context=CONTEXT, percentiles=PERCENTILES):
 
 def _run_with_telemetry(engine):
     """Run the back-to-back studies; results plus the process summary."""
-    telemetry.reset()
-    telemetry.configure(metrics_only=True)
+    telemetry.configure()  # a fresh registry for this backend
     try:
         results = [run_study(_spec(*study), engine=engine)
                    for study in BACK_TO_BACK]
@@ -50,7 +53,6 @@ def _run_with_telemetry(engine):
         close = getattr(engine.backend, "close", None)
         if close is not None:
             close()
-    telemetry.configure()  # disarm + scrub env before the next backend
     return results, summary
 
 
@@ -101,42 +103,93 @@ class TestBackendParity:
                         expected["stages"][stage]["count"], stage
 
     def test_cluster_chunk_latency_histogram_lands_clientside(self):
-        telemetry.reset()
-        telemetry.configure(metrics_only=True)
         engine = EvaluationEngine("cluster", jobs=2)
         try:
             run_study(_spec(), engine=engine)
             snap = telemetry.snapshot()
         finally:
             engine.backend.close()
-            telemetry.configure()
         assert snap["histograms"]["cluster.chunk.seconds"]["count"] >= 1
+
+    def test_engine_and_cache_counters_agree_over_batches(self, counters):
+        """Three batches on a cache capped at two entries (so they hit,
+        miss and evict) move every ``engine.*`` and ``cache.*`` counter
+        by the same amount on every backend: each is counted once, in
+        the client, whichever tier ran the rounds."""
+        ctx = make_synthetic_context(seed=5, n_samples=160, n_features=3)
+        rounds = [RoundSpec(filter_percentile=0.1,
+                            attack=AttackSpec("boundary", 0.05),
+                            poison_fraction=0.2, seed=seed)
+                  for seed in range(3)]
+        batches = [rounds[:2], rounds[1:], [rounds[0], rounds[2]]]
+        runs = {}
+        for backend in ("serial", "process", "cluster"):
+            engine = EvaluationEngine(backend, jobs=2, cache_max_entries=2)
+            counters()
+            try:
+                outcomes = [engine.evaluate_batch(ctx, batch)
+                            for batch in batches]
+            finally:
+                close = getattr(engine.backend, "close", None)
+                if close is not None:
+                    close()
+            runs[backend] = outcomes, {
+                name: count for name, count in counters().items()
+                if name.startswith(("engine.", "cache."))}
+        outcomes, counts = runs["serial"]
+        assert counts["engine.batches_total"] == len(batches)
+        assert counts["cache.memory.hits"] == 2
+        assert counts["cache.evictions"] == 2
+        assert counts["engine.rounds_computed"] == 4
+        assert runs["process"] == runs["cluster"] == runs["serial"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("setting", [None, "0"], ids=["unset", "zero"])
+def test_fresh_interpreter_counts_with_no_switch(setting):
+    """No environment setting turns the counters off: a new interpreter
+    counts its first batch with ``REPRO_TELEMETRY`` unset or ``0``."""
+    import repro
+
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_TELEMETRY")}
+    if setting is not None:
+        env["REPRO_TELEMETRY"] = setting
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    code = (
+        "from repro import telemetry\n"
+        "from repro.engine import EvaluationEngine, RoundSpec\n"
+        "from repro.experiments.runner import make_synthetic_context\n"
+        "ctx = make_synthetic_context(seed=0, n_samples=120, n_features=3)\n"
+        "EvaluationEngine('serial').evaluate_batch(\n"
+        "    ctx, [RoundSpec(filter_percentile=0.1, seed=s)\n"
+        "          for s in range(3)])\n"
+        "print(telemetry.snapshot()['counters'].get("
+        "'engine.rounds_computed', 0))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "3"
 
 
 class TestDisabledBitIdentity:
-    def test_no_provenance_key_and_no_files(self, tmp_path):
-        result = run_study(_spec(), engine=EvaluationEngine("serial"))
-        assert "telemetry" not in result.extras
-        assert list(tmp_path.iterdir()) == []
-
     def test_disabled_result_bit_identical_to_enabled_fingerprint(
             self, tmp_path):
-        disabled = run_study(_spec(), engine=EvaluationEngine("serial"))
-
-        telemetry.configure(metrics_only=True)
-        enabled = run_study(_spec(), engine=EvaluationEngine("serial"))
+        """A study run with the trace sink open archives exactly what a
+        run without one does: the same fingerprint, scenarios, payload
+        and counters (timings and timestamps normalised away)."""
+        trace_dir = tmp_path / "trace"
+        off = run_study(_spec(), engine=EvaluationEngine("serial"))
+        telemetry.configure(str(trace_dir))
+        sinked = run_study(_spec(), engine=EvaluationEngine("serial"))
         telemetry.configure()
+        assert os.listdir(trace_dir)  # the sink really was open
 
-        # Identical fingerprints: telemetry never enters the identity.
-        assert enabled.study_fingerprint == disabled.study_fingerprint
-        assert enabled.payload == disabled.payload
-
-        # And two disabled runs are bit-identical on disk (timings and
-        # timestamps normalised away, as the archive round-trip does).
-        again = run_study(_spec(), engine=EvaluationEngine("serial"))
+        assert sinked.study_fingerprint == off.study_fingerprint
         a, b = (str(tmp_path / "a.json"), str(tmp_path / "b.json"))
-        disabled.to_json(a)
-        again.to_json(b)
+        off.to_json(a)
+        sinked.to_json(b)
 
         def normalised(path):
             with open(path, encoding="utf-8") as fh:
@@ -145,6 +198,9 @@ class TestDisabledBitIdentity:
                 data.pop(volatile, None)
             for batch in data.get("engine_stats", {}).get("batches", []):
                 batch.pop("seconds", None)
+            summary = data.get("extras", {}).get("telemetry", {})
+            for stage in summary.get("stages", {}).values():
+                stage.pop("seconds", None)
             return data
 
         assert normalised(a) == normalised(b)
