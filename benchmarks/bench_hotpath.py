@@ -45,7 +45,8 @@ from repro.attacks.base import poison_dataset
 from repro.attacks.optimal_boundary import OptimalBoundaryAttack
 from repro.defenses.base import defense_report
 from repro.defenses.radius_filter import RadiusFilter
-from repro.engine import AttackSpec, EvaluationEngine, RoundSpec
+from repro.engine import (AttackSpec, EvaluationBackend, EvaluationEngine,
+                          RoundSpec, execute_round)
 from repro.experiments.runner import EvaluationOutcome
 from repro.ml.base import signed_labels
 from repro.ml.linear_svm import LinearSVM
@@ -76,8 +77,9 @@ FIT_MANY_PAPER_FLOOR = 1.25
 # counts train as one group, each with its own step counter and tail
 # (measured: 2.5-3.9x on a 2-CPU host; the floor keeps CI headroom).
 FIT_MANY_RAGGED_FLOOR = 1.8
-# Whole uncached repeat sweep, batched fits vs the same engine with
-# REPRO_BATCH_FITS=0 (i.e. vs pre-PR-6 execution, stage for stage).
+# Whole uncached repeat sweep, batched fits vs a backend that runs
+# each round through execute_round (pre-PR-6 execution, stage for
+# stage).
 # Asserted at the grid scale study repeats actually run at (measured:
 # ~2.3x); the paper-scale sweep inherits the memory-bound fit ceiling
 # (measured: ~1.3-1.4x) and carries its own conservative floor.
@@ -500,10 +502,20 @@ def test_fit_many_speedup(spambase_ctx):
     assert paper_speedup >= FIT_MANY_PAPER_FLOOR
 
 
+class PerRoundBackend(EvaluationBackend):
+    """The unbatched reference: one ``execute_round`` per spec."""
+
+    name = "per-round"
+
+    def run_iter(self, ctx, specs):
+        for index, spec in enumerate(specs):
+            yield index, execute_round(ctx, spec)
+
+
 def test_batched_sweep_vs_unbatched(spambase_ctx):
     """The whole uncached repeat sweep, batched fits on vs off.
 
-    ``REPRO_BATCH_FITS=0`` runs the identical engine minus the
+    :class:`PerRoundBackend` runs the identical rounds minus the
     fit_many dispatch — i.e. pre-PR-6 execution, stage for stage — so
     this ratio isolates what round batching buys end to end.  Measured
     at both the grid scale study repeats run at (dispatch-bound fits,
@@ -517,24 +529,16 @@ def test_batched_sweep_vs_unbatched(spambase_ctx):
         """Interleaved off/on timings (min of ``repeats`` each)."""
         specs = sweep_specs(ctx, SWEEP_PERCENTILES, n_repeats=8)
 
-        def run():
-            return EvaluationEngine("serial", cache=False).evaluate_batch(
-                fresh(ctx), specs)
-
-        assert os.environ.get("REPRO_BATCH_FITS") is None
         timings = {"off": np.inf, "on": np.inf}
         outcomes = {}
         for _ in range(repeats):
-            for key in ("off", "on"):
-                if key == "off":
-                    os.environ["REPRO_BATCH_FITS"] = "0"
-                try:
-                    start = time.perf_counter()
-                    outcomes[key] = run()
-                    timings[key] = min(timings[key],
-                                       time.perf_counter() - start)
-                finally:
-                    os.environ.pop("REPRO_BATCH_FITS", None)
+            for key, backend in (("off", PerRoundBackend()),
+                                 ("on", "serial")):
+                engine = EvaluationEngine(backend, cache=False)
+                start = time.perf_counter()
+                outcomes[key] = engine.evaluate_batch(fresh(ctx), specs)
+                timings[key] = min(timings[key],
+                                   time.perf_counter() - start)
         return (len(specs), timings["off"], timings["on"],
                 outcomes["on"] == outcomes["off"])
 
@@ -586,7 +590,7 @@ def test_fast_path_defense_timings(spambase_ctx):
     import tracemalloc
 
     from repro.defenses.knn_sanitizer import KNNSanitizer
-    from repro.defenses.radius_filter import _ensure_class_survival
+    from repro.defenses.radius_filter import ensure_class_survival
     from repro.defenses.roni import RONIDefense
     from repro.experiments.runner import make_synthetic_context
 
@@ -635,7 +639,7 @@ def test_fast_path_defense_timings(spambase_ctx):
             idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
             agree = (y_signed[idx] == y_signed[start:stop, None]).mean(axis=1)
             keep[start:stop] = agree >= 0.5
-        return _ensure_class_survival(keep, y)
+        return ensure_class_survival(keep, y)
 
     def peak_bytes(fn):
         tracemalloc.start()

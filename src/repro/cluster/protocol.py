@@ -77,8 +77,9 @@ Message shapes (all JSON objects with a ``"type"`` key):
   shard in its own process, sharing its registry) does not merge the
   delta, so counts cross process boundaries only.
 * ``ping``    — liveness probe, answered by ``pong``.
-* ``shutdown``— ask the shard to exit its serve loop (deployments and
-  the localhost autospawn pool just signal the process).
+
+No frame stops a shard: deployments and the localhost autospawn pool
+stop shards by signal (SIGTERM shuts one down gracefully).
 
 The handshake's ``schema`` field carries the cache schema version, so
 two builds that disagree on what a round *is* never exchange results.

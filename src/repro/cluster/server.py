@@ -3,10 +3,10 @@
 A :class:`ShardServer` owns exactly one
 :class:`~repro.experiments.runner.ExperimentContext`.  At startup it
 
-1. prewarms every registered attack/defence/victim family on the
-   context (:func:`~repro.engine.spec.prewarm_all`), so per-context
-   work like the boundary attack's surrogate fit happens once, before
-   any client connects;
+1. warms the context's round kernel
+   (:meth:`~repro.experiments.kernel.ContextKernel.prewarm`), so
+   per-context work like the boundary attack's surrogate fit happens
+   once, before any client connects;
 2. with ``jobs > 1``, holds the process backend's
    :class:`~repro.engine.backends.WorkerPool` for its whole lifetime:
    the context's data arrays sit in a **per-host shared-memory
@@ -16,8 +16,8 @@ A :class:`ShardServer` owns exactly one
    backend);
 3. listens on a TCP socket and answers the protocol of
    :mod:`repro.cluster.protocol`: a content-fingerprint handshake,
-   then round chunks decoded from JSON and executed through the
-   engine's own :func:`~repro.engine.backends.execute_round` — so a
+   then round chunks decoded from JSON and run through the engine's
+   fit-window loop (the serial backend's, or the pool's) — so a
    shard's outcomes are bit-identical to the serial backend's by
    construction.  A frame that does not decode is refused by name
    (a ``reject`` before the connection closes; an ``error`` reply for
@@ -54,11 +54,13 @@ any orchestrator) parses it to learn the bound port.
 
 A ``shard:crash_after_rounds=N`` rule in the armed fault plan
 (``--faults`` or ``REPRO_FAULTS``, see :mod:`repro.resilience`) is the
-crash hook: the server executes rounds one at a time and calls
-``os._exit`` (exit code :data:`CHAOS_EXIT_CODE`) when round N+1 would
-start, mid-chunk, without replying — exactly the crash profile the
-scheduler's requeue logic must survive.  It exists for the tests and
-for operators who want to drill failover.
+crash hook: the server stores its first N computed rounds and calls
+``os._exit`` (exit code :data:`CHAOS_EXIT_CODE`) when the next one
+lands, mid-chunk, without replying — exactly the crash profile the
+scheduler's requeue logic must survive.  On a pooled shard rounds land
+as the workers' chunks finish, so which N rounds are stored follows
+that arrival order, not chunk order.  It exists for the tests and for
+operators who want to drill failover.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from repro.cluster import add_shard_arguments, protocol
 from repro.engine.backends import SerialBackend, WorkerPool
 from repro.engine.cache import (ResultCache, cache_schema_version,
                                 outcome_to_dict, round_keys)
-from repro.engine.spec import prewarm_all, round_from_obj
+from repro.engine.spec import round_from_obj
 from repro.resilience import env_int, faults
 
 __all__ = ["ShardServer", "serve", "serve_from_args", "main"]
@@ -142,7 +144,7 @@ class ShardServer:
         self.crash_after_rounds = faults.crash_threshold("shard")
         self._rounds_executed = 0
         self._chaos_lock = threading.Lock()
-        prewarm_all(ctx)
+        ctx.kernel().prewarm()
         # Every pool worker is forked here, before the listening socket
         # exists, so none inherits a socket fd.
         self.jobs = int(jobs) if jobs else 1
@@ -164,7 +166,7 @@ class ShardServer:
               file=stream, flush=True)
 
     def serve_forever(self) -> None:
-        """Accept connections until a ``shutdown`` message arrives."""
+        """Accept connections until :meth:`close`."""
         self._sock.settimeout(0.5)  # poll the shutdown flag
         try:
             while not self._shutdown.is_set():
@@ -318,10 +320,6 @@ class ShardServer:
         if kind == "ping":
             protocol.send_message(conn, {"type": "pong"})
             return True
-        if kind == "shutdown":
-            protocol.send_message(conn, {"type": "bye"})
-            self._shutdown.set()
-            return False
         if kind == "cache-query":
             keys = message.get("keys", [])
             held = self.cache.held_keys(keys) if self.cache is not None \
@@ -364,67 +362,34 @@ class ShardServer:
     def _run_chunk(self, specs: list) -> tuple[list, int]:
         """Outcomes for ``specs`` plus how many came from the cache tier.
 
-        With a cache: held rounds are served without running them
-        (they do not count as *executed* — the chaos
-        crash-after-N threshold counts real work only, which is what
-        makes replay-from-disk after a crash observable), and every
-        computed outcome is stored the moment it lands, not when the
-        chunk completes — the streaming-to-disk contract.
+        Held rounds are served from the tier without running them; the
+        rest run through the window loop, on the worker pool or
+        in-process like the serial backend, and each outcome is handled
+        as it lands, long before the whole chunk completes: the crash
+        hook is checked, then the outcome is stored in the tier (the
+        streaming-to-disk contract).  Cache hits never count as
+        executed rounds, so the hook counts real work only, which is
+        what makes replay-from-disk after a crash observable.
         """
-        if self.cache is None:
-            return self._collect(specs, lambda i, outcome: None), 0
-        keys = round_keys(self.fingerprint, specs)
         outcomes: list = [None] * len(specs)
-        to_run: list[int] = []
-        for i, key in enumerate(keys):
-            cached = self.cache.get(key)
-            if cached is not None:
-                outcomes[i] = cached
-            else:
-                to_run.append(i)
-        cache_hits = len(specs) - len(to_run)
-        if to_run:
-            def land(offset, outcome):
-                index = to_run[offset]
-                self.cache.put(keys[index], outcome)
-                outcomes[index] = outcome
-
-            self._collect([specs[i] for i in to_run], land)
-        return outcomes, cache_hits
-
-    def _collect(self, specs: list, land) -> list:
-        """Execute ``specs``, calling ``land(offset, outcome)`` per round
-        as it lands; honours the chaos crash hook.  Returns outcomes in
-        order (for the cache-less path)."""
-        if self.crash_after_rounds is None:
-            collected = [None] * len(specs)
-            for offset, outcome in self._rounds(specs):
-                self._rounds_executed += 1
-                collected[offset] = outcome
-                land(offset, outcome)
-            return collected
-        # Chaos mode: execute one round at a time so the crash lands
-        # mid-chunk, after real work, with the reply never sent —
-        # but with everything *already landed* on the disk tier.
-        collected = []
-        for offset, spec in enumerate(specs):
+        if self.cache is not None:
+            keys = round_keys(self.fingerprint, specs)
+            outcomes = [self.cache.get(key) for key in keys]
+        to_run = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        run = [specs[i] for i in to_run]
+        stream = SerialBackend().run_iter(self.ctx, run) \
+            if self.pool is None else self.pool.run_iter(run)
+        for offset, outcome in stream:
             with self._chaos_lock:
-                if self._rounds_executed >= self.crash_after_rounds:
+                # Never true without an armed crash_after_rounds.
+                if self._rounds_executed == self.crash_after_rounds:
                     os._exit(CHAOS_EXIT_CODE)
                 self._rounds_executed += 1
-            [(_, outcome)] = self._rounds([spec])
-            collected.append(outcome)
-            land(offset, outcome)
-        return collected
-
-    def _rounds(self, specs: list):
-        """``(offset, outcome)`` pairs as rounds land: on the worker
-        pool, or in-process like the serial backend when ``jobs <= 1``.
-        Either way an outcome surfaces (and can hit the disk tier) long
-        before the whole chunk completes."""
-        if self.pool is None:
-            return SerialBackend().run_iter(self.ctx, specs)
-        return self.pool.run_iter(specs)
+            index = to_run[offset]
+            if self.cache is not None:
+                self.cache.put(keys[index], outcome)
+            outcomes[index] = outcome
+        return outcomes, len(specs) - len(to_run)
 
     def close(self) -> None:
         self._shutdown.set()

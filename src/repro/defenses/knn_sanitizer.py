@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.defenses.base import Defense
-from repro.defenses.radius_filter import _ensure_class_survival
+from repro.defenses.radius_filter import ensure_class_survival
 from repro.ml.base import signed_labels
 from repro.utils.validation import check_fraction, check_positive_int, check_X_y
 
@@ -71,4 +71,4 @@ class KNNSanitizer(Defense):
             neighbour_labels = y_signed[neighbour_idx]
             agree = (neighbour_labels == y_signed[start:stop, None]).mean(axis=1)
             keep[start:stop] = agree >= self.agreement
-        return _ensure_class_survival(keep, y)
+        return ensure_class_survival(keep, y)

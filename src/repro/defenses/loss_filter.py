@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.defenses.base import Defense
-from repro.defenses.radius_filter import _ensure_class_survival
+from repro.defenses.radius_filter import ensure_class_survival
 from repro.ml.base import clone_estimator, signed_labels
 from repro.ml.metrics import hinge_loss
 from repro.ml.ridge import RidgeClassifier
@@ -86,4 +86,4 @@ class LossFilter(Defense):
             losses = hinge_loss(signed_labels(y[active]), scores, reduce=False)
             worst = active[np.argsort(-losses)[:per_round]]
             keep[worst] = False
-        return _ensure_class_survival(keep, y)
+        return ensure_class_survival(keep, y)

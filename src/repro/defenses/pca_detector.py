@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.defenses.base import Defense
-from repro.defenses.radius_filter import _ensure_class_survival
+from repro.defenses.radius_filter import ensure_class_survival
 from repro.utils.validation import check_fraction, check_positive_int, check_X_y
 
 __all__ = ["PCADetector"]
@@ -68,4 +68,4 @@ class PCADetector(Defense):
             residuals = self._residuals(X, provisional_keep)
         keep = np.ones(n, dtype=bool)
         keep[np.argsort(-residuals)[:n_remove]] = False
-        return _ensure_class_survival(keep, y)
+        return ensure_class_survival(keep, y)

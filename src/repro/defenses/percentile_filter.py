@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.defenses.base import Defense
-from repro.defenses.radius_filter import _ensure_class_survival
+from repro.defenses.radius_filter import ensure_class_survival
 from repro.data.geometry import compute_centroid, distances_to_centroid
 from repro.utils.validation import check_fraction, check_X_y
 
@@ -55,4 +55,4 @@ class PercentileFilter(Defense):
         cutoff = float(np.quantile(distances, 1.0 - self.fraction))
         self.theta_ = cutoff
         keep = distances <= cutoff
-        return _ensure_class_survival(keep, y)
+        return ensure_class_survival(keep, y)

@@ -95,7 +95,3 @@ def ensure_class_survival(keep: np.ndarray, y: np.ndarray) -> np.ndarray:
         if not keep[members].any():
             keep[members[0]] = True
     return keep
-
-
-# Backwards-compatible alias (the helper predates its public name).
-_ensure_class_survival = ensure_class_survival

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.defenses.base import Defense
-from repro.defenses.radius_filter import _ensure_class_survival
+from repro.defenses.radius_filter import ensure_class_survival
 from repro.ml.base import clone_estimator, signed_labels
 from repro.ml.batched import ridge_kernels_verified, ridge_scores_many
 from repro.ml.ridge import RidgeClassifier
@@ -97,7 +97,7 @@ class RONIDefense(Defense):
                 impact = model.score(X_val, y_val) - baseline
                 if impact < -self.tolerance:
                     keep[i] = False
-        return _ensure_class_survival(keep, y)
+        return ensure_class_survival(keep, y)
 
     def kernel_mask(self, kernel, X, y, is_poison, sources):
         """Keep mask from the vectorised (stacked-ridge) impact scorer.
@@ -158,4 +158,4 @@ class RONIDefense(Defense):
             # Exactly score(): sign threshold, bool match, exact mean.
             accuracy = np.mean(np.where(scores >= 0.0, 1, -1) == t_val, axis=1)
             keep[cands[accuracy - baseline < -self.tolerance]] = False
-        return _ensure_class_survival(keep, y)
+        return ensure_class_survival(keep, y)

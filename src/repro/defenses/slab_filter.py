@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.defenses.base import Defense
-from repro.defenses.radius_filter import _ensure_class_survival
+from repro.defenses.radius_filter import ensure_class_survival
 from repro.data.geometry import compute_centroid
 from repro.ml.base import signed_labels
 from repro.utils.validation import check_fraction, check_X_y
@@ -115,7 +115,7 @@ class SlabFilter(Defense):
             return np.ones(scores.shape[0], dtype=bool)
         keep = np.ones(scores.shape[0], dtype=bool)
         keep[np.argsort(-scores)[:n_remove]] = False
-        return _ensure_class_survival(keep, y)
+        return ensure_class_survival(keep, y)
 
     def mask(self, X, y):
         X, y = check_X_y(X, y)

@@ -16,17 +16,13 @@ from repro.engine.spec import (
     VictimSpec,
     RoundSpec,
     register_attack_builder,
-    register_attack_prewarmer,
     registered_attack_kinds,
     materialize_attack,
     register_defense_builder,
-    register_defense_prewarmer,
     registered_defense_kinds,
     materialize_defense,
-    register_victim_builder,
     registered_victim_kinds,
     materialize_victim,
-    prewarm_all,
     parse_spec_string,
     parse_attack_spec,
     parse_defense_spec,
@@ -65,17 +61,13 @@ __all__ = [
     "VictimSpec",
     "RoundSpec",
     "register_attack_builder",
-    "register_attack_prewarmer",
     "registered_attack_kinds",
     "materialize_attack",
     "register_defense_builder",
-    "register_defense_prewarmer",
     "registered_defense_kinds",
     "materialize_defense",
-    "register_victim_builder",
     "registered_victim_kinds",
     "materialize_victim",
-    "prewarm_all",
     "parse_spec_string",
     "parse_attack_spec",
     "parse_defense_spec",

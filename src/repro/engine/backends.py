@@ -130,20 +130,13 @@ def _round_kwargs(ctx, spec) -> dict:
 def execute_round(ctx, spec):
     """Run one :class:`~repro.engine.spec.RoundSpec` in ``ctx``.
 
-    This is *the* semantics of a round — every backend funnels through
-    it (or through its batch-aware sibling :func:`execute_rounds`,
-    which computes the same outcomes round for round), in this process
-    or another.
+    This is *the* semantics of a round: the one-round reference that
+    the built-in backends' batch loop (:func:`execute_rounds`) matches
+    round for round, in this process or another.
     """
     from repro.experiments.runner import evaluate_configuration
 
     return evaluate_configuration(ctx, **_round_kwargs(ctx, spec))
-
-
-def _batch_fits_enabled() -> bool:
-    """The ``REPRO_BATCH_FITS`` toggle (default on; ``0`` disables)."""
-    return os.environ.get("REPRO_BATCH_FITS", "1").strip().lower() \
-        not in ("0", "false", "no", "off")
 
 
 def _fit_group_key(prepared):
@@ -201,15 +194,15 @@ def _fit_prepared_groups(ctx, prepared_rounds) -> None:
 def _iter_rounds(ctx, specs):
     """Yield ``(index, outcome)`` for ``specs``, one fit window at a time.
 
-    The one in-process execution loop (the serial backend, a shard
-    without a pool and every pool worker's chunk all run it).  Rounds
-    are prepared (attack + defence + fresh victim) one at a time, the
-    victim fits of same-victim rounds in each window of
-    ``_FIT_WINDOW`` train together through ``LinearSVM.fit_many`` —
-    bit-identical to sequential fits by the batched trainer's contract
-    — and each window's outcomes surface, in input order, as soon as
-    the window finishes.  ``REPRO_BATCH_FITS=0`` forces the plain
-    per-round path.
+    The one execution loop every process runs: the serial backend,
+    every pool worker's chunk, and a shard's chunk (in-process or
+    through its pool).  Rounds are prepared (attack + defence + fresh
+    victim) one at a time, the victim fits of same-victim rounds in
+    each window of ``_FIT_WINDOW`` train together through
+    ``LinearSVM.fit_many`` — bit-identical to sequential fits by the
+    batched trainer's contract; a group of one trains in the finish
+    step's own ``fit`` — and each round's outcome surfaces, in input
+    order, as soon as its finish step has scored it.
     """
     from repro.experiments.runner import (
         finish_configuration,
@@ -217,18 +210,12 @@ def _iter_rounds(ctx, specs):
     )
 
     specs = list(specs)
-    batched = _batch_fits_enabled()
     for base in range(0, len(specs), _FIT_WINDOW):
-        window = specs[base:base + _FIT_WINDOW]
-        if batched and len(window) > 1:
-            prepared = [prepare_configuration(ctx, **_round_kwargs(ctx, spec))
-                        for spec in window]
-            _fit_prepared_groups(ctx, prepared)
-            outcomes = [finish_configuration(ctx, p) for p in prepared]
-        else:
-            outcomes = [execute_round(ctx, spec) for spec in window]
-        for offset, outcome in enumerate(outcomes):
-            yield base + offset, outcome
+        prepared = [prepare_configuration(ctx, **_round_kwargs(ctx, spec))
+                    for spec in specs[base:base + _FIT_WINDOW]]
+        _fit_prepared_groups(ctx, prepared)
+        for offset, p in enumerate(prepared):
+            yield base + offset, finish_configuration(ctx, p)
 
 
 def execute_rounds(ctx, specs) -> list:
@@ -469,9 +456,9 @@ class WorkerPool:
     Parameters
     ----------
     ctx:
-        The context every chunk runs in (prewarm it first: the round
-        kernel's fitted attack direction ships to the workers in the
-        block).  Its ``model_factory`` must be an
+        The context every chunk runs in (warm its round kernel first,
+        ``ctx.kernel().prewarm()``: the fitted attack direction ships
+        to the workers in the block).  Its ``model_factory`` must be an
         :class:`~repro.experiments.runner.SVMVictimFactory`, or this
         raises ``TypeError``.
     jobs:
@@ -619,9 +606,7 @@ class PoolCache:
 
 
 def _open_worker_pool(ctx, jobs: int) -> WorkerPool:
-    from repro.engine.spec import prewarm_all
-
-    prewarm_all(ctx)
+    ctx.kernel().prewarm()
     return WorkerPool(ctx, jobs)
 
 
@@ -629,15 +614,15 @@ class ProcessPoolBackend(EvaluationBackend):
     """Deal rounds over long-lived :class:`WorkerPool`\\ s, one per
     context.
 
-    A context's first batch runs every registered prewarmer on it
-    (:func:`~repro.engine.spec.prewarm_all`, the shard server's
-    start-up policy), so the fitted attack direction ships in the
-    pool's shared block and no worker repeats it, then opens its pool.
-    Later batches on a context with the same fingerprint reuse that
-    pool: no fork, no shared-memory packing, and warm workers.  At most
-    ``_MAX_POOLS`` pools stay open, the least recently used evicted
-    first; pools also close on :meth:`close`, when the backend is
-    garbage-collected, and at interpreter exit.
+    A context's first batch warms its round kernel
+    (:meth:`~repro.experiments.kernel.ContextKernel.prewarm`, as the
+    shard server does at start-up), so the fitted attack direction
+    ships in the pool's shared block and no worker repeats it, then
+    opens its pool.  Later batches on a context with the same
+    fingerprint reuse that pool: no fork, no shared-memory packing, and
+    warm workers.  At most ``_MAX_POOLS`` pools stay open, the least
+    recently used evicted first; pools also close on :meth:`close`,
+    when the backend is garbage-collected, and at interpreter exit.
 
     A pool found broken (a worker died between batches) before the
     batch's first outcome is replaced, and the batch reruns on the new

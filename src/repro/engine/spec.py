@@ -15,13 +15,15 @@ which seed.  Two properties follow:
   shards, so any backend can run them (see
   :mod:`repro.engine.backends`).
 
-Each axis of the scenario space is a registry keyed by the spec's
-``kind`` so new attack, defence and victim families plug in without
-touching the engine:
+Attacks and defences each have a builder table keyed by the spec's
+``kind``, so new families plug in without touching the engine:
 
 * attacks — ``register_attack_builder`` / ``materialize_attack``;
-* defences — ``register_defense_builder`` / ``materialize_defense``;
-* victims — ``register_victim_builder`` / ``materialize_victim``.
+* defences — ``register_defense_builder`` / ``materialize_defense``.
+
+Victim kinds are the one table of
+:class:`~repro.experiments.runner.VictimFactory`, which
+``materialize_victim`` builds.
 
 ``RoundSpec.filter_percentile`` survives as a constructor convenience:
 it canonicalises to ``DefenseSpec("radius", p)``, so drivers written
@@ -57,17 +59,13 @@ __all__ = [
     "round_to_obj",
     "round_from_obj",
     "register_attack_builder",
-    "register_attack_prewarmer",
     "registered_attack_kinds",
     "materialize_attack",
     "register_defense_builder",
-    "register_defense_prewarmer",
     "registered_defense_kinds",
     "materialize_defense",
-    "register_victim_builder",
     "registered_victim_kinds",
     "materialize_victim",
-    "prewarm_all",
 ]
 
 
@@ -212,7 +210,8 @@ class VictimSpec:
     Parameters
     ----------
     kind:
-        Registry key naming the victim family.  Built-in kinds:
+        Key naming the victim family in
+        :class:`~repro.experiments.runner.VictimFactory`'s table:
         ``"svm"`` (the paper's hinge-loss :class:`~repro.ml.LinearSVM`),
         ``"logistic"``, ``"perceptron"``, ``"ridge"`` and
         ``"naive_bayes"``.
@@ -446,7 +445,7 @@ def parse_victim_spec(text: "str | None") -> "VictimSpec | None":
         return None
     head, _, params_part = text.partition(":")
     kind = head.strip()
-    if kind not in _VICTIM_BUILDERS:
+    if kind not in registered_victim_kinds():
         raise ValueError(f"unknown victim kind {kind!r}; registered: "
                          f"{registered_victim_kinds()}")
     return VictimSpec(kind, _parse_params(params_part))
@@ -595,10 +594,7 @@ def round_from_obj(obj: dict) -> RoundSpec:
 # -- registries -------------------------------------------------------------
 
 _ATTACK_BUILDERS: dict[str, Callable] = {}
-_ATTACK_PREWARMERS: dict[str, Callable] = {}
 _DEFENSE_BUILDERS: dict[str, Callable] = {}
-_DEFENSE_PREWARMERS: dict[str, Callable] = {}
-_VICTIM_BUILDERS: dict[str, Callable] = {}
 
 
 def register_attack_builder(kind: str, builder: Callable) -> None:
@@ -611,22 +607,6 @@ def register_attack_builder(kind: str, builder: Callable) -> None:
     if not callable(builder):
         raise TypeError(f"builder for {kind!r} must be callable")
     _ATTACK_BUILDERS[str(kind)] = builder
-
-
-def register_attack_prewarmer(kind: str, prewarmer: Callable) -> None:
-    """Register ``prewarmer(ctx)``, run once per context, for a kind.
-
-    Prewarmers force shared per-context state (cached on the context)
-    that every round of the family would otherwise compute for itself —
-    e.g. the boundary attack's fitted surrogate direction.  Pooled
-    executors (the process backend, on a context's first batch, and the
-    shard server, at start-up) run every registered prewarmer through
-    :func:`prewarm_all` in the *parent* before shipping the context, so
-    the work happens once per context instead of once per worker.
-    """
-    if not callable(prewarmer):
-        raise TypeError(f"prewarmer for {kind!r} must be callable")
-    _ATTACK_PREWARMERS[str(kind)] = prewarmer
 
 
 def register_defense_builder(kind: str, builder: Callable) -> None:
@@ -642,26 +622,6 @@ def register_defense_builder(kind: str, builder: Callable) -> None:
     _DEFENSE_BUILDERS[str(kind)] = builder
 
 
-def register_defense_prewarmer(kind: str, prewarmer: Callable) -> None:
-    """Register ``prewarmer(ctx)``, run once per context, for a kind
-    (see :func:`register_attack_prewarmer`)."""
-    if not callable(prewarmer):
-        raise TypeError(f"prewarmer for {kind!r} must be callable")
-    _DEFENSE_PREWARMERS[str(kind)] = prewarmer
-
-
-def register_victim_builder(kind: str, builder: Callable) -> None:
-    """Register ``builder(ctx, spec) -> factory`` for a victim kind.
-
-    The returned ``factory(seed) -> BaseEstimator`` must be picklable
-    (parallel backends ship specs, and workers materialise victims
-    locally) and deterministic in ``(spec, seed)``.
-    """
-    if not callable(builder):
-        raise TypeError(f"builder for {kind!r} must be callable")
-    _VICTIM_BUILDERS[str(kind)] = builder
-
-
 def registered_attack_kinds() -> list[str]:
     """Sorted names of all registered attack families."""
     return sorted(_ATTACK_BUILDERS)
@@ -673,22 +633,13 @@ def registered_defense_kinds() -> list[str]:
 
 
 def registered_victim_kinds() -> list[str]:
-    """Sorted names of all registered victim families."""
-    return sorted(_VICTIM_BUILDERS)
+    """Sorted names of the victim kinds
+    :class:`~repro.experiments.runner.VictimFactory` builds."""
+    # Imported lazily: the engine package must stay importable without
+    # the experiments layer.
+    from repro.experiments.runner import _VICTIM_KINDS
 
-
-def prewarm_all(ctx) -> None:
-    """Run *every* registered prewarmer (attack and defence) on ``ctx``.
-
-    Used by long-lived executors that cannot see their future specs —
-    the process backend warms a context before opening its pool, and a
-    cluster shard server at start-up, each before packing the context
-    into shared memory, so no chunk ever pays for the surrogate fit or
-    the clean geometry.
-    """
-    for registry in (_ATTACK_PREWARMERS, _DEFENSE_PREWARMERS):
-        for kind in sorted(registry):
-            registry[kind](ctx)
+    return sorted(_VICTIM_KINDS)
 
 
 def materialize_attack(ctx, spec: AttackSpec):
@@ -721,15 +672,11 @@ def materialize_defense(ctx, spec: DefenseSpec, *, seed: int | None = None):
 
 
 def materialize_victim(ctx, spec: VictimSpec):
-    """Build the picklable victim factory a spec names."""
-    try:
-        builder = _VICTIM_BUILDERS[spec.kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown victim kind {spec.kind!r}; registered kinds: "
-            f"{registered_victim_kinds()}"
-        ) from None
-    return builder(ctx, spec)
+    """The :class:`~repro.experiments.runner.VictimFactory` a spec
+    names (it refuses unknown kinds)."""
+    from repro.experiments.runner import VictimFactory
+
+    return VictimFactory(spec.kind, spec.params)
 
 
 # -- built-in attack families ----------------------------------------------
@@ -738,12 +685,6 @@ def materialize_victim(ctx, spec: VictimSpec):
 
 def _build_boundary(ctx, spec: AttackSpec):
     return ctx.boundary_attack(float(spec.percentile))
-
-
-def _prewarm_boundary(ctx):
-    kernel = getattr(ctx, "kernel", None)
-    if callable(kernel):
-        kernel().direction  # forces the one surrogate fit per context
 
 
 def _build_label_flip(ctx, spec: AttackSpec):
@@ -832,13 +773,11 @@ def _build_bilevel(ctx, spec: AttackSpec):
 
 
 register_attack_builder("boundary", _build_boundary)
-register_attack_prewarmer("boundary", _prewarm_boundary)
 register_attack_builder("label-flip", _build_label_flip)
 register_attack_builder("random-noise", _build_random_noise)
 register_attack_builder("furthest-point", _build_furthest_point)
 register_attack_builder("targeted", _build_targeted)
 register_attack_builder("mixed", _build_mixed)
-register_attack_prewarmer("mixed", _prewarm_boundary)
 register_attack_builder("bilevel", _build_bilevel)
 
 
@@ -867,12 +806,6 @@ def _build_radius(ctx, spec: DefenseSpec, seed):
         centroid = compute_centroid(ctx.X_train, method=method)
     return RadiusFilter(radius, centroid_method=method, per_class=per_class,
                         centroid=centroid)
-
-
-def _prewarm_radius(ctx):
-    kernel = getattr(ctx, "kernel", None)
-    if callable(kernel):
-        kernel()  # forces the clean geometry once per context
 
 
 def _build_percentile_filter(ctx, spec: DefenseSpec, seed):
@@ -931,12 +864,6 @@ def _build_slab_filter(ctx, spec: DefenseSpec, seed):
         centroid_method=params.get("centroid_method", ctx.centroid_method),
         **kwargs,
     )
-
-
-def _prewarm_slab(ctx):
-    kernel = getattr(ctx, "kernel", None)
-    if callable(kernel):
-        kernel().clean_slab_scores  # forces the clean slab geometry once
 
 
 def _build_knn_sanitizer(ctx, spec: DefenseSpec, seed):
@@ -1017,27 +944,11 @@ def _build_mixed_defense(ctx, spec: DefenseSpec, seed):
 
 
 register_defense_builder("radius", _build_radius)
-register_defense_prewarmer("radius", _prewarm_radius)
 register_defense_builder("percentile_filter", _build_percentile_filter)
 register_defense_builder("slab_filter", _build_slab_filter)
-register_defense_prewarmer("slab_filter", _prewarm_slab)
 register_defense_builder("knn_sanitizer", _build_knn_sanitizer)
 register_defense_builder("roni", _build_roni)
 register_defense_builder("loss_filter", _build_loss_filter)
 register_defense_builder("pca_detector", _build_pca_detector)
 register_defense_builder("certified", _build_certified)
 register_defense_builder("mixed_defense", _build_mixed_defense)
-
-
-# -- built-in victim families ----------------------------------------------
-
-
-def _build_victim_factory(ctx, spec: VictimSpec):
-    from repro.experiments.runner import VictimFactory
-
-    return VictimFactory(spec.kind, spec.params)
-
-
-for _kind in ("svm", "logistic", "perceptron", "ridge", "naive_bayes"):
-    register_victim_builder(_kind, _build_victim_factory)
-del _kind

@@ -141,6 +141,18 @@ class ContextKernel:
         """Whether :attr:`direction` has been materialised yet."""
         return not isinstance(self._direction, str)
 
+    def prewarm(self) -> None:
+        """Compute the fitted attack direction and the clean slab
+        geometry now.
+
+        Pooled executors (the process backend, on a context's first
+        batch, and the shard server, at start-up) call this before
+        packing the context, so the surrogate fit happens once per
+        context instead of once per worker.
+        """
+        self.direction
+        self.clean_slab_scores
+
     def reuse_mask(self, key, compute) -> np.ndarray:
         """Memoise a clean-data keep mask under ``key``, probe-verified.
 

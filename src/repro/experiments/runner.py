@@ -91,17 +91,20 @@ class SVMVictimFactory:
 
 @dataclass(frozen=True)
 class VictimFactory:
-    """Picklable ``factory(seed) -> BaseEstimator`` for any victim kind.
+    """``factory(seed) -> BaseEstimator`` for any victim kind.
 
-    The generic counterpart of :class:`SVMVictimFactory`, covering the
-    full model zoo the engine's :class:`~repro.engine.VictimSpec` can
-    name: ``"svm"``, ``"logistic"``, ``"perceptron"``, ``"ridge"`` and
+    The generic counterpart of :class:`SVMVictimFactory`, and the one
+    table of victim kinds (``_VICTIM_KINDS``): every kind the engine's
+    :class:`~repro.engine.VictimSpec` can name — ``"svm"``,
+    ``"logistic"``, ``"perceptron"``, ``"ridge"`` and
     ``"naive_bayes"``.  ``params`` are constructor overrides
     (canonicalised to a sorted tuple of pairs, like spec params);
     seeded trainers receive the per-round model seed at call time,
-    deterministic ones ignore it.  A plain frozen dataclass so the
-    factory pickles for process backends and has the stable repr the
-    context fingerprint requires.
+    deterministic ones ignore it.  The factory never crosses a
+    process: pool workers and shards receive round specs and rebuild
+    it from the spec's :class:`~repro.engine.VictimSpec`
+    (:func:`~repro.engine.materialize_victim`).  A frozen dataclass, so
+    it has the stable repr the context fingerprint requires.
     """
 
     kind: str = "svm"

@@ -25,9 +25,9 @@ point           fires                            knobs
 ``chunk_reply`` shard, before sending a result   ``delay_ms``,
                 (a drop closes the connection    ``drop_prob``,
                 without replying)                ``drop_first``
-``shard``       shard, per executed round        ``crash_after_rounds``
-                (``os._exit`` mid-chunk, the
-                shard's only crash hook)
+``shard``       shard, as each computed round    ``crash_after_rounds``
+                lands (``os._exit`` mid-chunk,
+                the shard's only crash hook)
 =============== ================================ =========================
 
 Every decision is **deterministic**: the n-th firing of a point fails

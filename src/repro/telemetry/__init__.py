@@ -45,9 +45,8 @@ from __future__ import annotations
 import os
 import threading
 
-from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
-                                     Histogram, MetricsRegistry,
-                                     diff_snapshots)
+from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Histogram,
+                                     MetricsRegistry, diff_snapshots)
 from repro.telemetry.tracing import Tracer
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "counter",
     "diff_snapshots",
     "flush_delta",
-    "gauge",
     "histogram",
     "merge",
     "process_token",
@@ -198,11 +196,6 @@ def counter(name: str) -> Counter:
     return _ensure().registry.counter(name)
 
 
-def gauge(name: str) -> Gauge:
-    """The named gauge (created on first use)."""
-    return _ensure().registry.gauge(name)
-
-
 def histogram(name: str, buckets: tuple = DEFAULT_BUCKETS) -> Histogram:
     """The named histogram (created with ``buckets`` on first use)."""
     return _ensure().registry.histogram(name, buckets)
@@ -263,6 +256,5 @@ def summary(since: dict | None = None) -> dict:
     return {
         "schema": SUMMARY_SCHEMA_VERSION,
         "counters": snap.get("counters", {}),
-        "gauges": snap.get("gauges", {}),
         "stages": stages,
     }

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, fixed-bucket histograms.
+"""Process-local metrics: counters and fixed-bucket histograms.
 
 One :class:`MetricsRegistry` lives per process (module singleton owned
 by :mod:`repro.telemetry`).  All instruments are thread-safe behind one
@@ -13,7 +13,7 @@ memory: a worker or shard calls :meth:`MetricsRegistry.flush_delta`
 (everything accumulated since the previous flush) and ships the dict
 back piggybacked on its normal reply; the client calls
 :meth:`MetricsRegistry.merge` to fold it in.  Counters and histograms
-add; gauges are last-writer-wins and never travel in deltas.
+add.
 
 The registry is always live: every instrument handed out records, so
 it is the one tally of anything the program counts.
@@ -26,7 +26,6 @@ import threading
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "diff_snapshots",
@@ -54,21 +53,6 @@ class Counter:
         """Add ``n`` (default 1) to the counter."""
         with self._lock:
             self.value += n
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("_lock", "value")
-
-    def __init__(self, lock: threading.RLock):
-        self._lock = lock
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the gauge's value."""
-        with self._lock:
-            self.value = float(value)
 
 
 class Histogram:
@@ -108,7 +92,6 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.RLock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         # Watermarks for flush_delta: what has already been shipped.
         self._flushed_counters: dict[str, int] = {}
@@ -120,14 +103,6 @@ class MetricsRegistry:
             inst = self._counters.get(name)
             if inst is None:
                 inst = self._counters[name] = Counter(self._lock)
-            return inst
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under ``name`` (created on first use)."""
-        with self._lock:
-            inst = self._gauges.get(name)
-            if inst is None:
-                inst = self._gauges[name] = Gauge(self._lock)
             return inst
 
     def histogram(self, name: str,
@@ -146,8 +121,6 @@ class MetricsRegistry:
             return {
                 "counters": {n: c.value
                              for n, c in sorted(self._counters.items())},
-                "gauges": {n: g.value
-                           for n, g in sorted(self._gauges.items())},
                 "histograms": {
                     n: {"buckets": list(h.buckets),
                         "counts": list(h.counts),
@@ -160,8 +133,7 @@ class MetricsRegistry:
         """Counters/histograms accumulated since the previous flush.
 
         Returns ``None`` when nothing changed, so callers can omit the
-        field from wire messages entirely.  Gauges never travel: they
-        are point-in-time process-local readings, not accumulations.
+        field from wire messages entirely.
         """
         with self._lock:
             counters = {}
@@ -220,8 +192,7 @@ def diff_snapshots(before: dict, after: dict) -> dict:
     """``after - before`` for two :meth:`MetricsRegistry.snapshot` dicts.
 
     Used to scope a study's provenance summary to the study itself when
-    the process registry already holds earlier activity.  Gauges keep
-    their ``after`` reading.
+    the process registry already holds earlier activity.
     """
     counters = {}
     for name, value in after.get("counters", {}).items():
@@ -247,6 +218,5 @@ def diff_snapshots(before: dict, after: dict) -> dict:
         }
     return {
         "counters": counters,
-        "gauges": dict(after.get("gauges", {})),
         "histograms": histograms,
     }

@@ -53,7 +53,7 @@ def sweep_batch(n=4, seeds=3):
 
 @pytest.fixture()
 def ctx_file(cluster_ctx, tmp_path):
-    path = str(tmp_path / "ctx.pkl")
+    path = str(tmp_path / "ctx.npz")
     save_context(cluster_ctx, path)
     return path
 
@@ -74,7 +74,7 @@ class TestShardDeath:
             chaotic, addr_b = _spawn_shard(
                 ctx_file, "--faults", "shard:crash_after_rounds=3")
             # The 12 rounds deal as 4 chunks of 3, and the chaotic
-            # shard crashes only as its 4th round would start: the
+            # shard crashes only as its 4th computed round lands: the
             # survivor takes nothing until the chaotic shard has taken
             # its second chunk, so the crash always comes.
             chaotic_name = f"{addr_b[0]}:{addr_b[1]}"

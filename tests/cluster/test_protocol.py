@@ -242,6 +242,19 @@ class TestNamedErrors:
             assert "protocol error" in reply["reason"]
         self._still_serves(address, cluster_ctx)
 
+    def test_shutdown_is_an_unknown_verb(self, cluster_ctx, shard_farm):
+        """No frame stops a shard: ``shutdown`` gets the unknown-verb
+        error, and the connection and the shard keep serving."""
+        [address] = shard_farm(1)
+        with _handshaken(address, cluster_ctx) as sock:
+            protocol.send_message(sock, {"type": "shutdown"})
+            reply = protocol.recv_message(sock)
+            assert reply["type"] == "error"
+            assert "unknown message type 'shutdown'" in reply["message"]
+            protocol.send_message(sock, {"type": "ping"})
+            assert protocol.recv_message(sock)["type"] == "pong"
+        self._still_serves(address, cluster_ctx)
+
     @staticmethod
     def _still_serves(address, ctx):
         client = ShardClient(address)

@@ -97,7 +97,7 @@ class TestRestartRejoin:
         """
         from repro.experiments.runner import save_context
 
-        ctx_file = str(tmp_path / "ctx.pkl")
+        ctx_file = str(tmp_path / "ctx.npz")
         save_context(cluster_ctx, ctx_file)
         specs = sweep_batch(n=4, seeds=2)
         reference = EvaluationEngine("serial", cache=False).evaluate_batch(
@@ -173,7 +173,7 @@ class TestGracefulDegradation:
 
         from repro.experiments.runner import save_context
 
-        ctx_file = str(tmp_path / "ctx.pkl")
+        ctx_file = str(tmp_path / "ctx.npz")
         save_context(cluster_ctx, ctx_file)
         proc, address = _spawn_shard(ctx_file, "--faults",
                                      "shard:crash_after_rounds=3")

@@ -7,14 +7,16 @@ its composition with the PR 7 fault plans, where every run must stay
 bit-identical to the fault-free serial reference.
 """
 
+import os
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.cluster import protocol
 from repro.cluster.backend import ClusterBackend, ClusterDegradedWarning
-from repro.cluster.scheduler import ClusterScheduler, ShardClient
+from repro.cluster.scheduler import ClusterScheduler, ShardClient, ShardError
 from repro.cluster.server import CHAOS_EXIT_CODE
 from repro.engine import EvaluationEngine, cache_schema_version, round_keys
 from repro.experiments.runner import save_context
@@ -276,7 +278,7 @@ class TestShardCacheCounters:
         """A subprocess shard's cache tier counts as
         ``shard.cache.*``: its piggybacked delta leaves a cacheless
         client's own ``cache.*`` counters at 0."""
-        ctx_file = str(tmp_path / "ctx.pkl")
+        ctx_file = str(tmp_path / "ctx.npz")
         save_context(cluster_ctx, ctx_file)
         specs = sweep_batch(n=4, seeds=3)
         proc, address = _spawn_shard(ctx_file, "--cache-dir",
@@ -303,7 +305,7 @@ class TestPlacementUnderChaos:
         """A half-warm shard owns placed chunks, crashes mid-chunk; the
         cacheless survivor absorbs the requeue (stealing the remaining
         placed work) and the sweep matches serial bit for bit."""
-        ctx_file = str(tmp_path / "ctx.pkl")
+        ctx_file = str(tmp_path / "ctx.npz")
         save_context(cluster_ctx, ctx_file)
         tier = str(tmp_path / "tier")
         specs = sweep_batch(n=4, seeds=3)
@@ -366,7 +368,7 @@ class TestPlacementUnderChaos:
         and is restarted at the same address over the same tier: the
         requeued chunk's already-landed rounds replay from disk instead
         of recomputing (visible as shard cache hits on a cold fleet)."""
-        ctx_file = str(tmp_path / "ctx.pkl")
+        ctx_file = str(tmp_path / "ctx.npz")
         save_context(cluster_ctx, ctx_file)
         tier = str(tmp_path / "tier")
         specs = sweep_batch(n=4, seeds=3)
@@ -415,7 +417,7 @@ class TestPlacementUnderChaos:
         """PR 7 degradation composed with the cache tier: the only
         (cache-carrying) shard dies past its budget, the remainder runs
         serially, and the batch still matches the reference."""
-        ctx_file = str(tmp_path / "ctx.pkl")
+        ctx_file = str(tmp_path / "ctx.npz")
         save_context(cluster_ctx, ctx_file)
         proc, address = _spawn_shard(ctx_file, "--cache-dir",
                                      str(tmp_path / "tier"),
@@ -434,3 +436,63 @@ class TestPlacementUnderChaos:
                 proc.terminate()
                 proc.wait(timeout=5.0)
             proc.stdout.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="shared-memory segments not listed in "
+                        "/dev/shm")
+    def test_pooled_shard_crash_stores_exactly_n_rounds(
+            self, cluster_ctx, reference, tmp_path):
+        """The crash hook on a pooled shard: it stores its first three
+        computed rounds, in the order the workers' chunks land, and
+        exits as the fourth lands.  A shard restarted on that tier
+        serves exactly those three and computes the rest, matching
+        serial bit for bit, and no shared-memory segment outlives
+        either shard."""
+        ctx_file = str(tmp_path / "ctx.npz")
+        save_context(cluster_ctx, ctx_file)
+        tier = str(tmp_path / "tier")
+        specs = sweep_batch(n=4, seeds=3)
+        before = _segments()
+
+        procs = []
+        try:
+            chaotic, address = _spawn_shard(
+                ctx_file, "--jobs", "2", "--cache-dir", tier,
+                "--faults", "shard:crash_after_rounds=3")
+            procs.append(chaotic)
+            client = _client(address, cluster_ctx)
+            try:
+                with pytest.raises(ShardError, match="died mid-chunk"):
+                    client.run_chunk(1, specs)
+            finally:
+                client.close()
+            assert chaotic.wait(timeout=10.0) == CHAOS_EXIT_CODE
+
+            restarted, address = _spawn_shard(
+                ctx_file, "--jobs", "2", "--cache-dir", tier)
+            procs.append(restarted)
+            assert _probe(address)["cache"]["entry_count"] == 3
+            client = _client(address, cluster_ctx)
+            try:
+                assert client.run_chunk(2, specs) == reference
+                assert client.last_cache_hits == 3
+            finally:
+                client.close()
+            assert _probe(address)["cache"]["hits"] == 3
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.terminate()
+                    proc.wait(timeout=5.0)
+                proc.stdout.close()
+        # The crashed shard's segment is unlinked by its resource
+        # tracker once its orphaned workers have exited.
+        deadline = time.monotonic() + 15.0
+        while _segments() - before and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _segments() - before
+
+
+def _segments() -> set:
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith("psm_")}

@@ -185,7 +185,7 @@ class TestKNNSanitizer:
         """The persistent-block distance path (PR 6) is a memory
         optimisation only: keep masks must equal the old chunked
         expression form ``col - 2.0 * gram + row`` exactly."""
-        from repro.defenses.radius_filter import _ensure_class_survival
+        from repro.defenses.radius_filter import ensure_class_survival
         from repro.ml.base import signed_labels
 
         X, y = blobs
@@ -205,7 +205,7 @@ class TestKNNSanitizer:
             idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
             agree = (y_signed[idx] == y_signed[start:stop, None]).mean(axis=1)
             keep[start:stop] = agree >= 0.5
-        reference = _ensure_class_survival(keep, y)
+        reference = ensure_class_survival(keep, y)
 
         np.testing.assert_array_equal(sanitizer.mask(X, y), reference)
 

@@ -3,7 +3,7 @@
 Contract: grouping same-victim rounds (of any training-set size)
 through ``LinearSVM.fit_many`` is an execution strategy — outcomes must be
 bit-identical to per-spec ``execute_round`` calls, in input order,
-with and without the ``REPRO_BATCH_FITS`` toggle.
+for windows of any size, one spec included.
 """
 
 import pytest
@@ -56,12 +56,6 @@ class TestBitIdentity:
         reference = [execute_round(ctx, spec) for spec in specs]
         assert batched == reference
 
-    def test_toggle_off_matches(self, ctx, monkeypatch):
-        specs = mixed_specs(n_seeds=2)
-        expected = execute_rounds(ctx, specs)
-        monkeypatch.setenv("REPRO_BATCH_FITS", "0")
-        assert execute_rounds(ctx, specs) == expected
-
     def test_windowing_preserves_order(self, ctx, monkeypatch):
         # Tiny windows force multiple prepare/fit/finish cycles.
         monkeypatch.setattr(backends_mod, "_FIT_WINDOW", 3)
@@ -69,7 +63,7 @@ class TestBitIdentity:
         assert execute_rounds(ctx, specs) == \
             [execute_round(ctx, spec) for spec in specs]
 
-    def test_single_spec_short_circuits(self, ctx):
+    def test_single_spec_window_matches(self, ctx):
         spec = RoundSpec(filter_percentile=0.1, attack=None, seed=5)
         assert execute_rounds(ctx, [spec]) == [execute_round(ctx, spec)]
         assert execute_rounds(ctx, []) == []
@@ -125,13 +119,3 @@ class TestBatchedDispatch:
             assert X[r].tobytes() == p.X_tr.tobytes()
             assert y[r].tobytes() == \
                 signed_labels(p.y_tr).astype(float).tobytes()
-
-    def test_toggle_off_disables_dispatch(self, ctx, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_FITS", "0")
-        monkeypatch.setattr(
-            LinearSVM, "fit_many",
-            classmethod(lambda cls, models, datasets: pytest.fail(
-                "fit_many dispatched with REPRO_BATCH_FITS=0")))
-        specs = [RoundSpec(filter_percentile=0.1, attack=None, seed=s)
-                 for s in range(3)]
-        execute_rounds(ctx, specs)

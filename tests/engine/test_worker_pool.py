@@ -212,10 +212,7 @@ class TestRecovery:
 
     def test_telemetry_armed_after_the_pool_exists(self, contexts,
                                                    fresh_telemetry,
-                                                   monkeypatch, tmp_path):
-        # Unbatched fits, so every stage counts once per round; the
-        # pool forks after this, so its workers inherit the toggle.
-        monkeypatch.setenv("REPRO_BATCH_FITS", "0")
+                                                   tmp_path):
         ctx = contexts[0]
         engine = EvaluationEngine("process", jobs=2, cache=False)
         engine.evaluate_batch(ctx, specs(8))  # opens the pool, no sink
@@ -223,8 +220,11 @@ class TestRecovery:
         telemetry.configure(str(trace_dir))  # a fresh registry and a sink
         outcomes = engine.evaluate_batch(ctx, specs(8, first_seed=8))
         stages = telemetry.summary()["stages"]
-        for stage in ("attack", "defense", "fit", "payoff"):
+        for stage in ("attack", "defense", "payoff"):
             assert stages[stage]["count"] == 8, stage
+        # Fits count per fit group: each worker's 4-round chunk trains
+        # as one lockstep group.
+        assert stages["fit"]["count"] == 2
         assert outcomes == serial(ctx, specs(8, first_seed=8))
         engine.backend.close()
         # The workers followed the owner onto the sink: each wrote its

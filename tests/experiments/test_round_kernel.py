@@ -20,7 +20,6 @@ from repro.engine import AttackSpec, EvaluationEngine, RoundSpec
 from repro.experiments.kernel import build_context_kernel
 from repro.experiments.runner import (evaluate_configuration, load_context,
                                      make_synthetic_context, save_context)
-from repro.ml.linear_svm import LinearSVM
 from repro.utils.rng import derive_seed
 
 
@@ -128,18 +127,18 @@ class TestAttackPrecomputedParity:
     @pytest.mark.parametrize("transport", ["fresh", "reloaded"])
     def test_surrogate_fitted_once_per_context(self, monkeypatch, tmp_path,
                                                transport):
+        from repro.attacks import optimal_boundary
+
         fits = []
-        original = LinearSVM.fit
 
-        def counting_fit(self, X, y):
+        def counting_direction(X, y, surrogate):
             fits.append(X.shape)
-            return original(self, X, y)
+            return surrogate_direction(X, y, surrogate)
 
-        monkeypatch.setattr(LinearSVM, "fit", counting_fit)
-        # Pin the plain per-round path: batched fit_many dispatch would
-        # hide victim fits from the per-call counter (that path's own
-        # accounting is covered by the engine batching tests).
-        monkeypatch.setenv("REPRO_BATCH_FITS", "0")
+        # Every surrogate fit, from the kernel or from an attack that
+        # computes its own direction, goes through this one function.
+        monkeypatch.setattr(optimal_boundary, "surrogate_direction",
+                            counting_direction)
         ctx = make_synthetic_context(seed=11, n_samples=160, n_features=4)
         if transport == "reloaded":
             # The shard path: a context saved for `--context-file` and
@@ -151,9 +150,9 @@ class TestAttackPrecomputedParity:
         engine = EvaluationEngine("serial", cache=False)
         specs = [kernel_spec(0.1, 0.05, seed) for seed in range(4)]
         engine.evaluate_batch(ctx, specs)
-        # One surrogate fit (shared via the kernel) + one victim fit per
-        # round; the pre-kernel path needed a surrogate refit every round.
-        assert len(fits) == 1 + len(specs)
+        # One surrogate fit, shared via the kernel; the pre-kernel path
+        # needed a surrogate refit every round.
+        assert len(fits) == 1
 
 
 class TestFilterFastPath:

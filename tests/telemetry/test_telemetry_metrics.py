@@ -15,12 +15,6 @@ class TestInstruments:
         # Same name -> same instrument.
         assert reg.counter("a") is reg.counter("a")
 
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(3)
-        reg.gauge("g").set(1.5)
-        assert reg.gauge("g").value == 1.5
-
     def test_histogram_buckets_and_mean(self):
         reg = MetricsRegistry()
         h = reg.histogram("h", buckets=(0.1, 1.0))
@@ -55,11 +49,10 @@ class TestSnapshotAndDelta:
     def test_snapshot_is_json_plain(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
-        reg.gauge("g").set(2.0)
         reg.histogram("h").observe(0.01)
         snap = reg.snapshot()
+        assert set(snap) == {"counters", "histograms"}
         assert snap["counters"] == {"c": 1}
-        assert snap["gauges"] == {"g": 2.0}
         assert snap["histograms"]["h"]["count"] == 1
 
     def test_flush_delta_none_when_quiet(self):
@@ -71,11 +64,6 @@ class TestSnapshotAndDelta:
         assert reg.flush_delta() is None
         reg.counter("c").inc(2)
         assert reg.flush_delta() == {"counters": {"c": 2}}
-
-    def test_gauges_never_travel_in_deltas(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(7.0)
-        assert reg.flush_delta() is None
 
     def test_merge_adds_counters_and_histograms(self):
         worker, client = MetricsRegistry(), MetricsRegistry()
