@@ -202,13 +202,17 @@ def _iter_rounds(ctx, specs):
     ``LinearSVM.fit_many`` — bit-identical to sequential fits by the
     batched trainer's contract; a group of one trains in the finish
     step's own ``fit`` — and each round's outcome surfaces, in input
-    order, as soon as its finish step has scored it.
+    order, as soon as its finish step has scored it.  BLAS runs at one
+    thread (:func:`~repro.utils.blas.pin_one_blas_thread`), so outcomes
+    do not depend on the host's CPU count.
     """
     from repro.experiments.runner import (
         finish_configuration,
         prepare_configuration,
     )
+    from repro.utils.blas import pin_one_blas_thread
 
+    pin_one_blas_thread()
     specs = list(specs)
     for base in range(0, len(specs), _FIT_WINDOW):
         prepared = [prepare_configuration(ctx, **_round_kwargs(ctx, spec))

@@ -41,12 +41,14 @@ __all__ = [
     "prune_cache_dir",
 ]
 
-# v3: the round identity generalised from (filter_percentile, attack,
-# fraction, seed) to (defense, attack, victim, fraction, seed) — the
-# canonical spec tuple changed shape, so v2 keys no longer name the
-# same rounds.  (v2: the experiment filter moved to the clean-data
-# centroid, staling v1 poisoned-round entries.)
-_SCHEMA_VERSION = 3
+# v4: rounds compute at one BLAS thread in every process, so a
+# near-tie round (a kNN neighbour decided by the distance product's
+# summation order) may differ from the bits v3 stored at the host's
+# default thread count.  (v3: the round identity generalised from
+# (filter_percentile, attack, fraction, seed) to (defense, attack,
+# victim, fraction, seed).  v2: the experiment filter moved to the
+# clean-data centroid, staling v1 poisoned-round entries.)
+_SCHEMA_VERSION = 4
 
 _MANIFEST_NAME = "manifest.json"
 

@@ -49,6 +49,7 @@ from repro.data.geometry import (
     radius_for_percentile,
 )
 from repro.defenses.radius_filter import ensure_class_survival
+from repro.utils.blas import pin_one_blas_thread
 from repro.utils.rng import derive_seed
 
 __all__ = ["ContextKernel", "build_context_kernel"]
@@ -329,8 +330,12 @@ def build_context_kernel(ctx, *, direction=_UNSET) -> ContextKernel:
 
     ``direction`` pre-fills the attack direction fitted in another
     process (``None`` included: a computed degenerate direction), so
-    this kernel never refits it.
+    this kernel never refits it.  The process runs BLAS at one thread
+    from here on (:func:`~repro.utils.blas.pin_one_blas_thread`), so a
+    pool's parent is pinned before it forks and a shard by its
+    start-up warm-up.
     """
+    pin_one_blas_thread()
     centroid = compute_centroid(ctx.X_train, method=ctx.centroid_method)
     return ContextKernel(
         X_train=ctx.X_train,

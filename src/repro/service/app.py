@@ -105,8 +105,8 @@ class ReproService:
                             on_change=self._notify_streams)
             for i in range(max(0, int(workers)))
         ]
-        self._http = HttpServer(self._route, host=config.host,
-                                port=config.port)
+        self._http = HttpServer(self._route, self._authorize,
+                                host=config.host, port=config.port)
         self._loop: asyncio.AbstractEventLoop | None = None
         # Set (and replaced) on the loop whenever a local worker changes
         # a study's state; every open stream waits on the current one.
@@ -229,12 +229,17 @@ class ReproService:
 
     # -- routing -----------------------------------------------------------
 
-    async def _route(self, request: Request) -> Response:
+    def _authorize(self, request: Request) -> Response | None:
+        """The bearer-token check, run on the request's headers before
+        its body is read: a 401 response, or ``None`` to admit it."""
         telemetry.counter("service.http.requests").inc()
         refusal = self.auth.refusal(request.header("authorization"))
         if refusal is not None:
             telemetry.counter("service.http.unauthorized").inc()
             return json_response({"error": refusal}, status=401)
+        return None
+
+    async def _route(self, request: Request) -> Response:
         with telemetry.trace_span("service.request", method=request.method,
                                   path=request.path):
             return self._dispatch(request)

@@ -30,6 +30,8 @@ __all__ = ["HttpError", "Request", "Response", "HttpServer",
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_BYTES = 65536
 MAX_BODY_BYTES = 16 * 1024 * 1024
+# How long a refused request's unread body is drained before the close.
+_LINGER_SECONDS = 5.0
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             401: "Unauthorized", 404: "Not Found",
@@ -96,8 +98,10 @@ def text_response(text: str, *, status: int = 200) -> Response:
                     content_type="text/plain; charset=utf-8")
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request; ``None`` when the client closed before sending."""
+async def _read_head(reader: asyncio.StreamReader) -> Request | None:
+    """Parse one request's line and headers, leaving its body unread
+    (``body`` is empty); ``None`` when the client closed before
+    sending."""
     try:
         line = await reader.readuntil(b"\r\n")
     except asyncio.IncompleteReadError as exc:
@@ -128,22 +132,47 @@ async def _read_request(reader: asyncio.StreamReader) -> Request | None:
             raise HttpError(400, f"malformed header line {text!r}")
         headers[name.strip().lower()] = value.strip()
 
-    body = b""
-    length = headers.get("content-length")
-    if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            raise HttpError(400, f"bad Content-Length {length!r}")
-        if n < 0 or n > MAX_BODY_BYTES:
-            raise HttpError(413, f"body of {n} bytes exceeds the "
-                                 f"{MAX_BODY_BYTES}-byte cap")
-        body = await reader.readexactly(n) if n else b""
-
     split = urlsplit(target)
     query = {k: v[-1] for k, v in parse_qs(split.query).items()}
     return Request(method=method, path=unquote(split.path), query=query,
-                   headers=headers, body=body)
+                   headers=headers, body=b"")
+
+
+def _body_length(request: Request) -> int:
+    """The request's declared ``Content-Length`` (0 when absent)."""
+    length = request.header("content-length")
+    if length is None:
+        return 0
+    try:
+        n = int(length)
+    except ValueError:
+        raise HttpError(400, f"bad Content-Length {length!r}")
+    if n < 0 or n > MAX_BODY_BYTES:
+        raise HttpError(413, f"body of {n} bytes exceeds the "
+                             f"{MAX_BODY_BYTES}-byte cap")
+    return n
+
+
+async def _linger(reader: asyncio.StreamReader) -> None:
+    """Discard what the client still sends, up to ``MAX_BODY_BYTES`` and
+    for at most ``_LINGER_SECONDS``, before the connection closes.
+
+    Closing a socket with unread input makes the kernel send a reset,
+    which can reach a client still sending its body before it reads the
+    refusal already written to it.
+    """
+    async def drain():
+        left = MAX_BODY_BYTES
+        while left > 0:
+            chunk = await reader.read(min(left, 65536))
+            if not chunk:
+                return
+            left -= len(chunk)
+
+    try:
+        await asyncio.wait_for(drain(), _LINGER_SECONDS)
+    except asyncio.TimeoutError:
+        pass
 
 
 def _head(status: int, content_type: str, extra: dict, *,
@@ -166,10 +195,16 @@ class HttpServer:
     ``await start()`` binds (port 0 picks a free port — read
     :attr:`port` after), ``await stop()`` closes the listener and
     cancels in-flight connections (streams included).
+
+    ``authorize(request) -> Response | None`` sees each request once its
+    headers are read and before any body byte is: a response refuses
+    the request without reading its body, ``None`` admits it.
     """
 
-    def __init__(self, router, *, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, router, authorize, *, host: str = "127.0.0.1",
+                 port: int = 0):
         self.router = router
+        self.authorize = authorize
         self.host = host
         self.port = int(port)
         self._server: asyncio.AbstractServer | None = None
@@ -211,12 +246,19 @@ class HttpServer:
 
     async def _serve_one(self, reader, writer) -> None:
         try:
-            request = await _read_request(reader)
+            request = await _read_head(reader)
+            if request is None:
+                return
+            refusal = self.authorize(request)
+            if refusal is not None:
+                await self._write_fixed(writer, refusal)
+                await _linger(reader)
+                return
+            n = _body_length(request)
+            request.body = await reader.readexactly(n) if n else b""
         except HttpError as exc:
             await self._write_fixed(writer, json_response(
                 {"error": exc.message}, status=exc.status))
-            return
-        if request is None:
             return
         try:
             response = await self.router(request)

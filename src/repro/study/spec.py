@@ -33,6 +33,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.engine.cache import cache_schema_version
 from repro.engine.spec import (VictimSpec, attack_from_obj, attack_to_obj,
                                defense_from_obj, defense_to_obj,
                                params_from_obj, params_to_obj,
@@ -336,10 +337,14 @@ class StudySpec:
     def fingerprint(self, *, context_fingerprint: str | None = None) -> str:
         """Content hash addressing this study's results.
 
-        Covers the schema version, kind, context identity, grid and
-        solver config; excludes engine placement.  Specs with
-        ``context=None`` describe an experiment on a caller-supplied
-        context and must be given that context's fingerprint.
+        Covers the study and round schema versions, kind, context
+        identity, grid and solver config; excludes engine placement.
+        The round schema (:func:`~repro.engine.cache.cache_schema_version`)
+        is in it because a study's results are its rounds' outcomes: an
+        archive or checkpoint made under another round schema is never
+        served.  Specs with ``context=None`` describe an experiment on a
+        caller-supplied context and must be given that context's
+        fingerprint.
         """
         if self.context is not None:
             context = self.context.canonical()
@@ -350,8 +355,8 @@ class StudySpec:
                 "this StudySpec has no ContextSpec; pass "
                 "context_fingerprint= (the live context's content hash)")
         payload = json.dumps(
-            [STUDY_SCHEMA_VERSION, self.kind, context,
-             self.grid.canonical(), self.solver],
+            [STUDY_SCHEMA_VERSION, cache_schema_version(), self.kind,
+             context, self.grid.canonical(), self.solver],
             separators=(",", ":"), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

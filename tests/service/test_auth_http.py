@@ -1,5 +1,6 @@
 """Bearer-token auth and the HTTP transport's own behaviour."""
 
+import http.client
 import json
 
 import pytest
@@ -107,3 +108,36 @@ def test_oversized_body_is_rejected(client):
         "POST", "/studies", body=b"x",
         headers={"Content-Length": str(64 * 1024 * 1024)})
     assert status == 413
+
+
+def _post_without_token(service, length: int, body: bytes):
+    """``POST /studies`` declaring ``length`` body bytes and sending
+    ``body``; the status and decoded reply."""
+    conn = http.client.HTTPConnection(service.host, service.port,
+                                      timeout=10.0)
+    try:
+        conn.putrequest("POST", "/studies")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(length))
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def test_token_is_checked_before_the_body_is_read(locked_service, counters):
+    """A request without a token gets its 401 on its headers alone: the
+    server does not wait for a 16 MB body that never comes, and a
+    client that did send its body still reads the 401."""
+    counters()
+    status, body = _post_without_token(locked_service, 16_000_000, b"")
+    assert status == 401
+    assert "auth required" in body["error"]
+
+    status, body = _post_without_token(locked_service, 1 << 20,
+                                       b"x" * (1 << 20))
+    assert status == 401
+    assert "auth required" in body["error"]
+    assert counters()["service.http.unauthorized"] == 2
+    assert locked_service.queue.pending() == []

@@ -8,9 +8,11 @@ recipe, to a builder's defaults or to a ``*_rounds`` expander's seeds or
 layout would orphan every archive and cache written before it; these
 pins catch that.
 
-The expected values were recorded once and must never be edited to make
-a refactor pass: a mismatch means existing archives and caches no
-longer resolve.
+The expected values must never be edited to make a refactor pass: a
+mismatch means existing archives and caches no longer resolve.  They
+are re-recorded only when the round schema is bumped on purpose (last
+at v4, when rounds moved to one BLAS thread), which stales every
+archive and cache entry written before it.
 """
 
 import hashlib
@@ -53,19 +55,19 @@ def _specs():
 
 GOLDEN_FINGERPRINTS = {
     "figure1":
-        "cda781dab58abd1dd8ecb1c8c13eeb01b3c52293d9d52a58cf1538ca67aa67ac",
+        "add76779565b2f18305f84a1fd601e1ceb57e11009cd873b07c1268b4117b4b9",
     "mixed_eval":
-        "a99da281e3f54abee3daab5a48d35b6040288a8f2e0e7f4eb4334a3f0de53608",
+        "6f8d3d7b71bd1227b00bf206f0f0503a65d1aa3e4a550f959bbd88c61e324f2f",
     "table1":
-        "9f2f76676747bf8d12da1839ce2e15c57f43729fe96c33956cec94811362397a",
+        "4345c6d9dcdf319b86e42c95c06f499157f8e30594bb1f4738b135d9d7212cd1",
     "empirical_game":
-        "3ac2daaa4a155d0395253ad07ff3dc7239f75beb7fdb3a7e1b3404973891a1f5",
+        "a7dc3bc3ae2964498d4e3283e58e47d02019f564bd78a13e1898bdeadbbb024a",
     "cross_game":
-        "140aed69ed8fe50cf16b80c86c7c961ba4bc3be03beca222d351c1f3fb0285dd",
+        "bd23cf93675d6def6081d86b54633d91188d7a77c74fa88c7a0cb673fec6465e",
     "multi_seed":
-        "1d7253876511fba31a4f13e435dd4e7bceb6b6f9e837d4edee317ebd6f2589f1",
+        "ae6d2bd1e6837320b47d4b7ff310cc4ff9c0396d65677773b9697fee3cca09eb",
     "grid":
-        "64f140a902ced3ca1d00d11ffadb171ff03a03f11fbec2e9ee7cf8e7d0fcea65",
+        "15fe9673b00cd499e1188e9c6436a9bb678903c494d8ef5b31d797e5a1f19535",
 }
 
 
@@ -90,13 +92,13 @@ def _rounds():
 
 GOLDEN_ROUND_DIGESTS = {
     "sweep":
-        "dd81be49f91414533442e956fd81744c5e4fb4c0a1d6da917348bf4211b7d3c1",
+        "4b552a77182176d223a908391fadca7261776ac69a43219c847d93a3e2ceb307",
     "support":
-        "34ce7f2693c65a00fb6ceae1e4dbd297b58d484ff93c0a7872c85cf501d0c96b",
+        "8b9dc283bc1ac61b18626db55ba649b75c8d384cb9c05a72583225f9440b348e",
     "cross":
-        "881c800ebfd868b2d9878a86661e78bdf4ea8b3039d3812b02cc4bfbdbbb812d",
+        "9b24e6f08ce4009ee7e1f9aa98d142ed27e4a0f75a0b65074de8e05474afb2c7",
     "grid":
-        "0a09b0ce0a7dec7d7d80731565b4be04ab9c95a6fa6c2e85fea3e053e7447488",
+        "678931d795a064ee255cd05989885440773e59f428a4963e8228714996480ca2",
 }
 
 

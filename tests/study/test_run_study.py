@@ -1,5 +1,6 @@
 """run_study: provenance stamps, archives, resume, rendering."""
 
+import hashlib
 import json
 import os
 
@@ -152,6 +153,40 @@ class TestArchive:
         entries = [n for n in os.listdir(archive)
                    if n.startswith("study-")]
         assert len(entries) == 2
+
+    def test_previous_round_schema_is_recomputed_not_served(
+            self, ctx_spec, tmp_path, monkeypatch, counters):
+        """An archive and disk-tier entries written under round schema
+        v3 are recomputed.  v4 rounds compute at one BLAS thread, and a
+        near-tie round's v3 bits may differ; v3 study fingerprints had
+        no round-schema element, so the archive sits where v3 put it."""
+        from repro.engine import cache
+        from repro.study.spec import STUDY_SCHEMA_VERSION
+
+        spec = figure1_spec(ctx_spec)
+        archive = str(tmp_path / "archive")
+        disk = str(tmp_path / "cache")
+        monkeypatch.setattr(cache, "_SCHEMA_VERSION", 3)
+        old = run_study(spec, engine=EvaluationEngine("serial",
+                                                      cache_dir=disk))
+        monkeypatch.undo()
+        v3_fingerprint = hashlib.sha256(json.dumps(
+            [STUDY_SCHEMA_VERSION, spec.kind, spec.context.canonical(),
+             spec.grid.canonical(), spec.solver],
+            separators=(",", ":"), sort_keys=True).encode()).hexdigest()
+        os.makedirs(archive)
+        old.to_json(archive_path(archive, v3_fingerprint))
+        assert old.cache_schema_version == 3
+
+        counters()
+        new = run_study(spec, engine=EvaluationEngine("serial",
+                                                      cache_dir=disk),
+                        archive_dir=archive)
+        assert new.cache_schema_version == 4
+        assert new.cache_hits == 0
+        assert new.rounds_computed == new.n_unique
+        assert counters()["engine.rounds_computed"] == new.n_unique
+        assert os.path.exists(archive_path(archive, spec.fingerprint()))
 
 
 class TestResume:
